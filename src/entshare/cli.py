@@ -115,7 +115,10 @@ def load_state(args) -> PureState:
 
 def optimizer_from_args(args) -> OptimizerConfig:
     if getattr(args, "opt_json", None):
-        return OptimizerConfig.from_dict({**json.loads(args.opt_json), "seed": args.seed})
+        doc = json.loads(args.opt_json)
+        if not isinstance(doc, dict):
+            raise EntshareError("--opt-json must be a JSON object")
+        return OptimizerConfig.from_dict({**doc, "seed": args.seed})
     return OptimizerConfig(
         ensemble_size=args.ensemble_size,
         restarts=args.restarts,

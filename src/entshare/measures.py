@@ -10,7 +10,9 @@ estimates.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +70,16 @@ class OptimizerConfig:
     tol: float = 1e-8
     seed: int = 17
 
+    def __post_init__(self):
+        counts = {"restarts": self.restarts, "max_iters": self.max_iters}
+        if self.ensemble_size is not None:
+            counts["ensemble_size"] = self.ensemble_size
+        for name, value in counts.items():
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise OptimizerConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.tol, numbers.Real) or not 0 < self.tol < math.inf:
+            raise OptimizerConfigError(f"tol must be a positive finite number, got {self.tol!r}")
+
     def margin(self) -> float:
         """Comparison margin for estimate-backed inequalities."""
         return 10.0 * self.tol + 1e-9
@@ -96,7 +108,6 @@ class CorrelationMeasure:
     name: str
     beta_max: float = 2.0
     x_min: float = 2.0
-    mode: str = "exact-preferred"
 
     def __post_init__(self):
         if self.beta_max <= 0 or self.x_min <= 0:
@@ -221,69 +232,81 @@ def _permute_density(rho: DensityMatrix, order: list[int]) -> DensityMatrix:
 # --- convex-roof optimizer ----------------------------------------------------
 #
 # Every size-m ensemble of rho arises as psi_k = sum_j W_kj sqrt(mu_j) |e_j>
-# with W the first r columns of an m x m unitary, parameterized as the
-# exponential of an anti-Hermitian matrix (m^2 real parameters). The average
-# concurrence is sum_k of the degree-2 homogeneous pure value
-# c_k = sqrt(2 (|psi_k|^4 - tr rhoA_k^2)), smoothed near its kinks so L-BFGS
-# gets an exact analytic gradient; reported values are always re-evaluated
-# unsmoothed, so a minimize result is a true achievable ensemble average.
+# with W the first r columns of an m x m unitary U = exp(iH). The m^2 real
+# parameters theta fill the Hermitian generator H directly: with npair =
+# m(m-1)/2, theta[:npair] = re and theta[npair:2 npair] = im give the strict
+# upper triangle in row-major order as H_ij = im - i re (the lower triangle is
+# its conjugate), and theta[2 npair:] is the real diagonal. This placement is
+# one gather map per m, computed once; the gradient flows back through the
+# same map. From eigh(H) = V diag(lam) V^H only the m x r block
+# W = V e^{i lam} V[:r]^H is formed, and one matmul with the eigenvector factor
+# of rho gives every member M_k as a da x db matrix. With g_k = M_k M_k^H,
+# t_k = tr g_k and f_k = sum |g_k|^2, the average concurrence is sum_k of the
+# degree-2 homogeneous pure value c_k = sqrt(2 (t_k^2 - f_k)), smoothed near
+# its kinks so L-BFGS gets an exact analytic gradient; reported values are
+# always re-evaluated unsmoothed, so a minimize result is a true achievable
+# ensemble average.
 
 
-def _theta_to_antiherm(theta: np.ndarray, m: int) -> np.ndarray:
-    a = np.zeros((m, m), dtype=complex)
-    iu = np.triu_indices(m, 1)
-    npair = len(iu[0])
-    re, im, di = theta[:npair], theta[npair : 2 * npair], theta[2 * npair :]
-    a[iu] = re + 1j * im
-    a[(iu[1], iu[0])] = -re + 1j * im
-    a[np.diag_indices(m)] = 1j * di
-    return a
+@functools.lru_cache(maxsize=None)
+def _generator_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather map (src, sgn): the float view of H is theta[src] * sgn.
+
+    The imaginary diagonal has sgn 0. The map is linear, so a gradient in the
+    float view of H pulls back to theta as bincount(src, sgn * grad).
+    """
+    iu, ju = np.triu_indices(m, 1)
+    up, lo, dg = 2 * (iu * m + ju), 2 * (ju * m + iu), 2 * (m + 1) * np.arange(m)
+    npair = iu.size
+    re, im = np.arange(npair), npair + np.arange(npair)
+    src = np.zeros(2 * m * m, dtype=np.intp)
+    sgn = np.zeros(2 * m * m)
+    for pos, idx, c in ((up, im, 1.0), (up + 1, re, -1.0), (lo, im, 1.0), (lo + 1, re, 1.0),
+                        (dg, 2 * npair + np.arange(m), 1.0)):
+        src[pos], sgn[pos] = idx, c
+    src.flags.writeable = sgn.flags.writeable = False
+    return src, sgn
 
 
 def _members(theta, vfac, m, r, da, db):
-    a = _theta_to_antiherm(theta, m)
-    lam, v = np.linalg.eigh(a / 1j)
+    src, sgn = _generator_layout(m)
+    lam, v = np.linalg.eigh((theta[src] * sgn).view(complex).reshape(m, m))
+    vh = v.conj().T
     ph = np.exp(1j * lam)
-    u = (v * ph) @ v.conj().T
-    w = u[:, :r]
-    psi = vfac @ w.T
-    mem = psi.T.reshape(m, da, db)
-    return mem, (lam, v, ph, w)
+    mem = ((v * ph) @ vh[:, :r] @ vfac.T).reshape(m, da, db)
+    return mem, (lam, v, vh, ph)
+
+
+def _gram(mem):
+    """Per member: g = M M^H, t = tr g and f = sum |g|^2."""
+    g = mem @ mem.conj().transpose(0, 2, 1)
+    t = g.trace(axis1=1, axis2=2).real
+    gf = g.reshape(len(g), -1).view(float)
+    return g, t, (gf * gf).sum(axis=1)
 
 
 def _member_values(mem) -> np.ndarray:
-    g = np.einsum("kab,kcb->kac", mem, mem.conj())
-    t = np.einsum("kaa->k", g).real
-    f = np.einsum("kab,kba->k", g, g).real
+    _, t, f = _gram(mem)
     return np.sqrt(np.maximum(2.0 * (t * t - f), 0.0))
 
 
 def _roof_objective(theta, vfac, m, r, da, db, sign, eps2):
     """Smoothed ensemble average and its gradient in the theta parameters."""
-    mem, (lam, v, ph, _) = _members(theta, vfac, m, r, da, db)
-    g = np.einsum("kab,kcb->kac", mem, mem.conj())
-    t = np.einsum("kaa->k", g).real
-    f = np.einsum("kab,kba->k", g, g).real
-    c2 = np.maximum(2.0 * (t * t - f), 0.0)
-    ce = np.sqrt(c2 + eps2)
+    mem, (lam, v, vh, ph) = _members(theta, vfac, m, r, da, db)
+    g, t, f = _gram(mem)
+    ce = np.sqrt(np.maximum(2.0 * (t * t - f), 0.0) + eps2)
     val = sign * float(ce.sum())
 
-    ti_minus_g = t[:, None, None] * np.eye(da)[None, :, :] - g
-    k = 4.0 / ce[:, None, None] * np.einsum("kab,kbc->kac", ti_minus_g, mem)
-    kap = k.reshape(m, da * db)
-    gw = (kap.conj() @ vfac).conj()
-    gu = np.zeros((m, m), dtype=complex)
-    gu[:, :r] = gw
-    p = v.conj().T @ gu @ v
+    k = (4.0 / ce)[:, None, None] * (t[:, None, None] * mem - g @ mem)
+    gw = k.reshape(m, da * db) @ vfac.conj()
+    p = vh @ (gw @ v[:r])
     dl = lam[:, None] - lam[None, :]
     close = np.abs(dl) < 1e-12
-    gam = np.where(close, ph[:, None] * np.ones_like(dl), (ph[:, None] - ph[None, :]) / (1j * np.where(close, 1.0, dl)))
-    s = v.conj() @ (p.conj() * gam) @ v.T
-    iu = np.triu_indices(m, 1)
-    g_re = np.real(s[iu] - s[(iu[1], iu[0])])
-    g_im = -np.imag(s[iu] + s[(iu[1], iu[0])])
-    g_di = -np.imag(np.diag(s))
-    return val, sign * np.concatenate([g_re, g_im, g_di])
+    gam = np.where(close, ph[:, None], (ph[:, None] - ph[None, :]) / (1j * np.where(close, 1.0, dl)))
+    # gradient in the real and imaginary parts of H's entries, scattered back onto theta
+    gh = -1j * (v @ (p * gam.conj()) @ vh)
+    src, sgn = _generator_layout(m)
+    return val, sign * np.bincount(src, sgn * gh.reshape(-1).view(float), m * m)
 
 
 def convex_roof(

@@ -89,10 +89,6 @@ class DensityMatrix:
         w, v = np.linalg.eigh((self.matrix + self.matrix.conj().T) / 2)
         return np.clip(w, 0.0, None), v
 
-    def rank(self, tol: float = 1e-12) -> int:
-        w, _ = self.eigensystem()
-        return int(np.count_nonzero(w > tol))
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 

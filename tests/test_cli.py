@@ -232,6 +232,17 @@ class TestOptimizerJson:
         assert doc["optimizer_meta"]["restarts"] == 3
         assert "converged" in doc["optimizer_meta"]
 
+    @pytest.mark.parametrize("measure", ["concurrence", "tau_assistance"])
+    @pytest.mark.parametrize("opt_args", [
+        ["--restarts", "0"], ["--max-iters", "0"], ["--opt-tol", "0"], ["--ensemble-size", "0"],
+        ["--opt-json", '{"restarts": 0}'], ["--opt-json", "[3]"],
+    ], ids=["restarts", "max-iters", "opt-tol", "ensemble-size", "json-restarts", "json-list"])
+    def test_invalid_optimizer_settings_exit_2(self, capsys, measure, opt_args):
+        code, out, err = run(capsys, "measure", "--family", "w4", "--measure", measure,
+                             "--cut", "A|B1B2", "--reduce", *opt_args)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_opt_json_rejects_unknown_keys(self, capsys):
         code, _, err = run(capsys, "measure", "--family", "w4", "--cut", "A|B1B2",
                            "--reduce", "--opt-json", '{"stepsize": 3}')

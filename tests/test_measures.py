@@ -10,6 +10,9 @@ from entshare.measures import (
     TAU_ASSISTANCE,
     MeasureValue,
     OptimizerConfig,
+    _member_values,
+    _members,
+    _roof_objective,
     assistance_2q,
     concurrence_pure,
     convex_roof,
@@ -229,3 +232,62 @@ class TestConvexRoof:
         a = convex_roof(rho, AB, None, "minimize", OptimizerConfig(seed=11))
         b = convex_roof(rho, AB, None, "minimize", OptimizerConfig(seed=11))
         assert a.value == b.value
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("bad", [
+        {"restarts": 0}, {"restarts": 2.5}, {"max_iters": 0}, {"tol": 0.0}, {"tol": -1e-8},
+        {"tol": float("nan")}, {"tol": float("inf")}, {"ensemble_size": 0},
+    ])
+    def test_invalid_settings_rejected(self, bad):
+        with pytest.raises(OptimizerConfigError):
+            OptimizerConfig(**bad)
+        with pytest.raises(OptimizerConfigError):
+            OptimizerConfig.from_dict(bad)
+
+    def test_smallest_valid_settings(self):
+        opt = OptimizerConfig(ensemble_size=1, restarts=1, max_iters=1, tol=1e-12)
+        assert opt.restarts == 1 and opt.ensemble_size == 1
+
+
+KERNEL_CASES = pytest.mark.parametrize("shape, at_zero", [
+    pytest.param(shape, at_zero, id="m%d-r%d-%dx%d-" % shape + ("theta0" if at_zero else "random"))
+    for shape in [(4, 2, 2, 2), (4, 2, 2, 4), (6, 4, 2, 4), (4, 2, 2, 8)]
+    for at_zero in (True, False)
+])
+
+
+def _kernel_input(m, r, da, db, at_zero):
+    """A unit-trace eigenvector factor of rank r and a parameter point."""
+    rng = np.random.default_rng(1000 * m + 100 * r + db)
+    vfac = rng.standard_normal((da * db, r)) + 1j * rng.standard_normal((da * db, r))
+    theta = np.zeros(m * m) if at_zero else 0.7 * rng.standard_normal(m * m)
+    return vfac / np.linalg.norm(vfac), theta
+
+
+class TestRoofKernel:
+    @KERNEL_CASES
+    def test_gradient_matches_central_differences(self, shape, at_zero):
+        m, r, da, db = shape
+        vfac, theta = _kernel_input(m, r, da, db, at_zero)
+        objective = lambda x: _roof_objective(x, vfac, m, r, da, db, -1.0, 1e-12)
+        _, grad = objective(theta)
+        h = 1e-6
+        fd = np.array([(objective(theta + h * e)[0] - objective(theta - h * e)[0]) / (2 * h)
+                       for e in np.eye(m * m)])
+        assert np.max(np.abs(grad - fd)) <= 1e-8
+
+    @KERNEL_CASES
+    def test_members_reconstruct_state(self, shape, at_zero):
+        m, r, da, db = shape
+        vfac, theta = _kernel_input(m, r, da, db, at_zero)
+        mem, _ = _members(theta, vfac, m, r, da, db)
+        psi = mem.reshape(m, da * db)
+        assert np.allclose(psi.T @ psi.conj(), vfac @ vfac.conj().T, rtol=0, atol=1e-12)
+        cut = Bipartition({0}, {1})
+        weighted = [
+            p * concurrence_pure(PureState(v / math.sqrt(p), (da, db)), cut).value
+            for v, p in zip(psi, np.sum(np.abs(psi) ** 2, axis=1))
+            if p > 1e-14
+        ]
+        assert float(_member_values(mem).sum()) == pytest.approx(sum(weighted), abs=1e-12)
