@@ -23,6 +23,7 @@ Sides and ids:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -70,13 +71,15 @@ class Component:
 class ComponentTable:
     """Cut values Q_{A|S} of one (state, measure) pair, computed once each."""
 
-    def __init__(self, state: PureState | DensityMatrix, measure: CorrelationMeasure,
-                 opt: OptimizerConfig = DEFAULT_OPT):
+    def __init__(self, state: PureState | DensityMatrix | None,
+                 measure: CorrelationMeasure | None, opt: OptimizerConfig = DEFAULT_OPT,
+                 n_b: int | None = None):
+        """A table measured from `state`, or with state None an empty one over n_b B parties."""
         self.state = state
         self.measure = measure
         self.opt = opt
-        self.n_b = state.n_parties - 1
-        if self.n_b < 2:
+        self.n_b = state.n_parties - 1 if state is not None else n_b
+        if self.n_b is None or self.n_b < 2:
             raise InvalidParameterError("component tables need at least three parties")
         self._cache: dict[tuple[int, ...], Component] = {}
 
@@ -84,14 +87,10 @@ class ComponentTable:
     def from_values(cls, joints: dict[tuple[int, ...], float], n_b: int,
                     measure: CorrelationMeasure | None = None) -> "ComponentTable":
         """Synthetic all-exact table; `joints` maps sorted B-subsets to values."""
-        table = object.__new__(cls)
-        table.state = None
-        table.measure = measure
-        table.opt = DEFAULT_OPT
-        table.n_b = n_b
-        table._cache = {
-            tuple(sorted(k)): Component(float(v), True) for k, v in joints.items()
-        }
+        table = cls(None, measure, n_b=n_b)
+        table._cache.update(
+            {tuple(sorted(k)): Component(float(v), True) for k, v in joints.items()}
+        )
         for key, comp in table._cache.items():
             if comp.value < 0:
                 raise InvalidParameterError(f"component {key} is negative")
@@ -257,15 +256,6 @@ def residual_tree(table: ComponentTable, alpha: float, strategy: str = "max",
     return tree
 
 
-def residual_general(state, measure: CorrelationMeasure, alpha: float, parties=None,
-                     strategy: str = "max", sign: str = POLYGAMY,
-                     weights: dict[int, float] | None = None,
-                     opt: OptimizerConfig = DEFAULT_OPT) -> ResidualTree:
-    """State-backed wrapper around residual_tree."""
-    return residual_tree(ComponentTable(state, measure, opt), alpha, strategy, sign,
-                         weights, parties)
-
-
 @dataclass(frozen=True)
 class BoundEntry:
     value: float
@@ -412,6 +402,8 @@ def evaluate_bounds(state, measure: CorrelationMeasure, exponent: float, side: s
     """Full bound report for one exponent: lhs, every requested bound, flags."""
     if side not in (POLYGAMY, MONOGAMY):
         raise InvalidParameterError(f"side must be polygamy or monogamy, got {side!r}")
+    if not math.isfinite(exponent):
+        raise InvalidParameterError(f"exponent must be finite, got {exponent}")
     if table is None:
         table = ComponentTable(state, measure, opt)
     n_parties = table.n_b + 1
@@ -492,14 +484,17 @@ def hierarchy_checks(side: str, n_parties: int, measure: CorrelationMeasure):
 
 
 def verify_hierarchy(state, measure: CorrelationMeasure, exponents, side: str,
-                     opt: OptimizerConfig = DEFAULT_OPT, bound_ids=None):
+                     opt: OptimizerConfig = DEFAULT_OPT, bound_ids=None,
+                     table: ComponentTable | None = None):
     """Evaluate a grid and collect violations of the bound and ordering checks.
 
     Returns (reports, violations, indeterminate_count). A violated bound or a
     broken tighter/looser ordering becomes a Violation; estimate-backed
     comparisons inside the margin only increment the indeterminate count.
+    Pass the (state, measure) table to share its components between calls.
     """
-    table = ComponentTable(state, measure, opt)
+    if table is None:
+        table = ComponentTable(state, measure, opt)
     checks = hierarchy_checks(side, state.n_parties, measure)
     reports: list[BoundReport] = []
     violations: list[Violation] = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -303,6 +304,8 @@ def parse_grid(spec: str) -> list[float]:
     if len(parts) != 3:
         raise EntshareError(f"grid {spec!r} must be lo:hi:step")
     lo, hi, step = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise EntshareError(f"grid {spec!r} needs finite lo, hi and step")
     if step <= 0 or not lo < hi:
         raise EntshareError(f"grid {spec!r} needs step > 0 and lo < hi")
     n = round((hi - lo) / step)
@@ -377,8 +380,11 @@ def _parse_checks(raw: str | None):
 
 
 def cmd_fuzz(args) -> int:
+    if args.samples < 0:
+        raise EntshareError(f"--samples must be >= 0, got {args.samples}")
     dims = tuple(int(d) for d in args.dims.split(","))
     checks = _parse_checks(args.checks)
+    measures = dict.fromkeys(m for _, m, _, _ in checks)
     opt = optimizer_from_args(args)
     started = time.perf_counter()
     violations = []
@@ -387,10 +393,11 @@ def cmd_fuzz(args) -> int:
         sample_seed = opt.seed + k
         state = haar_random_pure(dims, sample_seed)
         digest = hashlib.sha256(state.amplitudes.tobytes()).hexdigest()[:12]
+        tables = {m: bmod.ComponentTable(state, m, opt) for m in measures}
         for side, measure, exponent, bound in checks:
             ids = (bound,) if bound else None
             _, viol, indet = bmod.verify_hierarchy(state, measure, [exponent], side, opt,
-                                                   bound_ids=ids)
+                                                   bound_ids=ids, table=tables[measure])
             indeterminate += indet
             for v in viol:
                 violations.append({

@@ -16,7 +16,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     DimensionError,
@@ -212,21 +211,20 @@ def measure_bipartite(
     pure = state.as_pure()
     if pure is not None:
         return concurrence_pure(pure, cut)
-    order, da, db = _cut_shape(state.dims, cut)
+    _, da, db = _cut_shape(state.dims, cut)
     if da == 2 and db == 2:
-        two_qubit = _permute_density(state, order)
-        return assistance_2q(two_qubit) if measure.assistance else wootters_concurrence(two_qubit)
+        # the cut is A|B or B|A of a two-qubit state; SWAP commutes with sy x sy,
+        # so the spin-flip spectrum is the same in either party order
+        return assistance_2q(state) if measure.assistance else wootters_concurrence(state)
     direction = "maximize" if measure.assistance else "minimize"
     return convex_roof(state, cut, None, direction, opt)
 
 
-def _permute_density(rho: DensityMatrix, order: list[int]) -> DensityMatrix:
-    n = len(rho.dims)
-    dims = [rho.dims[i] for i in order]
-    perm = list(order) + [n + i for i in order]
-    t = rho.matrix.reshape(rho.dims + rho.dims).transpose(perm)
-    d = math.prod(dims)
-    return DensityMatrix(t.reshape(d, d), tuple(dims))
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first roof call so that commands
+    without a roof never load scipy.optimize."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 # --- convex-roof optimizer ----------------------------------------------------

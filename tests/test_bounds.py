@@ -22,7 +22,6 @@ from entshare.bounds import (
     bound_value,
     evaluate_bounds,
     ordering_classify,
-    residual_general,
     residual_tree,
     residual_tripartite,
     verify_hierarchy,
@@ -120,7 +119,7 @@ class TestWeightMap:
 
 class TestResidualTree:
     def test_product_state_all_zero(self):
-        tree = residual_general(product_state_4q(), CONCURRENCE, 1.5)
+        tree = residual_tree(ComponentTable(product_state_4q(), CONCURRENCE), 1.5)
         assert all(abs(v) < 1e-12 for v in tree.terms.values())
         assert all(abs(v) < 1e-12 for v in tree.level_values.values())
 
@@ -135,8 +134,8 @@ class TestResidualTree:
         assert tree.exact
 
     def test_exactness_flag_tracks_estimates(self):
-        tree = residual_general(w_state(4), TAU_ASSISTANCE, 1.0,
-                                opt=OptimizerConfig(restarts=2))
+        table = ComponentTable(w_state(4), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
+        tree = residual_tree(table, 1.0)
         assert not tree.exact
 
     def test_mean_strategy_levels(self):
@@ -349,6 +348,25 @@ class TestHierarchy:
         _, violations, _ = verify_hierarchy(
             w_state(4), CONCURRENCE, [2.0, 3.0, 4.0, 6.0], MONOGAMY)
         assert violations == []
+
+    @pytest.mark.parametrize("measure, side, exponents", [
+        (CONCURRENCE, MONOGAMY, [2.0, 3.0]),
+        (TAU_ASSISTANCE, POLYGAMY, [0.5, 1.5]),
+    ])
+    def test_shared_table_matches_fresh(self, measure, side, exponents, monkeypatch):
+        import entshare.bounds as bounds
+
+        opt = OptimizerConfig(restarts=2)
+        shared = ComponentTable(w_state(4), measure, opt)
+        verify_hierarchy(w_state(4), measure, [exponents[0]], side, opt, table=shared)
+        fresh = verify_hierarchy(w_state(4), measure, exponents, side, opt)
+
+        def unexpected(*args):
+            raise AssertionError("a shared table measured a component again")
+
+        monkeypatch.setattr(bounds, "measure_bipartite", unexpected)
+        again = verify_hierarchy(w_state(4), measure, exponents, side, opt, table=shared)
+        assert again == fresh
 
     def test_product_state_all_zero(self):
         reports, violations, _ = verify_hierarchy(

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import entshare
 from entshare.cli import main, parse_cut, parse_grid
 from entshare.errors import EntshareError
 from entshare.states import make_family, state_to_json
@@ -35,6 +40,9 @@ class TestParsing:
             parse_grid("1:0:0.5")
         with pytest.raises(EntshareError):
             parse_grid("0:1:0")
+        for bad in ("2:inf:1", "nan:1:0.5", "0:1:inf"):
+            with pytest.raises(EntshareError):
+                parse_grid(bad)
 
 
 class TestMeasureCommand:
@@ -132,6 +140,11 @@ class TestSweepCommand:
                          "--grid", "4:2:0.5")
         assert code == 2
 
+    def test_infinite_grid_end_exits_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "--family", "w4", "--side", "monogamy",
+                           "--grid", "2:inf:1")
+        assert code == 2 and "finite" in err
+
 
 class TestBoundsCommand:
     def test_json_report(self, capsys):
@@ -142,6 +155,11 @@ class TestBoundsCommand:
         assert doc["bounds"]["base"]["value"] == pytest.approx(0.75, abs=1e-10)
         assert doc["satisfied"]["base"] is True
         assert doc["m"] is None
+
+    def test_nan_exponent_exits_2(self, capsys):
+        code, out, err = run(capsys, "bounds", "--family", "w4", "--measure", "concurrence",
+                             "--side", "monogamy", "--exponent", "nan")
+        assert code == 2 and out == "" and "finite" in err
 
 
 class TestFigureCommand:
@@ -199,6 +217,31 @@ class TestFuzzCommand:
         run(capsys, "fuzz", "--samples", "10", "--seed", "3", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_negative_samples_exits_2(self, capsys):
+        code, out, _ = run(capsys, "fuzz", "--samples", "-3")
+        assert code == 2 and out == ""
+
+    def test_infinite_check_exponent_exits_2(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--samples", "1",
+                             "--checks", "monogamy:concurrence:inf")
+        assert code == 2 and out == "" and "finite" in err
+
+    def test_one_table_per_sample_and_measure(self, capsys, monkeypatch):
+        from entshare.bounds import ComponentTable
+
+        calls = []
+        init = ComponentTable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ComponentTable, "__init__", counting_init)
+        code, _, _ = run(capsys, "fuzz", "--samples", "3", "--dims", "2,2,2")
+        assert code == 0
+        # four default checks on two measures: two tables per sample
+        assert len(calls) == 6
+
     def test_bad_check_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "fuzz", "--samples", "1", "--checks", "sideways:concurrence:2")
         assert code == 2
@@ -247,3 +290,27 @@ class TestOptimizerJson:
         code, _, err = run(capsys, "measure", "--family", "w4", "--cut", "A|B1B2",
                            "--reduce", "--opt-json", '{"stepsize": 3}')
         assert code == 2
+
+
+SCIPY_PROBE = """
+import contextlib, io, sys
+from entshare.cli import build_parser, main
+build_parser()
+loaded = ["scipy.optimize" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert main(["fuzz", "--samples", "2"]) == 0
+    loaded.append("scipy.optimize" in sys.modules)
+    assert main(["measure", "--family", "w4", "--cut", "A|B1B2", "--reduce",
+                 "--restarts", "1"]) == 0
+    loaded.append("scipy.optimize" in sys.modules)
+print(loaded)
+"""
+
+
+def test_scipy_imported_only_by_roofs():
+    src = str(Path(entshare.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, True]"

@@ -163,6 +163,15 @@ class TestDispatch:
         with pytest.raises(InvalidParameterError):
             measure_bipartite(CorrelationMeasure("negativity"), w_state(4), cut_a_vs_rest(4))
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("measure", [CONCURRENCE, TAU_ASSISTANCE])
+    def test_two_qubit_cut_order_irrelevant(self, measure, rank):
+        for seed in range(5):
+            rho = DensityMatrix(random_two_qubit_mixed(300 + seed, rank), (2, 2))
+            ab = measure_bipartite(measure, rho, AB).value
+            ba = measure_bipartite(measure, rho, Bipartition({1}, {0})).value
+            assert ba == pytest.approx(ab, abs=1e-12)
+
     def test_pure_density_matrix_detected(self, bell):
         mv = measure_bipartite(CONCURRENCE, bell.density(), AB)
         assert mv.exact and mv.value == pytest.approx(1.0, abs=1e-10)
