@@ -1,7 +1,7 @@
 """Correlation-sharing toolkit for small multipartite quantum states.
 
-Computes bipartite correlation measures (concurrence and assistance
-measures), the residual-correlation machinery behind tightened polygamy and
+Computes bipartite correlation measures (concurrence and concurrence of
+assistance), the residual-correlation machinery behind tightened polygamy and
 monogamy bounds, exponent-threshold solvers, and deterministic sweep /
 figure / fuzz commands.
 """

@@ -1,10 +1,11 @@
 """Residual-correlation recursions and the polygamy/monogamy bound family.
 
 The bound arithmetic is split from measurement: a ComponentTable memoizes the
-bipartite cut values Q_{A|S} of one (state, measure) pair, and every bound or
-residual tree is pure arithmetic over that table at a given exponent. Tests
-and sweeps can therefore feed synthetic component tables, and exponent grids
-reuse each expensive optimizer call exactly once.
+bipartite cut values Q_{A|S} of one (state, measure) pair, each as the
+MeasureValue (value plus exactness flag) that measure_bipartite returns, and
+every bound or residual tree is pure arithmetic over that table at a given
+exponent. Tests and sweeps can therefore feed synthetic component tables,
+and exponent grids reuse each expensive optimizer call exactly once.
 
 Sides and ids:
   polygamy  (upper bounds on Q^a of the joint cut):
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .measures import (
     DEFAULT_OPT,
+    EXACT,
     CorrelationMeasure,
     MeasureValue,
     OptimizerConfig,
@@ -60,14 +62,6 @@ MONOGAMY_IDS = (BASE, RATIO_WEIGHTED, EXP_WEIGHTED, PAIR_WEIGHTED)
 EXACT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Component:
-    """A memoized cut value plus whether it is exact."""
-
-    value: float
-    exact: bool
-
-
 class ComponentTable:
     """Cut values Q_{A|S} of one (state, measure) pair, computed once each."""
 
@@ -81,22 +75,18 @@ class ComponentTable:
         self.n_b = state.n_parties - 1 if state is not None else n_b
         if self.n_b is None or self.n_b < 2:
             raise InvalidParameterError("component tables need at least three parties")
-        self._cache: dict[tuple[int, ...], Component] = {}
+        self._cache: dict[tuple[int, ...], MeasureValue] = {}
 
     @classmethod
     def from_values(cls, joints: dict[tuple[int, ...], float], n_b: int,
                     measure: CorrelationMeasure | None = None) -> "ComponentTable":
         """Synthetic all-exact table; `joints` maps sorted B-subsets to values."""
         table = cls(None, measure, n_b=n_b)
-        table._cache.update(
-            {tuple(sorted(k)): Component(float(v), True) for k, v in joints.items()}
-        )
-        for key, comp in table._cache.items():
-            if comp.value < 0:
-                raise InvalidParameterError(f"component {key} is negative")
+        table._cache.update({tuple(sorted(k)): MeasureValue(float(v), EXACT)
+                             for k, v in joints.items()})
         return table
 
-    def joint(self, subset) -> Component:
+    def joint(self, subset) -> MeasureValue:
         key = tuple(sorted(int(i) for i in subset))
         if not key or any(i < 1 or i > self.n_b for i in key) or len(set(key)) != len(key):
             raise InvalidParameterError(f"subset {subset} is not a set of B parties 1..{self.n_b}")
@@ -108,24 +98,23 @@ class ComponentTable:
         self._cache[key] = comp
         return comp
 
-    def marginal(self, i: int) -> Component:
+    def marginal(self, i: int) -> MeasureValue:
         return self.joint((i,))
 
-    def lhs(self) -> Component:
+    def lhs(self) -> MeasureValue:
         return self.joint(tuple(range(1, self.n_b + 1)))
 
     def all_exact(self) -> bool:
         return all(c.exact for c in self._cache.values())
 
-    def _measure_cut(self, key: tuple[int, ...]) -> Component:
+    def _measure_cut(self, key: tuple[int, ...]) -> MeasureValue:
         keep = (0,) + key
         if len(keep) == self.state.n_parties:
             sub = self.state
         else:
             sub = partial_trace(self.state, keep)
         cut = Bipartition({0}, set(range(1, len(keep))))
-        mv: MeasureValue = measure_bipartite(self.measure, sub, cut, self.opt)
-        return Component(mv.value, mv.exact)
+        return measure_bipartite(self.measure, sub, cut, self.opt)
 
 
 def residual_tripartite(q_ab: float, q_ac: float, q_abc: float, alpha: float) -> float:
@@ -284,8 +273,8 @@ class BoundReport:
 @dataclass(frozen=True)
 class OrderingComparison:
     index: int
-    marginal: Component
-    tail: Component
+    marginal: MeasureValue
+    tail: MeasureValue
     relation: str  # "ge", "le", "both", "neither"
 
 
@@ -331,6 +320,14 @@ def _power_ref(measure: CorrelationMeasure | None, side: str) -> float:
     return measure.beta_max if side == POLYGAMY else measure.x_min
 
 
+def check_party_count(bound_id: str, n_parties: int) -> None:
+    """Raise unless the bound is defined at this number of parties."""
+    if bound_id == PAIR_WEIGHTED and n_parties != 3:
+        raise InvalidParameterError("pair_weighted applies to three-party states only")
+    if bound_id in (RESIDUAL_MAX, RESIDUAL_MEAN) and n_parties < 4:
+        raise InvalidParameterError(f"{bound_id} needs at least four parties")
+
+
 def bound_value(table: ComponentTable, bound_id: str, exponent: float, side: str,
                 m: int | None = None) -> tuple[float, bool]:
     """Evaluate one bound id on a component table; returns (value, exact)."""
@@ -341,23 +338,16 @@ def bound_value(table: ComponentTable, bound_id: str, exponent: float, side: str
 
     if bound_id == BASE:
         return base, exact
+    check_party_count(bound_id, n_b + 1)
     if bound_id == PAIR_WEIGHTED:
-        if n_b != 2:
-            raise InvalidParameterError("pair_weighted applies to three-party states only")
         qs = sorted((marginals[0].value, marginals[1].value), reverse=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ExponentRangeWarning)
             val = weighted_pair_bound(qs[0], qs[1], exponent, _power_ref(table.measure, side), side)
         return val, exact
-    if bound_id == RESIDUAL_MAX:
-        if n_b < 3:
-            raise InvalidParameterError("residual_max needs at least four parties")
-        tree = residual_tree(table, exponent, "max", POLYGAMY)
-        return base - tree.level_sum(), exact and tree.exact
-    if bound_id == RESIDUAL_MEAN:
-        if n_b < 3:
-            raise InvalidParameterError("residual_mean needs at least four parties")
-        tree = residual_tree(table, exponent, "mean", POLYGAMY)
+    if bound_id in (RESIDUAL_MAX, RESIDUAL_MEAN):
+        strategy = "max" if bound_id == RESIDUAL_MAX else "mean"
+        tree = residual_tree(table, exponent, strategy, POLYGAMY)
         return base - tree.level_sum(), exact and tree.exact
 
     if m is None:
@@ -428,14 +418,11 @@ def evaluate_bounds(state, measure: CorrelationMeasure, exponent: float, side: s
         if bad:
             raise InvalidParameterError(f"bound ids {bad} not defined for the {side} side")
 
-    lhs_comp = table.lhs()
-    lhs = MeasureValue(lhs_comp.value, "exact" if lhs_comp.exact else
-                       ("lower-estimate" if measure.assistance else "upper-estimate"),
-                       {} if lhs_comp.exact else {"from": "component table"})
-    lhs_power = lhs_comp.value**exponent
+    lhs = table.lhs()
+    lhs_power = lhs.value**exponent
 
     marginal_values = [table.marginal(i).value for i in range(1, table.n_b + 1)]
-    degenerate = exponent == 0.0 and (0.0 in marginal_values or lhs_comp.value == 0.0)
+    degenerate = exponent == 0.0 and (0.0 in marginal_values or lhs.value == 0.0)
     if degenerate:
         warnings.warn("exponent 0 with a zero component; report flagged degenerate",
                       DegenerateExponentWarning, stacklevel=2)
@@ -449,7 +436,7 @@ def evaluate_bounds(state, measure: CorrelationMeasure, exponent: float, side: s
         gap = (val - lhs_power) if side == POLYGAMY else (lhs_power - val)
         if degenerate:
             satisfied[bid] = None
-        elif exact and lhs_comp.exact:
+        elif exact and lhs.exact:
             satisfied[bid] = bool(gap >= -EXACT_TOL)
         elif gap >= margin:
             satisfied[bid] = True
@@ -472,7 +459,7 @@ def hierarchy_checks(side: str, n_parties: int, measure: CorrelationMeasure):
 
     The residual-tightened polygamy bound sits below the power sum whenever
     the measure genuinely satisfies the base polygamy relation (the built-in
-    assistance measures); the exponential weights dominate the ratio weights
+    assistance measure); the exponential weights dominate the ratio weights
     pointwise only at four parties, where the single residual level telescopes
     into a maximum of weight-increasing branches.
     """

@@ -145,6 +145,16 @@ def _add_opt_args(p):
     p.add_argument("--opt-json", help="optimizer settings as a JSON object")
 
 
+def _add_report_args(p):
+    """Arguments shared by bounds and sweep."""
+    _add_state_args(p)
+    p.add_argument("--measure", default="concurrence")
+    p.add_argument("--side", choices=(bmod.POLYGAMY, bmod.MONOGAMY), required=True)
+    p.add_argument("--bounds", help="comma-separated bound ids (default: all applicable)")
+    p.add_argument("--m", type=int, default=None, help="ordering index override")
+    _add_opt_args(p)
+
+
 def _add_out_args(p, default_format="json"):
     p.add_argument("--out", help="write the result to this path")
     p.add_argument("--format", choices=("csv", "json"), default=default_format)
@@ -167,23 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_args(p)
 
     p = sub.add_parser("bounds", help="bound report at one exponent")
-    _add_state_args(p)
-    p.add_argument("--measure", default="concurrence")
-    p.add_argument("--side", choices=(bmod.POLYGAMY, bmod.MONOGAMY), required=True)
+    _add_report_args(p)
     p.add_argument("--exponent", type=float, required=True)
-    p.add_argument("--bounds", help="comma-separated bound ids (default: all applicable)")
-    p.add_argument("--m", type=int, default=None, help="ordering index override")
-    _add_opt_args(p)
     _add_out_args(p)
 
     p = sub.add_parser("sweep", help="bound report over an exponent grid to CSV/JSON")
-    _add_state_args(p)
-    p.add_argument("--measure", default="concurrence")
-    p.add_argument("--side", choices=(bmod.POLYGAMY, bmod.MONOGAMY), required=True)
+    _add_report_args(p)
     p.add_argument("--grid", required=True, help="lo:hi:step")
-    p.add_argument("--bounds", help="comma-separated bound ids (default: all applicable)")
-    p.add_argument("--m", type=int, default=None)
-    _add_opt_args(p)
     _add_out_args(p, default_format="csv")
 
     p = sub.add_parser("threshold", help="solve an exponent threshold")
@@ -284,21 +284,6 @@ def _report_doc(rep) -> dict:
     }
 
 
-def cmd_bounds(args) -> int:
-    state = load_state(args)
-    measure = get_measure(args.measure)
-    opt = optimizer_from_args(args)
-    ids = tuple(args.bounds.split(",")) if args.bounds else None
-    rep = bmod.evaluate_bounds(state, measure, args.exponent, args.side, opt,
-                               bound_ids=ids, m=args.m)
-    if args.format == "json":
-        _emit(_json_text(_report_doc(rep)), args.out)
-    else:
-        header, rows = _report_rows([rep], list(rep.bounds))
-        _emit(_csv(header, rows), args.out)
-    return EXIT_OK
-
-
 def parse_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -315,10 +300,12 @@ def parse_grid(spec: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    """sweep over --grid; bounds is the one-point sweep at --exponent."""
     state = load_state(args)
     measure = get_measure(args.measure)
     opt = optimizer_from_args(args)
-    grid = parse_grid(args.grid)
+    one_point = args.command == "bounds"
+    grid = [args.exponent] if one_point else parse_grid(args.grid)
     ids = tuple(args.bounds.split(",")) if args.bounds else None
     table = bmod.ComponentTable(state, measure, opt)
     reports = [
@@ -326,11 +313,11 @@ def cmd_sweep(args) -> int:
                              m=args.m, table=table)
         for x in grid
     ]
-    bound_ids = list(reports[0].bounds)
     if args.format == "json":
-        _emit(_json_text([_report_doc(r) for r in reports]), args.out)
+        docs = [_report_doc(r) for r in reports]
+        _emit(_json_text(docs[0] if one_point else docs), args.out)
     else:
-        header, rows = _report_rows(reports, bound_ids)
+        header, rows = _report_rows(reports, list(reports[0].bounds))
         _emit(_csv(header, rows), args.out)
     return EXIT_OK
 
@@ -365,17 +352,29 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _parse_checks(raw: str | None):
+def _parse_checks(raw: str | None, n_parties: int):
+    """(side, measure name as written, measure, exponent, bound) per check.
+
+    The default pair_weighted check runs at three parties only; an explicit
+    check whose bound does not fit the party count is rejected up front.
+    """
+    if raw:
+        chunks = raw.split(",")
+    else:
+        chunks = [c for c in DEFAULT_FUZZ_CHECKS
+                  if n_parties == 3 or not c.endswith(bmod.PAIR_WEIGHTED)]
     specs = []
-    for chunk in (raw.split(",") if raw else DEFAULT_FUZZ_CHECKS):
+    for chunk in chunks:
         parts = chunk.strip().split(":")
         if len(parts) not in (3, 4):
             raise EntshareError(f"check {chunk!r} must be side:measure:exponent[:bound]")
-        side, measure, exponent = parts[0], parts[1], float(parts[2])
+        side, name, exponent = parts[0], parts[1], float(parts[2])
         if side not in (bmod.POLYGAMY, bmod.MONOGAMY):
             raise EntshareError(f"unknown side {side!r} in check {chunk!r}")
         bound = parts[3] if len(parts) == 4 else None
-        specs.append((side, get_measure(measure), exponent, bound))
+        if bound:
+            bmod.check_party_count(bound, n_parties)
+        specs.append((side, name, get_measure(name), exponent, bound))
     return specs
 
 
@@ -383,8 +382,8 @@ def cmd_fuzz(args) -> int:
     if args.samples < 0:
         raise EntshareError(f"--samples must be >= 0, got {args.samples}")
     dims = tuple(int(d) for d in args.dims.split(","))
-    checks = _parse_checks(args.checks)
-    measures = dict.fromkeys(m for _, m, _, _ in checks)
+    checks = _parse_checks(args.checks, len(dims))
+    measures = dict.fromkeys(m for _, _, m, _, _ in checks)
     opt = optimizer_from_args(args)
     started = time.perf_counter()
     violations = []
@@ -394,7 +393,7 @@ def cmd_fuzz(args) -> int:
         state = haar_random_pure(dims, sample_seed)
         digest = hashlib.sha256(state.amplitudes.tobytes()).hexdigest()[:12]
         tables = {m: bmod.ComponentTable(state, m, opt) for m in measures}
-        for side, measure, exponent, bound in checks:
+        for side, name, measure, exponent, bound in checks:
             ids = (bound,) if bound else None
             _, viol, indet = bmod.verify_hierarchy(state, measure, [exponent], side, opt,
                                                    bound_ids=ids, table=tables[measure])
@@ -407,14 +406,14 @@ def cmd_fuzz(args) -> int:
                     "exponent": v.exponent,
                     "gap": v.gap,
                     "side": side,
-                    "measure": measure.name,
+                    "measure": name,
                 })
     elapsed = time.perf_counter() - started
     report = {
         "samples": args.samples,
         "dims": list(dims),
-        "checks": [f"{s}:{m.name}:{e}" + (f":{b}" if b else "")
-                   for s, m, e, b in checks],
+        "checks": [f"{s}:{name}:{e}" + (f":{b}" if b else "")
+                   for s, name, _, e, b in checks],
         "seed": opt.seed,
         "violations": violations,
         "indeterminate": indeterminate,
@@ -442,7 +441,7 @@ def cmd_figure(args) -> int:
 
 _COMMANDS = {
     "measure": cmd_measure,
-    "bounds": cmd_bounds,
+    "bounds": cmd_sweep,
     "sweep": cmd_sweep,
     "threshold": cmd_threshold,
     "fuzz": cmd_fuzz,

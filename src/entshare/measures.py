@@ -1,8 +1,8 @@
 """Bipartite correlation measures: exact closed forms and a convex-roof optimizer.
 
-Built-in measures are the concurrence and the two assistance measures built on
-it (concurrence of assistance, and the assistance measure used for the
-polygamy bounds). On two qubits everything has a closed form via the
+Built-in measures are the concurrence and the concurrence of assistance,
+registered as concurrence_assistance and under its alias tau_assistance (the
+name the polygamy bounds use). On two qubits both have a closed form via the
 spin-flip spectrum; pure states are exact at any dimension; all remaining
 mixed-state cases are estimated by the convex-roof optimizer, flagged as
 estimates.
@@ -40,6 +40,8 @@ class MeasureValue:
     value: float
     exactness: str
     optimizer_meta: dict = field(default_factory=dict)
+    # a plain field, not a property: bound arithmetic reads it on every table lookup
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.value < 0:
@@ -48,10 +50,7 @@ class MeasureValue:
             raise InvalidParameterError(f"unknown exactness flag {self.exactness!r}")
         if self.exactness == EXACT and self.optimizer_meta:
             raise InvalidParameterError("exact values carry no optimizer metadata")
-
-    @property
-    def exact(self) -> bool:
-        return self.exactness == EXACT
+        object.__setattr__(self, "exact", self.exactness == EXACT)
 
 
 @dataclass(frozen=True)
@@ -114,14 +113,17 @@ class CorrelationMeasure:
 
     @property
     def assistance(self) -> bool:
-        return self.name in ("concurrence_assistance", "tau_assistance")
+        """True for the maximizing measure, under its own name or its alias."""
+        return _MEASURES.get(self.name) is CONCURRENCE_ASSISTANCE
 
 
 CONCURRENCE = CorrelationMeasure("concurrence")
 CONCURRENCE_ASSISTANCE = CorrelationMeasure("concurrence_assistance")
-TAU_ASSISTANCE = CorrelationMeasure("tau_assistance")
+# another name for the same measure (same value, flags and powers), kept so specs still parse
+TAU_ASSISTANCE = CONCURRENCE_ASSISTANCE
 
-_MEASURES = {m.name: m for m in (CONCURRENCE, CONCURRENCE_ASSISTANCE, TAU_ASSISTANCE)}
+_MEASURES = {"concurrence": CONCURRENCE, "concurrence_assistance": CONCURRENCE_ASSISTANCE,
+             "tau_assistance": CONCURRENCE_ASSISTANCE}
 
 
 def get_measure(name: str) -> CorrelationMeasure:
@@ -200,7 +202,7 @@ def measure_bipartite(
 ) -> MeasureValue:
     """Dispatch a measure across a cut: exact where possible, roof estimate otherwise.
 
-    Exact paths: globally pure states (assistance measures reduce to the pure
+    Exact paths: globally pure states (the assistance measure reduces to the pure
     concurrence there: the ensemble is forced), and 2x2 mixed states via the
     spin-flip closed forms.
     """
@@ -217,7 +219,7 @@ def measure_bipartite(
         # so the spin-flip spectrum is the same in either party order
         return assistance_2q(state) if measure.assistance else wootters_concurrence(state)
     direction = "maximize" if measure.assistance else "minimize"
-    return convex_roof(state, cut, None, direction, opt)
+    return convex_roof(state, cut, direction, opt)
 
 
 def minimize(*args, **kwargs):
@@ -310,18 +312,14 @@ def _roof_objective(theta, vfac, m, r, da, db, sign, eps2):
 def convex_roof(
     rho: DensityMatrix,
     cut: Bipartition,
-    pure_fn,
     direction: str,
     opt: OptimizerConfig = DEFAULT_OPT,
 ) -> MeasureValue:
-    """Optimize the ensemble-average pure measure over all decompositions of rho.
+    """Optimize the ensemble-average pure concurrence over all decompositions of rho.
 
-    pure_fn None selects the built-in pure concurrence across the cut (fast,
-    analytic gradient); a custom callable PureState -> float is evaluated
-    per ensemble member without gradients. Returns the best value across
-    restarts: an upper estimate when minimizing, a lower estimate when
-    maximizing. Deterministic for a fixed (seed, restarts); ties go to the
-    earliest restart.
+    Returns the best value across restarts: an upper estimate when
+    minimizing, a lower estimate when maximizing. Deterministic for a fixed
+    (seed, restarts); ties go to the earliest restart.
     """
     if direction not in ("minimize", "maximize"):
         raise InvalidParameterError(f"direction must be minimize or maximize, got {direction!r}")
@@ -337,7 +335,7 @@ def convex_roof(
 
     if r == 1:
         base = PureState(vfac[:, 0] / np.linalg.norm(vfac[:, 0]), rho.dims)
-        val = concurrence_pure(base, cut).value if pure_fn is None else float(pure_fn(base))
+        val = concurrence_pure(base, cut).value
         return MeasureValue(max(0.0, val), flag, {"restarts": 0, "rank": 1, "iterations": 0})
 
     # gather map: column in cut order = column[original order] at these indices
@@ -345,40 +343,21 @@ def convex_roof(
     vfac_cut = vfac[flatperm, :]
     sign = 1.0 if direction == "minimize" else -1.0
 
-    if pure_fn is None:
-        def value_at(theta):
-            mem, _ = _members(theta, vfac_cut, m, r, da, db)
-            return float(_member_values(mem).sum())
-
-        objective = lambda theta: _roof_objective(theta, vfac_cut, m, r, da, db, sign, 1e-12)
-        jac = True
-    else:
-        def value_at(theta):
-            mem, _ = _members(theta, vfac, m, r, 1, vfac.shape[0])
-            total = 0.0
-            for k in range(m):
-                vec = mem[k].reshape(-1)
-                p = float(np.vdot(vec, vec).real)
-                if p > 1e-14:
-                    total += p * float(pure_fn(PureState(vec / math.sqrt(p), rho.dims)))
-            return total
-
-        objective = lambda theta: sign * value_at(theta)
-        jac = None
-
     rng = np.random.default_rng(opt.seed)
     best = math.inf
     best_meta = {}
     for rs in range(opt.restarts):
         x0 = np.zeros(m * m) if rs == 0 else rng.standard_normal(m * m) * 0.7
         res = minimize(
-            objective,
+            _roof_objective,
             x0,
-            jac=jac,
+            args=(vfac_cut, m, r, da, db, sign, 1e-12),
+            jac=True,
             method="L-BFGS-B",
             options={"maxiter": opt.max_iters, "ftol": opt.tol * 1e-4, "gtol": 1e-10},
         )
-        val = value_at(res.x)
+        mem, _ = _members(res.x, vfac_cut, m, r, da, db)
+        val = float(_member_values(mem).sum())
         if sign * val < best:
             best = sign * val
             best_meta = {"restarts": opt.restarts, "best_restart": rs,

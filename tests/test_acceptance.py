@@ -181,7 +181,7 @@ def test_note_figure2_reference_ordering_as_plotted(tmp_path):
 @criterion("6 (convex roof vs closed value)", 30.0)
 def test_criterion_6_roof_of_w_mixture():
     rho = partial_trace(w_state(4), {0, 1, 2})
-    mv = convex_roof(rho, Bipartition({0}, {1, 2}), None, "minimize")
+    mv = convex_roof(rho, Bipartition({0}, {1, 2}), "minimize")
     assert mv.value == pytest.approx(math.sqrt(2) / 2, abs=5e-3)
     assert mv.exactness == "upper-estimate"
 
@@ -196,8 +196,8 @@ def test_criterion_7_roof_oracle_bracket():
         rho = random_two_qubit_mixed(seed=10_000 + k, rank=rank)
         dm = DensityMatrix(rho, (2, 2))
         cw, cs = oracle_wootters(rho), oracle_lambda_sum(rho)
-        lo = convex_roof(dm, cut, None, "minimize", OptimizerConfig(seed=k)).value
-        hi = convex_roof(dm, cut, None, "maximize", OptimizerConfig(seed=k)).value
+        lo = convex_roof(dm, cut, "minimize", OptimizerConfig(seed=k)).value
+        hi = convex_roof(dm, cut, "maximize", OptimizerConfig(seed=k)).value
         assert cw - 1e-9 <= lo <= cw + 1e-3, f"state {k} (rank {rank}): min {lo} vs {cw}"
         assert cs - 1e-3 <= hi <= cs + 1e-9, f"state {k} (rank {rank}): max {hi} vs {cs}"
 

@@ -20,6 +20,7 @@ from entshare.bounds import (
     ComponentTable,
     applicable_bounds,
     bound_value,
+    check_party_count,
     evaluate_bounds,
     ordering_classify,
     residual_tree,
@@ -39,8 +40,16 @@ from entshare.measures import (
     CONCURRENCE_ASSISTANCE,
     TAU_ASSISTANCE,
     OptimizerConfig,
+    measure_bipartite,
 )
-from entshare.states import PureState, haar_random_pure, make_family, w_state
+from entshare.states import (
+    Bipartition,
+    PureState,
+    haar_random_pure,
+    make_family,
+    partial_trace,
+    w_state,
+)
 
 SQ2, SQ3 = math.sqrt(2), math.sqrt(3)
 
@@ -158,6 +167,23 @@ class TestComponentTable:
         with pytest.raises(InvalidParameterError):
             table.joint((1, 2))
 
+    def test_synthetic_negative_value_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            ComponentTable.from_values({(1,): 0.5, (2,): -0.25}, n_b=2)
+
+    def test_caches_the_dispatched_measure_value(self):
+        table = ComponentTable(w_state(4), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
+        cut = Bipartition({0}, {1, 2})
+        direct = measure_bipartite(TAU_ASSISTANCE, partial_trace(w_state(4), (0, 1, 2)), cut,
+                                   OptimizerConfig(restarts=2))
+        assert table.joint((1, 2)) == direct
+        assert table.joint((1, 2)).exactness == "lower-estimate"
+
+    def test_report_lhs_is_the_table_entry(self):
+        table = ComponentTable(w_state(4), CONCURRENCE, OptimizerConfig(restarts=2))
+        rep = evaluate_bounds(w_state(4), CONCURRENCE, 2.0, MONOGAMY, table=table)
+        assert rep.lhs is table.lhs()
+
     def test_state_backed_memoizes(self):
         table = ComponentTable(w_state(4), CONCURRENCE)
         first = table.joint((1, 2))
@@ -259,6 +285,20 @@ class TestBoundValues:
         table = ComponentTable.from_values(W4_TABLE, n_b=3, measure=CONCURRENCE)
         with pytest.raises(InvalidParameterError):
             bound_value(table, "tightest", 1.0, POLYGAMY)
+
+    @pytest.mark.parametrize("bound_id, fits, misfits", [
+        (PAIR_WEIGHTED, (3,), (4, 5)), (RESIDUAL_MAX, (4, 5), (3,)),
+        (RESIDUAL_MEAN, (4, 5), (3,)), (BASE, (3, 4, 5), ()),
+    ])
+    def test_party_count_fit(self, bound_id, fits, misfits):
+        for n in fits:
+            check_party_count(bound_id, n)
+        for n in misfits:
+            with pytest.raises(InvalidParameterError):
+                check_party_count(bound_id, n)
+        pair_table = ComponentTable.from_values({(1,): 0.5, (2,): 0.25}, n_b=2)
+        with pytest.raises(InvalidParameterError, match="four parties"):
+            bound_value(pair_table, RESIDUAL_MEAN, 1.0, POLYGAMY)
 
 
 class TestThetaStateBounds:

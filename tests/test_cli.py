@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def table_inits(monkeypatch):
+    """A list that grows by one entry per ComponentTable constructed."""
+    from entshare.bounds import ComponentTable
+
+    calls = []
+    init = ComponentTable.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ComponentTable, "__init__", counting_init)
+    return calls
 
 
 class TestParsing:
@@ -161,6 +179,26 @@ class TestBoundsCommand:
                              "--side", "monogamy", "--exponent", "nan")
         assert code == 2 and out == "" and "finite" in err
 
+    @pytest.mark.parametrize("state, measure, side, exponent", [
+        (["--family", "w4"], "concurrence", "monogamy", "2.5"),
+        (["--family", "w4"], "tau_assistance", "polygamy", "1.5"),
+        (["--family", "4q-theta", "--params", "0.785,0.785"], "tau_assistance", "polygamy", "1"),
+    ], ids=["w4-monogamy", "w4-polygamy", "4q-theta-polygamy"])
+    def test_equals_one_point_sweep(self, capsys, state, measure, side, exponent):
+        common = [*state, "--measure", measure, "--side", side, "--restarts", "2"]
+        grid = f"{exponent}:{float(exponent) + 0.5}:0.5"
+        code, csv_one, _ = run(capsys, "bounds", *common, "--exponent", exponent,
+                               "--format", "csv")
+        assert code == 0
+        code, csv_sweep, _ = run(capsys, "sweep", *common, "--grid", grid)
+        assert code == 0
+        assert csv_one.splitlines() == csv_sweep.splitlines()[:2]
+        code, json_one, _ = run(capsys, "bounds", *common, "--exponent", exponent)
+        assert code == 0
+        code, json_sweep, _ = run(capsys, "sweep", *common, "--grid", grid, "--format", "json")
+        assert code == 0
+        assert json_one == json.dumps(json.loads(json_sweep)[0], indent=2, sort_keys=True) + "\n"
+
 
 class TestFigureCommand:
     def test_first_preset_columns(self, capsys):
@@ -226,21 +264,54 @@ class TestFuzzCommand:
                              "--checks", "monogamy:concurrence:inf")
         assert code == 2 and out == "" and "finite" in err
 
-    def test_one_table_per_sample_and_measure(self, capsys, monkeypatch):
-        from entshare.bounds import ComponentTable
-
-        calls = []
-        init = ComponentTable.__init__
-
-        def counting_init(self, *args, **kwargs):
-            calls.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(ComponentTable, "__init__", counting_init)
+    def test_one_table_per_sample_and_measure(self, capsys, table_inits):
         code, _, _ = run(capsys, "fuzz", "--samples", "3", "--dims", "2,2,2")
         assert code == 0
         # four default checks on two measures: two tables per sample
-        assert len(calls) == 6
+        assert len(table_inits) == 6
+
+    @pytest.mark.filterwarnings("ignore::entshare.errors.ExponentRangeWarning")
+    def test_alias_names_share_one_table_and_are_echoed(self, capsys, table_inits):
+        checks = ["polygamy:tau_assistance:1.0:base", "polygamy:concurrence_assistance:2.0:base",
+                  "polygamy:tau_assistance:7.0:base"]
+        code, out, _ = run(capsys, "fuzz", "--samples", "3", "--seed", "4",
+                           "--checks", ",".join(checks))
+        assert code == 1
+        # one measure under two names: one table per sample
+        assert len(table_inits) == 3
+        doc = json.loads(out)
+        assert doc["checks"] == checks
+        assert {v["measure"] for v in doc["violations"]} == {"tau_assistance"}
+
+    def test_four_parties_skip_default_pair_check(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--samples", "1", "--dims", "2,2,2,2",
+                             "--restarts", "1")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["checks"] == ["monogamy:concurrence:2.0:base",
+                                 "polygamy:concurrence_assistance:1.0:base",
+                                 "polygamy:concurrence_assistance:2.0:base"]
+
+    @pytest.mark.parametrize("dims, check", [
+        ("2,2,2,2", "monogamy:concurrence:3:pair_weighted"),
+        ("2,2,2", "polygamy:concurrence_assistance:1:residual_max"),
+        ("2,2,2", "polygamy:concurrence_assistance:1:residual_mean"),
+    ])
+    def test_bound_off_its_party_count_exits_2_before_sampling(self, capsys, monkeypatch,
+                                                                 dims, check):
+        from entshare import cli, measures
+
+        def no_roof(*args, **kwargs):
+            raise AssertionError("convex_roof called")
+
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sample drawn")
+
+        monkeypatch.setattr(measures, "convex_roof", no_roof)
+        monkeypatch.setattr(cli, "haar_random_pure", no_sample)
+        code, out, err = run(capsys, "fuzz", "--samples", "2", "--dims", dims,
+                             "--checks", f"monogamy:concurrence:2:base,{check}")
+        assert code == 2 and out == "" and re.search(r"three-party|four parties", err)
 
     def test_bad_check_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "fuzz", "--samples", "1", "--checks", "sideways:concurrence:2")
@@ -314,3 +385,41 @@ def test_scipy_imported_only_by_roofs():
                           text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False, True]"
+
+
+def _readme_cli_lines() -> list[str]:
+    """Every `entshare ...` command of the README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [line.replace("\\\n", " ")
+            for line in re.split(r"\n(?=entshare )", block.strip())]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch, line):
+    argv = shlex.split(line)
+    assert argv[0] == "entshare"
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv[1:])
+    assert code == 0, err
+
+
+def test_readme_cli_block_found():
+    assert len(_readme_cli_lines()) == 8
+
+
+TRACER_PROBE = """
+import sys
+sys.path.insert(0, "bench")
+import tracing
+tracing.install(tracing.Tracer(), True)
+"""
+
+
+def test_benchmark_tracer_finds_every_name():
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(entshare.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", TRACER_PROBE], capture_output=True, text=True,
+                          cwd=root, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,9 @@ from conftest import oracle_lambda_sum, oracle_wootters, random_two_qubit_mixed
 from entshare.errors import DimensionError, InvalidParameterError, OptimizerConfigError
 from entshare.measures import (
     CONCURRENCE,
+    CONCURRENCE_ASSISTANCE,
     TAU_ASSISTANCE,
+    CorrelationMeasure,
     MeasureValue,
     OptimizerConfig,
     _member_values,
@@ -48,6 +50,17 @@ class TestMeasureValue:
         assert get_measure("concurrence").x_min == 2.0
         with pytest.raises(InvalidParameterError):
             get_measure("negativity")
+
+    def test_tau_assistance_is_an_alias(self):
+        assert TAU_ASSISTANCE is CONCURRENCE_ASSISTANCE
+        assert get_measure("tau_assistance") is get_measure("concurrence_assistance")
+        assert get_measure("tau_assistance") is CONCURRENCE_ASSISTANCE
+
+    def test_exact_flag_is_a_plain_field(self):
+        assert MeasureValue(0.5, "exact").exact
+        assert not MeasureValue(0.5, "upper-estimate", {"restarts": 1}).exact
+        assert "exact" in vars(MeasureValue(0.5, "lower-estimate"))
+        assert MeasureValue(0.5, "exact") == MeasureValue(0.5, "exact")
 
 
 class TestPureConcurrence:
@@ -157,6 +170,13 @@ class TestDispatch:
         assert mv.exactness == "upper-estimate"
         assert mv.value == pytest.approx(math.sqrt(2) / 2, abs=5e-3)
 
+    def test_hand_built_alias_maximizes(self):
+        rho = partial_trace(w_state(4), {0, 1, 2})
+        cut, opt = Bipartition({0}, {1, 2}), OptimizerConfig(restarts=2)
+        mv = measure_bipartite(CorrelationMeasure("tau_assistance"), rho, cut, opt)
+        assert mv.exactness == "lower-estimate"
+        assert mv.value == measure_bipartite(CONCURRENCE_ASSISTANCE, rho, cut, opt).value
+
     def test_unsupported_measure(self):
         from entshare.measures import CorrelationMeasure
 
@@ -179,40 +199,40 @@ class TestDispatch:
 
 class TestConvexRoof:
     def test_pure_input_trivial(self, bell):
-        mv = convex_roof(bell.density(), AB, None, "minimize")
+        mv = convex_roof(bell.density(), AB, "minimize")
         assert mv.value == pytest.approx(1.0, abs=1e-10)
         assert mv.optimizer_meta.get("rank") == 1
 
     def test_ensemble_size_below_rank_rejected(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
         with pytest.raises(OptimizerConfigError):
-            convex_roof(rho, AB, None, "minimize", OptimizerConfig(ensemble_size=2))
+            convex_roof(rho, AB, "minimize", OptimizerConfig(ensemble_size=2))
 
     def test_direction_validated(self, bell):
         with pytest.raises(InvalidParameterError):
-            convex_roof(bell.density(), AB, None, "down")
+            convex_roof(bell.density(), AB, "down")
 
     @pytest.mark.parametrize("seed", range(12))
     def test_two_qubit_oracle_bracket(self, seed):
         rank = (seed % 4) + 1
         rho = random_two_qubit_mixed(seed, rank)
         dm = DensityMatrix(rho, (2, 2))
-        lo = convex_roof(dm, AB, None, "minimize", OptimizerConfig(seed=seed))
-        hi = convex_roof(dm, AB, None, "maximize", OptimizerConfig(seed=seed))
+        lo = convex_roof(dm, AB, "minimize", OptimizerConfig(seed=seed))
+        hi = convex_roof(dm, AB, "maximize", OptimizerConfig(seed=seed))
         cw, cs = oracle_wootters(rho), oracle_lambda_sum(rho)
         assert -1e-9 <= lo.value - cw <= 1e-3
         assert -1e-9 <= cs - hi.value <= 1e-3
 
     def test_w3_mixture_paper_value(self):
         rho = partial_trace(w_state(4), {0, 1, 2})
-        mv = convex_roof(rho, Bipartition({0}, {1, 2}), None, "minimize")
+        mv = convex_roof(rho, Bipartition({0}, {1, 2}), "minimize")
         assert mv.value == pytest.approx(math.sqrt(2) / 2, abs=5e-3)
         assert mv.exactness == "upper-estimate"
 
     def test_best_so_far_monotone_in_restarts(self):
         rho = DensityMatrix(random_two_qubit_mixed(3, 3), (2, 2))
         values = [
-            convex_roof(rho, AB, None, "minimize", OptimizerConfig(restarts=r, seed=5)).value
+            convex_roof(rho, AB, "minimize", OptimizerConfig(restarts=r, seed=5)).value
             for r in (1, 2, 4, 8)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
@@ -225,21 +245,20 @@ class TestConvexRoof:
         u = np.kron(np.eye(2), u_b)
         rotated = DensityMatrix(u @ rho.matrix @ u.conj().T, (2, 2, 2))
         cut = Bipartition({0}, {1, 2})
-        a = convex_roof(rho, cut, None, "minimize", OptimizerConfig(seed=0))
-        b = convex_roof(rotated, cut, None, "minimize", OptimizerConfig(seed=1))
+        a = convex_roof(rho, cut, "minimize", OptimizerConfig(seed=0))
+        b = convex_roof(rotated, cut, "minimize", OptimizerConfig(seed=1))
         assert a.value == pytest.approx(b.value, abs=1e-5)
 
-    def test_custom_pure_fn_path(self):
+    def test_builtin_roof_matches_wootters(self):
         rho = DensityMatrix(random_two_qubit_mixed(9, 2), (2, 2))
-        fn = lambda ps: concurrence_pure(ps, AB).value
-        generic = convex_roof(rho, AB, fn, "minimize", OptimizerConfig(restarts=6, seed=2))
-        builtin = convex_roof(rho, AB, None, "minimize", OptimizerConfig(restarts=6, seed=2))
-        assert generic.value == pytest.approx(builtin.value, abs=1e-5)
+        roof = convex_roof(rho, AB, "minimize", OptimizerConfig(restarts=6, seed=2))
+        assert roof.exactness == "upper-estimate"
+        assert roof.value == pytest.approx(wootters_concurrence(rho).value, abs=1e-5)
 
     def test_deterministic_given_seed(self):
         rho = DensityMatrix(random_two_qubit_mixed(4, 3), (2, 2))
-        a = convex_roof(rho, AB, None, "minimize", OptimizerConfig(seed=11))
-        b = convex_roof(rho, AB, None, "minimize", OptimizerConfig(seed=11))
+        a = convex_roof(rho, AB, "minimize", OptimizerConfig(seed=11))
+        b = convex_roof(rho, AB, "minimize", OptimizerConfig(seed=11))
         assert a.value == b.value
 
 
