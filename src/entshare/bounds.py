@@ -7,19 +7,22 @@ every bound or residual tree is pure arithmetic over that table at a given
 exponent. Tests and sweeps can therefore feed synthetic component tables,
 and exponent grids reuse each expensive optimizer call exactly once.
 
-Sides and ids:
-  polygamy  (upper bounds on Q^a of the joint cut):
+Sides and ids (the BOUNDS table below). `base` applies at any party count,
+`pair_weighted` at three parties only, every other bound at four or more.
+Weighted bounds other than `pair_weighted` put powers of a scalar weight on
+the marginals, laid out by the ordering index m (weight_map), and need m.
+  polygamy  (upper bounds on Q^a of the joint cut; weight 2^(a/beta)-1):
     base               power sum of the pairwise marginals
     residual_max       base minus the max-selected residual levels
     residual_mean      base minus the mean-selected residual levels
-    weighted           geometric weight vector on the marginals (needs ordering m)
-    weighted_residual  weighted marginals minus weighted residual levels
-    pair_weighted      three-party weighted pair bound
+    weighted           weighted marginals (needs m)
+    weighted_residual  weighted marginals minus weighted residual levels (needs m)
+    pair_weighted      the sorted pair with weights (1, 2^(a/beta)-1)
   monogamy  (lower bounds on Q^y of the joint cut):
     base               power sum of the pairwise marginals
-    ratio_weighted     ratio-weight vector (y/x) plus residual levels (needs m)
-    exp_weighted       exponential-weight vector (2^(y/x)-1) plus residual levels
-    pair_weighted      three-party weighted pair bound
+    ratio_weighted     weight y/x: weighted marginals plus residual levels (needs m)
+    exp_weighted       weight 2^(y/x)-1: weighted marginals plus residual levels (needs m)
+    pair_weighted      the sorted pair with weights (1, 2^(y/x)-1)
 """
 
 from __future__ import annotations
@@ -28,12 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import (
-    DegenerateExponentWarning,
-    ExponentRangeWarning,
-    InvalidParameterError,
-    OrderingError,
-)
+from .errors import DegenerateExponentWarning, ExponentRangeWarning, InvalidParameterError
 from .measures import (
     DEFAULT_OPT,
     EXACT,
@@ -56,8 +54,26 @@ RATIO_WEIGHTED = "ratio_weighted"
 EXP_WEIGHTED = "exp_weighted"
 PAIR_WEIGHTED = "pair_weighted"
 
-POLYGAMY_IDS = (BASE, RESIDUAL_MAX, RESIDUAL_MEAN, WEIGHTED, WEIGHTED_RESIDUAL, PAIR_WEIGHTED)
-MONOGAMY_IDS = (BASE, RATIO_WEIGHTED, EXP_WEIGHTED, PAIR_WEIGHTED)
+# side -> bound id -> (weights, residual strategy). Weights are None, "exp"
+# (2^(e/ref) - 1) or "ratio" (e/ref), with ref the measure's beta_max
+# (polygamy) or x_min (monogamy); the strategy selects the residual levels
+# that are subtracted (polygamy) or added (monogamy).
+BOUNDS = {
+    POLYGAMY: {
+        BASE: (None, None),
+        RESIDUAL_MAX: (None, "max"),
+        RESIDUAL_MEAN: (None, "mean"),
+        WEIGHTED: ("exp", None),
+        WEIGHTED_RESIDUAL: ("exp", "max"),
+        PAIR_WEIGHTED: ("exp", None),
+    },
+    MONOGAMY: {
+        BASE: (None, None),
+        RATIO_WEIGHTED: ("ratio", "max"),
+        EXP_WEIGHTED: ("exp", "max"),
+        PAIR_WEIGHTED: ("exp", None),
+    },
+}
 
 EXACT_TOL = 1e-9
 
@@ -144,23 +160,6 @@ def weight_map(n_b: int, m: int, scalar: float) -> dict[int, float]:
     return weights
 
 
-def weighted_pair_bound(q_large: float, q_small: float, exponent: float,
-                        power_ref: float, side: str = POLYGAMY) -> float:
-    """q_large^e + (2^(e/ref) - 1) q_small^e, the repeated-split pair bound."""
-    if q_large < q_small:
-        raise OrderingError("pair bound needs q_large >= q_small; swap the arguments")
-    if min(q_small, 0.0) < 0:
-        raise InvalidParameterError("pair bound components must be non-negative")
-    if side == POLYGAMY and not (0 <= exponent <= power_ref + 1e-12):
-        warnings.warn(f"exponent {exponent} outside [0, {power_ref}]",
-                      ExponentRangeWarning, stacklevel=2)
-    if side == MONOGAMY and exponent < power_ref - 1e-12:
-        warnings.warn(f"exponent {exponent} below {power_ref}",
-                      ExponentRangeWarning, stacklevel=2)
-    weight = 2.0 ** (exponent / power_ref) - 1.0
-    return q_large**exponent + weight * q_small**exponent
-
-
 @dataclass
 class ResidualTree:
     """All residual terms used by one bound evaluation.
@@ -184,9 +183,8 @@ class ResidualTree:
 
 
 def residual_tree(table: ComponentTable, alpha: float, strategy: str = "max",
-                  sign: str = POLYGAMY, weights: dict[int, float] | None = None,
-                  parties: tuple[int, ...] | None = None) -> ResidualTree:
-    """Build the residual recursion bottom-up over the given B parties.
+                  sign: str = POLYGAMY, weights: dict[int, float] | None = None) -> ResidualTree:
+    """Build the residual recursion bottom-up over the table's B parties.
 
     strategy "max" selects, at level k, the largest residual among the
     omit-one subsets of the first k+1 parties (levels 2..n-1); strategy
@@ -198,9 +196,7 @@ def residual_tree(table: ComponentTable, alpha: float, strategy: str = "max",
         raise InvalidParameterError(f"unknown strategy {strategy!r}")
     if sign not in (POLYGAMY, MONOGAMY):
         raise InvalidParameterError(f"unknown sign {sign!r}")
-    order = tuple(parties) if parties is not None else tuple(range(1, table.n_b + 1))
-    if len(order) < 2:
-        raise InvalidParameterError("residual recursion needs at least two B parties")
+    order = tuple(range(1, table.n_b + 1))
     tree = ResidualTree(alpha=alpha, strategy=strategy, sign=sign, weighted=weights is not None)
     wmap = weights or {}
     memo: dict[tuple[int, ...], float] = {}
@@ -320,83 +316,80 @@ def _power_ref(measure: CorrelationMeasure | None, side: str) -> float:
     return measure.beta_max if side == POLYGAMY else measure.x_min
 
 
-def check_party_count(bound_id: str, n_parties: int) -> None:
-    """Raise unless the bound is defined at this number of parties."""
-    if bound_id == PAIR_WEIGHTED and n_parties != 3:
-        raise InvalidParameterError("pair_weighted applies to three-party states only")
-    if bound_id in (RESIDUAL_MAX, RESIDUAL_MEAN) and n_parties < 4:
+def _fits(bound_id: str, n_parties: int) -> bool:
+    """pair_weighted at three parties, base at any count, the rest at four or more."""
+    if bound_id == PAIR_WEIGHTED:
+        return n_parties == 3
+    return bound_id == BASE or n_parties >= 4
+
+
+def check_bound(side: str, bound_id: str, n_parties: int) -> None:
+    """Raise unless `bound_id` is a bound of `side` defined at n_parties parties."""
+    if bound_id not in BOUNDS.get(side, ()):
+        raise InvalidParameterError(f"bound id {bound_id!r} not defined for the {side} side")
+    if not _fits(bound_id, n_parties):
+        if bound_id == PAIR_WEIGHTED:
+            raise InvalidParameterError("pair_weighted applies to three-party states only")
         raise InvalidParameterError(f"{bound_id} needs at least four parties")
+
+
+def needs_m(side: str, bound_id: str) -> bool:
+    """True for the weighted bounds keyed to an ordering index m."""
+    return BOUNDS[side][bound_id][0] is not None and bound_id != PAIR_WEIGHTED
 
 
 def bound_value(table: ComponentTable, bound_id: str, exponent: float, side: str,
                 m: int | None = None) -> tuple[float, bool]:
-    """Evaluate one bound id on a component table; returns (value, exact)."""
-    n_b = table.n_b
-    marginals = [table.marginal(i) for i in range(1, n_b + 1)]
+    """Evaluate one bound id on a component table; returns (value, exact).
+
+    The (weighted) power sum of the marginals, minus (polygamy) or plus
+    (monogamy) the residual levels when the BOUNDS entry names a strategy.
+    pair_weighted sorts its two marginals in place of an ordering index.
+    """
+    check_bound(side, bound_id, table.n_b + 1)
+    weighting, strategy = BOUNDS[side][bound_id]
+    marginals = [table.marginal(i) for i in range(1, table.n_b + 1)]
     exact = all(c.exact for c in marginals)
-    base = sum(c.value**exponent for c in marginals)
-
-    if bound_id == BASE:
-        return base, exact
-    check_party_count(bound_id, n_b + 1)
-    if bound_id == PAIR_WEIGHTED:
-        qs = sorted((marginals[0].value, marginals[1].value), reverse=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ExponentRangeWarning)
-            val = weighted_pair_bound(qs[0], qs[1], exponent, _power_ref(table.measure, side), side)
-        return val, exact
-    if bound_id in (RESIDUAL_MAX, RESIDUAL_MEAN):
-        strategy = "max" if bound_id == RESIDUAL_MAX else "mean"
-        tree = residual_tree(table, exponent, strategy, POLYGAMY)
-        return base - tree.level_sum(), exact and tree.exact
-
-    if m is None:
-        raise InvalidParameterError(f"bound {bound_id!r} needs an ordering index m")
-    ref = _power_ref(table.measure, side)
-    if bound_id in (WEIGHTED, WEIGHTED_RESIDUAL):
-        scalar = 2.0 ** (exponent / ref) - 1.0
-        weights = weight_map(n_b, m, scalar)
-        weighted_sum = sum(weights[i] * marginals[i - 1].value**exponent
-                           for i in range(1, n_b + 1))
-        if bound_id == WEIGHTED:
-            return weighted_sum, exact
-        tree = residual_tree(table, exponent, "max", POLYGAMY, weights)
-        return weighted_sum - tree.level_sum(), exact and tree.exact
-    if bound_id in (RATIO_WEIGHTED, EXP_WEIGHTED):
-        scalar = exponent / ref if bound_id == RATIO_WEIGHTED else 2.0 ** (exponent / ref) - 1.0
-        weights = weight_map(n_b, m, scalar)
-        weighted_sum = sum(weights[i] * marginals[i - 1].value**exponent
-                           for i in range(1, n_b + 1))
-        tree = residual_tree(table, exponent, "max", MONOGAMY, weights)
-        return weighted_sum + tree.level_sum(), exact and tree.exact
-    raise InvalidParameterError(f"unknown bound id {bound_id!r}")
+    values = [c.value for c in marginals]
+    weights = None
+    if weighting is not None:
+        ref = _power_ref(table.measure, side)
+        scalar = exponent / ref if weighting == "ratio" else 2.0 ** (exponent / ref) - 1.0
+        if bound_id == PAIR_WEIGHTED:
+            values.sort(reverse=True)
+            weights = {1: 1.0, 2: scalar}
+        elif m is None:
+            raise InvalidParameterError(f"bound {bound_id!r} needs an ordering index m")
+        else:
+            weights = weight_map(table.n_b, m, scalar)
+    wmap = weights or {}
+    value = sum(wmap.get(i, 1.0) * v**exponent for i, v in enumerate(values, start=1))
+    if strategy is not None:
+        tree = residual_tree(table, exponent, strategy, side, weights)
+        value = value - tree.level_sum() if side == POLYGAMY else value + tree.level_sum()
+        exact = exact and tree.exact
+    return value, exact
 
 
 def applicable_bounds(n_parties: int, side: str, have_m: bool) -> tuple[str, ...]:
-    if n_parties == 3:
-        return (BASE, PAIR_WEIGHTED)
-    if side == POLYGAMY:
-        ids = [BASE, RESIDUAL_MAX, RESIDUAL_MEAN]
-        if have_m:
-            ids += [WEIGHTED, WEIGHTED_RESIDUAL]
-    else:
-        ids = [BASE]
-        if have_m:
-            ids += [RATIO_WEIGHTED, EXP_WEIGHTED]
-    return tuple(ids)
+    """The side's bounds defined at n_parties, in table order; m-keyed ones need have_m."""
+    return tuple(b for b in BOUNDS[side]
+                 if _fits(b, n_parties) and (have_m or not needs_m(side, b)))
 
 
 def evaluate_bounds(state, measure: CorrelationMeasure, exponent: float, side: str,
                     opt: OptimizerConfig = DEFAULT_OPT, bound_ids=None,
                     m: int | None = None, table: ComponentTable | None = None) -> BoundReport:
     """Full bound report for one exponent: lhs, every requested bound, flags."""
-    if side not in (POLYGAMY, MONOGAMY):
+    if side not in BOUNDS:
         raise InvalidParameterError(f"side must be polygamy or monogamy, got {side!r}")
     if not math.isfinite(exponent):
         raise InvalidParameterError(f"exponent must be finite, got {exponent}")
     if table is None:
         table = ComponentTable(state, measure, opt)
     n_parties = table.n_b + 1
+    for bid in bound_ids or ():
+        check_bound(side, bid, n_parties)
 
     range_warning = False
     if side == POLYGAMY and not (0 <= exponent <= measure.beta_max + 1e-12):
@@ -412,11 +405,6 @@ def evaluate_bounds(state, measure: CorrelationMeasure, exponent: float, side: s
         m = ordering_classify(table).m
     if bound_ids is None:
         bound_ids = applicable_bounds(n_parties, side, m is not None)
-    else:
-        valid = POLYGAMY_IDS if side == POLYGAMY else MONOGAMY_IDS
-        bad = [b for b in bound_ids if b not in valid]
-        if bad:
-            raise InvalidParameterError(f"bound ids {bad} not defined for the {side} side")
 
     lhs = table.lhs()
     lhs_power = lhs.value**exponent

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import re
 import sys
@@ -288,15 +287,7 @@ def parse_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise EntshareError(f"grid {spec!r} must be lo:hi:step")
-    lo, hi, step = (float(p) for p in parts)
-    if not all(math.isfinite(x) for x in (lo, hi, step)):
-        raise EntshareError(f"grid {spec!r} needs finite lo, hi and step")
-    if step <= 0 or not lo < hi:
-        raise EntshareError(f"grid {spec!r} needs step > 0 and lo < hi")
-    n = round((hi - lo) / step)
-    if abs(lo + n * step - hi) > 1e-9:
-        n = int((hi - lo) / step)
-    return [lo + i * step for i in range(n + 1)]
+    return reference.inclusive_grid(*(float(p) for p in parts))
 
 
 def cmd_sweep(args) -> int:
@@ -355,25 +346,23 @@ def cmd_threshold(args) -> int:
 def _parse_checks(raw: str | None, n_parties: int):
     """(side, measure name as written, measure, exponent, bound) per check.
 
-    The default pair_weighted check runs at three parties only; an explicit
-    check whose bound does not fit the party count is rejected up front.
+    A default check runs only where its bound applies at this party count; an
+    explicit check whose bound does not fit its side or the party count is
+    rejected up front.
     """
-    if raw:
-        chunks = raw.split(",")
-    else:
-        chunks = [c for c in DEFAULT_FUZZ_CHECKS
-                  if n_parties == 3 or not c.endswith(bmod.PAIR_WEIGHTED)]
     specs = []
-    for chunk in chunks:
+    for chunk in raw.split(",") if raw else DEFAULT_FUZZ_CHECKS:
         parts = chunk.strip().split(":")
         if len(parts) not in (3, 4):
             raise EntshareError(f"check {chunk!r} must be side:measure:exponent[:bound]")
         side, name, exponent = parts[0], parts[1], float(parts[2])
-        if side not in (bmod.POLYGAMY, bmod.MONOGAMY):
+        if side not in bmod.BOUNDS:
             raise EntshareError(f"unknown side {side!r} in check {chunk!r}")
         bound = parts[3] if len(parts) == 4 else None
+        if bound and not raw and bound not in bmod.applicable_bounds(n_parties, side, True):
+            continue
         if bound:
-            bmod.check_party_count(bound, n_parties)
+            bmod.check_bound(side, bound, n_parties)
         specs.append((side, name, get_measure(name), exponent, bound))
     return specs
 
@@ -387,16 +376,21 @@ def cmd_fuzz(args) -> int:
     opt = optimizer_from_args(args)
     started = time.perf_counter()
     violations = []
-    indeterminate = 0
+    indeterminate = skipped = 0
     for k in range(args.samples):
         sample_seed = opt.seed + k
         state = haar_random_pure(dims, sample_seed)
         digest = hashlib.sha256(state.amplitudes.tobytes()).hexdigest()[:12]
         tables = {m: bmod.ComponentTable(state, m, opt) for m in measures}
         for side, name, measure, exponent, bound in checks:
+            table = tables[measure]
+            # a bound keyed to an ordering index does not apply to a sample without one
+            if bound and bmod.needs_m(side, bound) and bmod.ordering_classify(table).m is None:
+                skipped += 1
+                continue
             ids = (bound,) if bound else None
             _, viol, indet = bmod.verify_hierarchy(state, measure, [exponent], side, opt,
-                                                   bound_ids=ids, table=tables[measure])
+                                                   bound_ids=ids, table=table)
             indeterminate += indet
             for v in viol:
                 violations.append({
@@ -418,7 +412,8 @@ def cmd_fuzz(args) -> int:
         "violations": violations,
         "indeterminate": indeterminate,
     }
-    sys.stderr.write(f"fuzz: {args.samples} samples in {elapsed:.2f}s\n")
+    sys.stderr.write(f"fuzz: {args.samples} samples in {elapsed:.2f}s, "
+                     f"{skipped} checks skipped without an ordering index m\n")
     if args.format == "json":
         _emit(_json_text(report), args.out)
     else:

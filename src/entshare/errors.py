@@ -25,10 +25,6 @@ class OptimizerConfigError(EntshareError):
     """Optimizer configuration is inconsistent (e.g. ensemble smaller than rank)."""
 
 
-class OrderingError(EntshareError):
-    """Weighted pair bound called with its arguments in the wrong order."""
-
-
 class EvaluationError(EntshareError):
     """A scanned function returned a non-finite value."""
 

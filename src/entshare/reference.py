@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .errors import InvalidParameterError
+
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 
@@ -93,11 +95,20 @@ FIGURES: dict[int, FigurePreset] = {
 }
 
 
-def figure_grid(preset: FigurePreset, step: float | None = None) -> list[float]:
-    """Inclusive exponent grid, built from integer multiples to stay stable."""
-    h = step if step is not None else preset.step
-    n = round((preset.exponent_hi - preset.exponent_lo) / h)
-    return [preset.exponent_lo + i * h for i in range(n + 1)]
+def inclusive_grid(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... built from integer multiples of step to stay stable.
+
+    hi is the last point when a multiple lands within 1e-9 of it; otherwise
+    the grid ends at the last multiple below hi.
+    """
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise InvalidParameterError(f"grid {lo}:{hi}:{step} needs finite lo, hi and step")
+    if step <= 0 or not lo < hi:
+        raise InvalidParameterError(f"grid {lo}:{hi}:{step} needs step > 0 and lo < hi")
+    n = round((hi - lo) / step)
+    if abs(lo + n * step - hi) > 1e-9:
+        n = int((hi - lo) / step)
+    return [lo + i * step for i in range(n + 1)]
 
 
 def figure_rows(fig: int, step: float | None = None) -> tuple[list[str], list[list[float]]]:
@@ -105,6 +116,8 @@ def figure_rows(fig: int, step: float | None = None) -> tuple[list[str], list[li
     preset = FIGURES[fig]
     header = ["exponent", "lhs"] + [name for name, _ in preset.bounds]
     rows = []
-    for x in figure_grid(preset, step):
+    grid = inclusive_grid(preset.exponent_lo, preset.exponent_hi,
+                          preset.step if step is None else step)
+    for x in grid:
         rows.append([x, preset.lhs(x)] + [fn(x) for _, fn in preset.bounds])
     return header, rows

@@ -20,21 +20,15 @@ from entshare.bounds import (
     ComponentTable,
     applicable_bounds,
     bound_value,
-    check_party_count,
+    check_bound,
     evaluate_bounds,
     ordering_classify,
     residual_tree,
     residual_tripartite,
     verify_hierarchy,
     weight_map,
-    weighted_pair_bound,
 )
-from entshare.errors import (
-    DegenerateExponentWarning,
-    ExponentRangeWarning,
-    InvalidParameterError,
-    OrderingError,
-)
+from entshare.errors import DegenerateExponentWarning, ExponentRangeWarning, InvalidParameterError
 from entshare.measures import (
     CONCURRENCE,
     CONCURRENCE_ASSISTANCE,
@@ -90,26 +84,31 @@ class TestResidualTripartite:
 
 
 class TestWeightedPair:
+    @staticmethod
+    def pair_value(q1, q2, exponent, side=POLYGAMY):
+        table = ComponentTable.from_values({(1,): q1, (2,): q2}, n_b=2, measure=CONCURRENCE)
+        value, exact = bound_value(table, PAIR_WEIGHTED, exponent, side)
+        assert exact
+        return value
+
     def test_zero_small_component(self):
-        assert weighted_pair_bound(0.7, 0.0, 1.3, 2.0) == pytest.approx(0.7**1.3)
+        # the smaller marginal comes first: the bound sorts the pair itself
+        assert self.pair_value(0.0, 0.7, 1.3) == pytest.approx(0.7**1.3)
 
     def test_exponent_at_reference_recovers_plain_sum(self):
-        assert weighted_pair_bound(0.7, 0.4, 2.0, 2.0) == pytest.approx(0.7**2 + 0.4**2)
+        assert self.pair_value(0.7, 0.4, 2.0) == pytest.approx(0.7**2 + 0.4**2)
 
     def test_w4_triple_equality_at_y3(self):
-        val = weighted_pair_bound(0.5, 0.5, 3.0, 2.0, MONOGAMY)
+        val = self.pair_value(0.5, 0.5, 3.0, MONOGAMY)
         assert val == pytest.approx(1 / 8 + (2**1.5 - 1) / 8, abs=1e-12)
         assert val == pytest.approx((SQ2 / 2) ** 3, abs=1e-12)
 
-    def test_ordering_enforced(self):
-        with pytest.raises(OrderingError):
-            weighted_pair_bound(0.2, 0.5, 1.0, 2.0)
-
     def test_range_warnings(self):
-        with pytest.warns(ExponentRangeWarning):
-            weighted_pair_bound(0.7, 0.4, 3.0, 2.0, POLYGAMY)
-        with pytest.warns(ExponentRangeWarning):
-            weighted_pair_bound(0.7, 0.4, 1.0, 2.0, MONOGAMY)
+        for side, exponent in ((POLYGAMY, 3.0), (MONOGAMY, 1.0)):
+            with pytest.warns(ExponentRangeWarning):
+                rep = evaluate_bounds(w_state(3), CONCURRENCE, exponent, side,
+                                      bound_ids=(PAIR_WEIGHTED,))
+            assert rep.bounds[PAIR_WEIGHTED].range_warning
 
 
 class TestWeightMap:
@@ -292,10 +291,10 @@ class TestBoundValues:
     ])
     def test_party_count_fit(self, bound_id, fits, misfits):
         for n in fits:
-            check_party_count(bound_id, n)
+            check_bound(POLYGAMY, bound_id, n)
         for n in misfits:
             with pytest.raises(InvalidParameterError):
-                check_party_count(bound_id, n)
+                check_bound(POLYGAMY, bound_id, n)
         pair_table = ComponentTable.from_values({(1,): 0.5, (2,): 0.25}, n_b=2)
         with pytest.raises(InvalidParameterError, match="four parties"):
             bound_value(pair_table, RESIDUAL_MEAN, 1.0, POLYGAMY)

@@ -15,10 +15,21 @@ from entshare.errors import EntshareError
 from entshare.states import make_family, state_to_json
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv, cwd=ROOT, timeout=300):
+    """Run the interpreter in a subprocess with the package sources on PYTHONPATH."""
+    src = str(Path(entshare.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=cwd,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture
@@ -179,6 +190,18 @@ class TestBoundsCommand:
                              "--side", "monogamy", "--exponent", "nan")
         assert code == 2 and out == "" and "finite" in err
 
+    def test_wrong_side_bound_exits_2_before_any_roof(self, capsys, monkeypatch):
+        from entshare import measures
+
+        def no_roof(*args, **kwargs):
+            raise AssertionError("convex_roof called")
+
+        monkeypatch.setattr(measures, "convex_roof", no_roof)
+        code, out, err = run(capsys, "bounds", "--family", "w5", "--measure", "tau_assistance",
+                             "--side", "polygamy", "--bounds", "ratio_weighted",
+                             "--exponent", "1")
+        assert code == 2 and out == "" and "not defined for the polygamy side" in err
+
     @pytest.mark.parametrize("state, measure, side, exponent", [
         (["--family", "w4"], "concurrence", "monogamy", "2.5"),
         (["--family", "w4"], "tau_assistance", "polygamy", "1.5"),
@@ -234,6 +257,17 @@ class TestFigureCommand:
         run(capsys, "figure", "3", "--out", str(p1))
         run(capsys, "figure", "3", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("step", ["0", "-0.5", "inf", "nan"])
+    def test_bad_step_exits_2(self, capsys, step):
+        code, out, err = run(capsys, "figure", "1", f"--step={step}")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_step_stays_inside_the_range(self, capsys):
+        code, out, _ = run(capsys, "figure", "1", "--step", "0.3")
+        assert code == 0
+        exps = [float(line.split(",")[0]) for line in out.strip().split("\n")[1:]]
+        assert exps == pytest.approx([0.3 * i for i in range(7)])
 
 
 class TestFuzzCommand:
@@ -296,6 +330,8 @@ class TestFuzzCommand:
         ("2,2,2,2", "monogamy:concurrence:3:pair_weighted"),
         ("2,2,2", "polygamy:concurrence_assistance:1:residual_max"),
         ("2,2,2", "polygamy:concurrence_assistance:1:residual_mean"),
+        ("2,2,2", "polygamy:concurrence:1:weighted"),
+        ("2,2,2", "polygamy:concurrence:1:ratio_weighted"),
     ])
     def test_bound_off_its_party_count_exits_2_before_sampling(self, capsys, monkeypatch,
                                                                  dims, check):
@@ -311,7 +347,23 @@ class TestFuzzCommand:
         monkeypatch.setattr(cli, "haar_random_pure", no_sample)
         code, out, err = run(capsys, "fuzz", "--samples", "2", "--dims", dims,
                              "--checks", f"monogamy:concurrence:2:base,{check}")
-        assert code == 2 and out == "" and re.search(r"three-party|four parties", err)
+        assert code == 2 and out == ""
+        assert re.search(r"three-party|four parties|not defined for the polygamy side", err)
+
+    def test_sample_without_ordering_index_is_skipped(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--samples", "1", "--dims", "2,2,2,2",
+                             "--restarts", "2", "--seed", "17",
+                             "--checks", "polygamy:concurrence_assistance:1:weighted")
+        assert code == 0, err
+        assert json.loads(out)["violations"] == []
+        assert "1 checks skipped without an ordering index m" in err
+
+    def test_range_warning_printed_once_per_run(self):
+        checks = "monogamy:concurrence:1.5:base,monogamy:concurrence:2.5:pair_weighted"
+        argv = ["fuzz", "--samples", "5", "--checks", checks]
+        proc = run_python("-W", "default", "-c", f"from entshare.cli import main; main({argv!r})")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("ExponentRangeWarning") == 1
 
     def test_bad_check_spec_exits_2(self, capsys):
         code, _, _ = run(capsys, "fuzz", "--samples", "1", "--checks", "sideways:concurrence:2")
@@ -379,18 +431,19 @@ print(loaded)
 
 
 def test_scipy_imported_only_by_roofs():
-    src = str(Path(entshare.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True,
-                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    proc = run_python("-c", SCIPY_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False, True]"
 
 
+def _readme_block(heading: str) -> str:
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"## {heading}", 1)[1].split("```", 2)[1]
+
+
 def _readme_cli_lines() -> list[str]:
     """Every `entshare ...` command of the README's CLI block, continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    block = _readme_block("CLI")
     return [line.replace("\\\n", " ")
             for line in re.split(r"\n(?=entshare )", block.strip())]
 
@@ -408,6 +461,28 @@ def test_readme_cli_block_found():
     assert len(_readme_cli_lines()) == 8
 
 
+def _readme_script_lines() -> list[list[str]]:
+    """argv of each `python scripts/...` line of the README's Scripts block."""
+    return [shlex.split(line.split("#", 1)[0]) for line in _readme_block("Scripts").split("\n")
+            if line.strip()]
+
+
+# fewer samples than the README's audit run, to keep tier-1 short
+SCRIPT_ARGS = {"scripts/audit_random_states.py": ["20", "1"]}
+
+
+@pytest.mark.parametrize("argv", _readme_script_lines(), ids=lambda argv: argv[1])
+def test_readme_scripts_run(tmp_path, argv):
+    assert argv[0] == "python"
+    proc = run_python(str(ROOT / argv[1]), *SCRIPT_ARGS.get(argv[1], argv[2:]), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_scripts_block_found():
+    assert [argv[1] for argv in _readme_script_lines()] == [
+        "scripts/reproduce_figures.py", "scripts/audit_random_states.py"]
+
+
 TRACER_PROBE = """
 import sys
 sys.path.insert(0, "bench")
@@ -417,9 +492,5 @@ tracing.install(tracing.Tracer(), True)
 
 
 def test_benchmark_tracer_finds_every_name():
-    root = Path(__file__).resolve().parents[1]
-    src = str(Path(entshare.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", TRACER_PROBE], capture_output=True, text=True,
-                          cwd=root, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    proc = run_python("-c", TRACER_PROBE, timeout=120)
     assert proc.returncode == 0, proc.stderr
