@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Digest the stdout of a fixed list of CLI commands, one line per command.
+
+Each line is the exit code, the first 16 hex digits of the sha256 of the
+command's stdout, and its argv. Two checkouts give equal lines exactly when
+every listed command printed the same bytes and exited the same way:
+figures 1-3, three- and four-qubit `fuzz`, `sweep` and `bounds` on w4, w5,
+3q and 4q-theta for both sides in JSON and CSV with and without `--m 1`,
+and both `threshold` kinds. Warnings and timing notes go to stderr and are
+not digested.
+
+Usage: python scripts/output_digests.py [outfile]
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+
+from entshare.cli import main
+
+FAMILIES = {
+    "w4": [],
+    "w5": [],
+    "3q": ["--params", "0.4472135955,0.4472135955,0.4472135955,0.4472135955,0.4472135955"],
+    "4q-theta": ["--params", "0.785,0.785"],
+}
+# side -> (measure, sweep grid, bounds exponent)
+SIDES = {
+    "polygamy": ("tau_assistance", "0:2.5:0.05", "1"),
+    "monogamy": ("concurrence", "1.5:6:0.1", "2.5"),
+}
+PAIR_CHECKS = ",".join(f"{side}:{measure}:{e}:pair_weighted"
+                       for side, measure in (("monogamy", "concurrence"),
+                                             ("polygamy", "concurrence_assistance"))
+                       for e in ("0.5", "1", "2", "3"))
+
+
+def commands() -> list[list[str]]:
+    cmds = [["figure", str(fig)] for fig in (1, 2, 3)]
+    cmds.append(["figure", "2", "--format", "json"])
+    for fmt in ("json", "csv"):
+        cmds.append(["fuzz", "--samples", "30", "--seed", "5", "--format", fmt])
+        cmds.append(["fuzz", "--samples", "30", "--seed", "9", "--checks", PAIR_CHECKS,
+                     "--format", fmt])
+    cmds.append(["fuzz", "--samples", "2", "--dims", "2,2,2,2", "--seed", "3",
+                 "--restarts", "2"])
+    for family, params in FAMILIES.items():
+        for side, (measure, grid, exponent) in SIDES.items():
+            common = ["--family", family, *params, "--measure", measure, "--side", side,
+                      "--restarts", "4", "--seed", "11"]
+            for fmt in ("json", "csv"):
+                for m in ([], ["--m", "1"]):
+                    cmds.append(["sweep", *common, "--grid", grid, "--format", fmt, *m])
+                    cmds.append(["bounds", *common, "--exponent", exponent, "--format", fmt, *m])
+    for side, (measure, grid, _) in SIDES.items():
+        cmds.append(["sweep", "--family", "w5", "--measure", measure, "--side", side,
+                     "--restarts", "4", "--seed", "11", "--grid", grid, "--m", "2"])
+    cmds.append(["threshold", "--family", "3q", *FAMILIES["3q"], "--kind", "residual-zero"])
+    for bound in ("residual_max", "base"):
+        cmds.append(["threshold", "--family", "4q-theta", *FAMILIES["4q-theta"],
+                     "--kind", "empirical-beta", "--bound", bound, "--restarts", "4"])
+    return cmds
+
+
+def digest_line(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+    return f"{code} {digest} {' '.join(argv)}"
+
+
+if __name__ == "__main__":
+    lines = [digest_line(argv) for argv in commands()]
+    text = "\n".join(lines) + "\n"
+    if len(sys.argv) > 1:
+        with open(sys.argv[1], "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)

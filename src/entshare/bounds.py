@@ -2,10 +2,22 @@
 
 The bound arithmetic is split from measurement: a ComponentTable memoizes the
 bipartite cut values Q_{A|S} of one (state, measure) pair, each as the
-MeasureValue (value plus exactness flag) that measure_bipartite returns, and
-every bound or residual tree is pure arithmetic over that table at a given
-exponent. Tests and sweeps can therefore feed synthetic component tables,
-and exponent grids reuse each expensive optimizer call exactly once.
+MeasureValue (value plus exactness flag) that measure_bipartite returns, so
+each expensive optimizer call runs once however many exponents are read.
+
+Every bound is evaluated through a BoundPlan, built once per (table, side,
+bound ids, m). The plan does the exponent-independent work: it fetches and
+validates every component its bounds read, fixes each bound's exact flag, and
+flattens the max and mean residual recursions into one list of subsets,
+children first, each with the indices of its children. bound_reports resolves
+m with ordering_classify and the default bound ids before it builds the plan.
+Per exponent the plan raises each component to the power once with scalar
+`**`, shares the powers across its bounds, and runs flat float arithmetic
+with the same operations in the same order as the recursion it replaces, so
+every value is bit-identical to a direct evaluation (numpy's vectorized power
+may differ from `**` in the last bit, so it is not used). evaluate_bounds is a
+one-point plan; a sweep is one plan over its grid; bound_value and
+residual_tree build a plan (or its flattened recursion) for one exponent.
 
 Sides and ids (the BOUNDS table below). `base` applies at any party count,
 `pair_weighted` at three parties only, every other bound at four or more.
@@ -145,19 +157,20 @@ def residual_tripartite(q_ab: float, q_ac: float, q_abc: float, alpha: float) ->
     return q_ab**alpha + q_ac**alpha - q_abc**alpha
 
 
+def _weight_powers(n_b: int, m: int) -> tuple[int, ...]:
+    """Integer power of the scalar weight on each of parties 1..n_b (see weight_map)."""
+    if not (1 <= m <= n_b - 2):
+        raise InvalidParameterError(f"ordering index m={m} outside 1..{n_b - 2}")
+    return tuple(range(m)) + (m + 1,) * (n_b - 1 - m) + (m,)
+
+
 def weight_map(n_b: int, m: int, scalar: float) -> dict[int, float]:
     """Geometric weight vector over parties 1..n_b for an ordering index m.
 
     Parties 1..m get powers 0..m-1, the middle block gets power m+1, and the
     last party gets power m.
     """
-    if not (1 <= m <= n_b - 2):
-        raise InvalidParameterError(f"ordering index m={m} outside 1..{n_b - 2}")
-    weights = {pos: scalar ** (pos - 1) for pos in range(1, m + 1)}
-    for pos in range(m + 1, n_b):
-        weights[pos] = scalar ** (m + 1)
-    weights[n_b] = scalar**m
-    return weights
+    return {pos: scalar**k for pos, k in enumerate(_weight_powers(n_b, m), start=1)}
 
 
 @dataclass
@@ -182,6 +195,57 @@ class ResidualTree:
         return sum(self.level_values.values())
 
 
+# residual strategy -> how one level selects among its omit-one residuals
+_SELECT = {"max": max, "mean": lambda values: sum(values) / len(values)}
+
+
+def _flatten(table: ComponentTable):
+    """The residual recursion over the table's B parties, flattened children-first.
+
+    Level k of a subset selects among the omit-one subsets of its first k
+    parties (k = 3..size). Returns (subsets, joints, nodes, top): nodes[j] is
+    (marginal positions of the parties of subsets[j], component position of
+    its joint, its levels as tuples of node indices), and top holds the levels
+    of the full party set. Components are numbered marginals first (party b at
+    b - 1), then joints[j] at n_b + j.
+    """
+    n_b = table.n_b
+    index: dict[tuple[int, ...], int] = {}
+    subsets, joints, nodes = [], [], []
+
+    def levels(sub):
+        prefixes = [sub[:k] for k in range(3, len(sub) + 1)]
+        return tuple(tuple(visit(p[:i] + p[i + 1:]) for i in range(len(p))) for p in prefixes)
+
+    def visit(sub):
+        if sub not in index:
+            joint = table.joint(sub)
+            children = levels(sub)
+            index[sub] = len(subsets)
+            nodes.append((tuple(b - 1 for b in sub), n_b + len(subsets), children))
+            subsets.append(sub)
+            joints.append(joint)
+        return index[sub]
+
+    top = levels(tuple(range(1, n_b + 1)))
+    return subsets, joints, nodes, top
+
+
+def _residual_levels(nodes, top, select, powers, weighted, polygamy):
+    """Each node's full residual and the selected residual of each top level.
+
+    powers holds every component raised to the exponent; weighted holds the
+    (weighted) marginal powers, which the marginal sums read.
+    """
+    values = []
+    for parties, joint, levels in nodes:
+        inner = sum([select([values[c] for c in level]) for level in levels])
+        parts = sum([weighted[b] for b in parties])
+        values.append(parts - powers[joint] - inner if polygamy
+                      else powers[joint] - parts - inner)
+    return values, [select([values[c] for c in level]) for level in top]
+
+
 def residual_tree(table: ComponentTable, alpha: float, strategy: str = "max",
                   sign: str = POLYGAMY, weights: dict[int, float] | None = None) -> ResidualTree:
     """Build the residual recursion bottom-up over the table's B parties.
@@ -192,52 +256,27 @@ def residual_tree(table: ComponentTable, alpha: float, strategy: str = "max",
     3..n). Marginal terms are weighted when a weight map is given; joint
     terms never are.
     """
-    if strategy not in ("max", "mean"):
+    if strategy not in _SELECT:
         raise InvalidParameterError(f"unknown strategy {strategy!r}")
     if sign not in (POLYGAMY, MONOGAMY):
         raise InvalidParameterError(f"unknown sign {sign!r}")
-    order = tuple(range(1, table.n_b + 1))
-    tree = ResidualTree(alpha=alpha, strategy=strategy, sign=sign, weighted=weights is not None)
+    subsets, joints, nodes, top = _flatten(table)
+    marginals = [table.marginal(i) for i in range(1, table.n_b + 1)] if subsets else []
+    components = marginals + joints
+    powers = [c.value**alpha for c in components]
     wmap = weights or {}
-    memo: dict[tuple[int, ...], float] = {}
-
-    def comp(subset) -> float:
-        c = table.joint(subset)
-        if not c.exact:
-            tree.exact = False
-        return c.value
-
-    def full_residual(sub: tuple[int, ...]) -> float:
-        if sub in memo:
-            return memo[sub]
-        parts = sum(wmap.get(b, 1.0) * comp((b,)) ** alpha for b in sub)
-        joint = comp(sub) ** alpha
-        inner = sum(val for val, _ in _levels(sub))
-        value = (parts - joint - inner) if sign == POLYGAMY else (joint - parts - inner)
-        memo[sub] = value
-        tree.terms[sub] = value
-        return value
-
-    def _levels(sub: tuple[int, ...]):
-        """Selected residual per level inside `sub`, shallow-first."""
-        out = []
-        if strategy == "max":
-            for k in range(2, len(sub)):
-                prefix = sub[: k + 1]
-                cands = [(full_residual(prefix[:i] + prefix[i + 1:]), prefix[i])
-                         for i in range(len(prefix))]
-                val, omitted = max(cands, key=lambda t: t[0])
-                out.append((val, omitted))
-        else:
-            for k in range(3, len(sub) + 1):
-                prefix = sub[:k]
-                vals = [full_residual(prefix[:i] + prefix[i + 1:]) for i in range(len(prefix))]
-                out.append((sum(vals) / len(vals), None))
-        return out
-
-    for level, (val, omitted) in enumerate(_levels(order), start=2 if strategy == "max" else 3):
-        tree.level_values[level] = val
-        tree.selection[level] = omitted
+    weighted = [wmap.get(b, 1.0) * p for b, p in enumerate(powers[:len(marginals)], start=1)]
+    values, level_values = _residual_levels(nodes, top, _SELECT[strategy], powers, weighted,
+                                            sign == POLYGAMY)
+    tree = ResidualTree(alpha=alpha, strategy=strategy, sign=sign, weighted=weights is not None,
+                        terms=dict(zip(subsets, values)),
+                        exact=all(c.exact for c in components))
+    for level, (children, value) in enumerate(zip(top, level_values),
+                                              start=2 if strategy == "max" else 3):
+        tree.level_values[level] = value
+        # the first largest residual wins; at the top, omitting position i omits party i + 1
+        tree.selection[level] = (1 + max(range(len(children)), key=lambda i: values[children[i]])
+                                 if strategy == "max" else None)
     return tree
 
 
@@ -338,37 +377,128 @@ def needs_m(side: str, bound_id: str) -> bool:
     return BOUNDS[side][bound_id][0] is not None and bound_id != PAIR_WEIGHTED
 
 
-def bound_value(table: ComponentTable, bound_id: str, exponent: float, side: str,
-                m: int | None = None) -> tuple[float, bool]:
-    """Evaluate one bound id on a component table; returns (value, exact).
+class BoundPlan:
+    """The bounds `bound_ids` of one side on one table, at ordering index m.
 
-    The (weighted) power sum of the marginals, minus (polygamy) or plus
-    (monogamy) the residual levels when the BOUNDS entry names a strategy.
+    Built once: every component the bounds read is fetched and validated,
+    each bound's exact flag is fixed (its marginals and, with a residual
+    strategy, every component of the recursion), and the residual recursion
+    is flattened. values() and report() then evaluate any exponent without
+    another table lookup. Marginal sums are (weighted) power sums; a residual
+    strategy subtracts (polygamy) or adds (monogamy) its selected levels;
     pair_weighted sorts its two marginals in place of an ordering index.
     """
-    check_bound(side, bound_id, table.n_b + 1)
-    weighting, strategy = BOUNDS[side][bound_id]
-    marginals = [table.marginal(i) for i in range(1, table.n_b + 1)]
-    exact = all(c.exact for c in marginals)
-    values = [c.value for c in marginals]
-    weights = None
-    if weighting is not None:
-        ref = _power_ref(table.measure, side)
-        scalar = exponent / ref if weighting == "ratio" else 2.0 ** (exponent / ref) - 1.0
-        if bound_id == PAIR_WEIGHTED:
-            values.sort(reverse=True)
-            weights = {1: 1.0, 2: scalar}
-        elif m is None:
-            raise InvalidParameterError(f"bound {bound_id!r} needs an ordering index m")
-        else:
-            weights = weight_map(table.n_b, m, scalar)
-    wmap = weights or {}
-    value = sum(wmap.get(i, 1.0) * v**exponent for i, v in enumerate(values, start=1))
-    if strategy is not None:
-        tree = residual_tree(table, exponent, strategy, side, weights)
-        value = value - tree.level_sum() if side == POLYGAMY else value + tree.level_sum()
-        exact = exact and tree.exact
-    return value, exact
+
+    def __init__(self, table: ComponentTable, side: str, bound_ids, m: int | None = None):
+        n_b = table.n_b
+        self.bound_ids = tuple(bound_ids)
+        for bid in self.bound_ids:
+            check_bound(side, bid, n_b + 1)
+        self.table, self.side, self.m = table, side, m
+        self._polygamy = side == POLYGAMY
+        self._lhs = None
+        marginals = [table.marginal(i) for i in range(1, n_b + 1)]
+        values = [c.value for c in marginals]
+        self._zero_marginal = 0.0 in values
+        self._specs = []
+        self._ref = self._layout = self._pair = None
+        for bid in self.bound_ids:
+            weighting, strategy = BOUNDS[side][bid]
+            self._specs.append((bid, weighting, strategy))
+            if weighting is None:
+                continue
+            self._ref = _power_ref(table.measure, side)
+            if bid == PAIR_WEIGHTED:
+                self._pair = sorted(range(n_b), key=values.__getitem__, reverse=True)
+            elif m is None:
+                raise InvalidParameterError(f"bound {bid!r} needs an ordering index m")
+            else:
+                self._layout = _weight_powers(n_b, m)
+        residual = [strategy is not None for _, _, strategy in self._specs]
+        joints, self._nodes, self._top = [], (), ()
+        if any(residual):
+            _, joints, self._nodes, self._top = _flatten(table)
+        self._components = values + [c.value for c in joints]
+        marginals_exact = all(c.exact for c in marginals)
+        tree_exact = marginals_exact and all(c.exact for c in joints)
+        self.exact = tuple([tree_exact if r else marginals_exact for r in residual])
+
+    def values(self, exponent: float) -> list[float]:
+        """Each bound's value at `exponent`, in bound_ids order."""
+        powers = [c**exponent for c in self._components]
+        marginals = powers[:self.table.n_b]
+        sums = {}    # weighting -> (weighted marginal powers, their sum)
+        levels = {}  # (weighting, strategy) -> sum of the selected residual levels
+        out = []
+        for bid, weighting, strategy in self._specs:
+            if weighting is not None:
+                ratio = exponent / self._ref
+                scalar = ratio if weighting == "ratio" else 2.0**ratio - 1.0
+            if bid == PAIR_WEIGHTED:
+                hi, lo = marginals[self._pair[0]], marginals[self._pair[1]]
+                out.append(sum([hi, scalar * lo]))  # weights (1, scalar)
+                continue
+            if weighting not in sums:
+                weighted = marginals if weighting is None else [
+                    scalar**k * p for k, p in zip(self._layout, marginals)]
+                sums[weighting] = (weighted, sum(weighted))
+            weighted, total = sums[weighting]
+            if strategy is None:
+                out.append(total)
+                continue
+            key = (weighting, strategy)
+            if key not in levels:
+                levels[key] = sum(_residual_levels(self._nodes, self._top, _SELECT[strategy],
+                                                   powers, weighted, self._polygamy)[1])
+            out.append(total - levels[key] if self._polygamy else total + levels[key])
+        return out
+
+    def report(self, exponent: float) -> BoundReport:
+        """The bound report at one finite exponent: lhs, every bound, the flags."""
+        measure = self.table.measure
+        range_warning = False
+        if self.side == POLYGAMY and not (0 <= exponent <= measure.beta_max + 1e-12):
+            warnings.warn(f"polygamy exponent {exponent} outside [0, {measure.beta_max}]",
+                          ExponentRangeWarning, stacklevel=2)
+            range_warning = True
+        if self.side == MONOGAMY and exponent < measure.x_min - 1e-12:
+            warnings.warn(f"monogamy exponent {exponent} below {measure.x_min}",
+                          ExponentRangeWarning, stacklevel=2)
+            range_warning = True
+
+        if self._lhs is None:  # fetched on the first report: bound_value never needs it
+            self._lhs = self.table.lhs()
+        lhs = self._lhs
+        lhs_power = lhs.value**exponent
+        degenerate = exponent == 0.0 and (self._zero_marginal or lhs.value == 0.0)
+        if degenerate:
+            warnings.warn("exponent 0 with a zero component; report flagged degenerate",
+                          DegenerateExponentWarning, stacklevel=2)
+
+        margin = self.table.opt.margin()
+        bounds: dict[str, BoundEntry] = {}
+        satisfied: dict[str, bool | None] = {}
+        for bid, val, exact in zip(self.bound_ids, self.values(exponent), self.exact):
+            bounds[bid] = BoundEntry(val, exact, range_warning)
+            gap = (val - lhs_power) if self._polygamy else (lhs_power - val)
+            if degenerate:
+                satisfied[bid] = None
+            elif exact and lhs.exact:
+                satisfied[bid] = bool(gap >= -EXACT_TOL)
+            elif gap >= margin:
+                satisfied[bid] = True
+            elif gap <= -margin:
+                satisfied[bid] = False
+            else:
+                satisfied[bid] = None
+        return BoundReport(exponent, self.side, lhs, bounds, satisfied, self.m, degenerate, margin)
+
+
+def bound_value(table: ComponentTable, bound_id: str, exponent: float, side: str,
+                m: int | None = None) -> tuple[float, bool]:
+    """Evaluate one bound id on a component table; returns (value, exact)."""
+    plan = BoundPlan(table, side, (bound_id,), m)
+    return plan.values(exponent)[0], plan.exact[0]
 
 
 def applicable_bounds(n_parties: int, side: str, have_m: bool) -> tuple[str, ...]:
@@ -377,62 +507,44 @@ def applicable_bounds(n_parties: int, side: str, have_m: bool) -> tuple[str, ...
                  if _fits(b, n_parties) and (have_m or not needs_m(side, b)))
 
 
-def evaluate_bounds(state, measure: CorrelationMeasure, exponent: float, side: str,
-                    opt: OptimizerConfig = DEFAULT_OPT, bound_ids=None,
-                    m: int | None = None, table: ComponentTable | None = None) -> BoundReport:
-    """Full bound report for one exponent: lhs, every requested bound, flags."""
+def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
+                  m: int | None = None) -> list[BoundReport]:
+    """Bound reports at each exponent, all from one BoundPlan.
+
+    The side, every exponent and every given bound id are checked before any
+    component is measured. With m None on four or more parties, m comes from
+    ordering_classify; the default bound ids are every applicable bound. The
+    table's measure sets the exponent ranges and its optimizer settings the
+    comparison margin.
+    """
     if side not in BOUNDS:
         raise InvalidParameterError(f"side must be polygamy or monogamy, got {side!r}")
-    if not math.isfinite(exponent):
-        raise InvalidParameterError(f"exponent must be finite, got {exponent}")
-    if table is None:
-        table = ComponentTable(state, measure, opt)
+    exponents = list(exponents)
+    for exponent in exponents:
+        if not math.isfinite(exponent):
+            raise InvalidParameterError(f"exponent must be finite, got {exponent}")
     n_parties = table.n_b + 1
     for bid in bound_ids or ():
         check_bound(side, bid, n_parties)
-
-    range_warning = False
-    if side == POLYGAMY and not (0 <= exponent <= measure.beta_max + 1e-12):
-        warnings.warn(f"polygamy exponent {exponent} outside [0, {measure.beta_max}]",
-                      ExponentRangeWarning, stacklevel=2)
-        range_warning = True
-    if side == MONOGAMY and exponent < measure.x_min - 1e-12:
-        warnings.warn(f"monogamy exponent {exponent} below {measure.x_min}",
-                      ExponentRangeWarning, stacklevel=2)
-        range_warning = True
-
     if m is None and n_parties >= 4:
         m = ordering_classify(table).m
     if bound_ids is None:
         bound_ids = applicable_bounds(n_parties, side, m is not None)
+    plan = BoundPlan(table, side, bound_ids, m)
+    return [plan.report(exponent) for exponent in exponents]
 
-    lhs = table.lhs()
-    lhs_power = lhs.value**exponent
 
-    marginal_values = [table.marginal(i).value for i in range(1, table.n_b + 1)]
-    degenerate = exponent == 0.0 and (0.0 in marginal_values or lhs.value == 0.0)
-    if degenerate:
-        warnings.warn("exponent 0 with a zero component; report flagged degenerate",
-                      DegenerateExponentWarning, stacklevel=2)
+def evaluate_bounds(state, measure: CorrelationMeasure, exponent: float, side: str,
+                    opt: OptimizerConfig = DEFAULT_OPT, bound_ids=None,
+                    m: int | None = None, table: ComponentTable | None = None) -> BoundReport:
+    """Full bound report for one exponent: lhs, every requested bound, flags.
 
-    margin = opt.margin()
-    bounds: dict[str, BoundEntry] = {}
-    satisfied: dict[str, bool | None] = {}
-    for bid in bound_ids:
-        val, exact = bound_value(table, bid, exponent, side, m)
-        bounds[bid] = BoundEntry(val, exact, range_warning)
-        gap = (val - lhs_power) if side == POLYGAMY else (lhs_power - val)
-        if degenerate:
-            satisfied[bid] = None
-        elif exact and lhs.exact:
-            satisfied[bid] = bool(gap >= -EXACT_TOL)
-        elif gap >= margin:
-            satisfied[bid] = True
-        elif gap <= -margin:
-            satisfied[bid] = False
-        else:
-            satisfied[bid] = None
-    return BoundReport(exponent, side, lhs, bounds, satisfied, m, degenerate, margin)
+    A one-point bound_reports; state, measure and opt build the table when
+    none is given.
+    """
+    if table is None:
+        table = ComponentTable(state, measure, opt)
+    return bound_reports(table, side, [exponent], bound_ids, m)[0]
 
 
 @dataclass(frozen=True)
@@ -471,13 +583,10 @@ def verify_hierarchy(state, measure: CorrelationMeasure, exponents, side: str,
     if table is None:
         table = ComponentTable(state, measure, opt)
     checks = hierarchy_checks(side, state.n_parties, measure)
-    reports: list[BoundReport] = []
+    reports = bound_reports(table, side, [float(x) for x in exponents], bound_ids)
     violations: list[Violation] = []
     indeterminate = 0
-    for exponent in exponents:
-        report = evaluate_bounds(state, measure, float(exponent), side, opt,
-                                 bound_ids=bound_ids, table=table)
-        reports.append(report)
+    for report in reports:
         if report.degenerate:
             continue
         for bid, ok in report.satisfied.items():

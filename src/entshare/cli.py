@@ -299,11 +299,7 @@ def cmd_sweep(args) -> int:
     grid = [args.exponent] if one_point else parse_grid(args.grid)
     ids = tuple(args.bounds.split(",")) if args.bounds else None
     table = bmod.ComponentTable(state, measure, opt)
-    reports = [
-        bmod.evaluate_bounds(state, measure, x, args.side, opt, bound_ids=ids,
-                             m=args.m, table=table)
-        for x in grid
-    ]
+    reports = bmod.bound_reports(table, args.side, grid, ids, args.m)
     if args.format == "json":
         docs = [_report_doc(r) for r in reports]
         _emit(_json_text(docs[0] if one_point else docs), args.out)
@@ -371,6 +367,9 @@ def cmd_fuzz(args) -> int:
     if args.samples < 0:
         raise EntshareError(f"--samples must be >= 0, got {args.samples}")
     dims = tuple(int(d) for d in args.dims.split(","))
+    if len(dims) < 3 or min(dims) < 2:
+        raise EntshareError(f"--dims needs three or more parties of dimension 2 or more, "
+                            f"got {args.dims}")
     checks = _parse_checks(args.checks, len(dims))
     measures = dict.fromkeys(m for _, _, m, _, _ in checks)
     opt = optimizer_from_args(args)

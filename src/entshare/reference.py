@@ -19,6 +19,10 @@ from typing import Callable
 
 from .errors import InvalidParameterError
 
+# most points a grid or a threshold scan may have; a step typo such as 1e-12
+# would otherwise ask for trillions of floats before anything is checked
+MAX_GRID_POINTS = 1_000_000
+
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 
@@ -99,15 +103,20 @@ def inclusive_grid(lo: float, hi: float, step: float) -> list[float]:
     """lo, lo + step, ... built from integer multiples of step to stay stable.
 
     hi is the last point when a multiple lands within 1e-9 of it; otherwise
-    the grid ends at the last multiple below hi.
+    the grid ends at the last multiple below hi. A grid of more than
+    MAX_GRID_POINTS points is rejected before it is built.
     """
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise InvalidParameterError(f"grid {lo}:{hi}:{step} needs finite lo, hi and step")
     if step <= 0 or not lo < hi:
         raise InvalidParameterError(f"grid {lo}:{hi}:{step} needs step > 0 and lo < hi")
-    n = round((hi - lo) / step)
+    # capped, so that an oversize (or overflowed) span is rejected before anything is built
+    span = min((hi - lo) / step, MAX_GRID_POINTS)
+    n = round(span)
     if abs(lo + n * step - hi) > 1e-9:
-        n = int((hi - lo) / step)
+        n = int(span)
+    if n >= MAX_GRID_POINTS:
+        raise InvalidParameterError(f"grid {lo}:{hi}:{step} has more than {MAX_GRID_POINTS} points")
     return [lo + i * step for i in range(n + 1)]
 
 

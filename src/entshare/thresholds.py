@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import BASE, RESIDUAL_MAX, ComponentTable, bound_value
+from .bounds import BASE, POLYGAMY, RESIDUAL_MAX, BoundPlan, ComponentTable
+from .bounds import bound_value  # noqa: F401  (bench/tracing.py wraps thresholds.bound_value)
 from .errors import EvaluationError, InvalidParameterError
 from .measures import DEFAULT_OPT, CorrelationMeasure, OptimizerConfig
+from .reference import MAX_GRID_POINTS
 
 DEFAULT_TOL = 1e-6
 DEFAULT_SCAN_STEPS = 256
@@ -40,8 +42,8 @@ class ThresholdResult:
 def find_zero(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
               scan_steps: int = DEFAULT_SCAN_STEPS) -> ThresholdResult | None:
     """Smallest root of f in [lo, hi], or None when the scan sees no sign change."""
-    if scan_steps < 8:
-        raise InvalidParameterError("scan_steps must be at least 8")
+    if not 8 <= scan_steps < MAX_GRID_POINTS:
+        raise InvalidParameterError(f"scan_steps must be in 8..{MAX_GRID_POINTS - 1}")
     if not lo < hi:
         raise InvalidParameterError(f"invalid range [{lo}, {hi}]")
     xs = [lo + (hi - lo) * i / scan_steps for i in range(scan_steps + 1)]
@@ -130,13 +132,11 @@ def empirical_beta(state, measure: CorrelationMeasure, bound_id: str = RESIDUAL_
         raise InvalidParameterError(f"empirical beta supports bounds {_BETA_BOUND_IDS}")
     table = ComponentTable(state, measure, opt)
     lhs = table.lhs().value
-    # prime the cache so every scan point reuses the same measured components
-    bound_value(table, bound_id, 1.0, "polygamy")
+    plan = BoundPlan(table, POLYGAMY, (bound_id,))
     shift = 1e-9 if table.all_exact() else opt.margin()
 
     def f(alpha):
-        val, _ = bound_value(table, bound_id, alpha, "polygamy")
-        return val - lhs**alpha + shift
+        return plan.values(alpha)[0] - lhs**alpha + shift
 
     lo = max(tol, 1e-4)
     result = find_zero(f, lo, search_cap, tol=tol, scan_steps=scan_steps)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import oracle_lambda_sum, oracle_wootters
 from entshare.bounds import (
     BASE,
+    BOUNDS,
     EXP_WEIGHTED,
     MONOGAMY,
     PAIR_WEIGHTED,
@@ -17,6 +19,7 @@ from entshare.bounds import (
     RESIDUAL_MEAN,
     WEIGHTED,
     WEIGHTED_RESIDUAL,
+    BoundPlan,
     ComponentTable,
     applicable_bounds,
     bound_value,
@@ -58,6 +61,102 @@ def product_state_4q() -> PureState:
     psi = np.zeros(16)
     psi[0] = 1.0
     return PureState(psi, (2, 2, 2, 2))
+
+
+def recursive_tree(q, n_b, a, strategy, side, weights):
+    """The residual recursion evaluated directly, as the plan flattens it.
+
+    Kept as the reference for the plan's float order: returns the terms in
+    the order they complete, the selected value of each top level, and the
+    party each top-level max omits.
+    """
+    terms = {}
+
+    def full(sub):
+        if sub not in terms:
+            parts = sum(weights.get(b, 1.0) * q[(b,)] ** a for b in sub)
+            joint = q[sub] ** a
+            inner = sum(val for val, _ in levels(sub))
+            terms[sub] = (parts - joint - inner) if side == POLYGAMY else (joint - parts - inner)
+        return terms[sub]
+
+    def levels(sub):
+        out = []
+        for k in range(3, len(sub) + 1):
+            prefix = sub[:k]
+            cands = [(full(prefix[:i] + prefix[i + 1:]), prefix[i]) for i in range(k)]
+            if strategy == "max":
+                out.append(max(cands, key=lambda t: t[0]))
+            else:
+                out.append((sum(v for v, _ in cands) / len(cands), None))
+        return out
+
+    top = levels(tuple(range(1, n_b + 1)))
+    return terms, [v for v, _ in top], [o for _, o in top]
+
+
+def recursive_bound(q, n_b, bound_id, a, side, m, ref):
+    """One bound evaluated directly from its definition (the plan's reference)."""
+    weighting, strategy = BOUNDS[side][bound_id]
+    values = [q[(i,)] for i in range(1, n_b + 1)]
+    weights = {}
+    if weighting is not None:
+        scalar = a / ref if weighting == "ratio" else 2.0 ** (a / ref) - 1.0
+        if bound_id == PAIR_WEIGHTED:
+            values.sort(reverse=True)
+            weights = {1: 1.0, 2: scalar}
+        else:
+            weights = weight_map(n_b, m, scalar)
+    value = sum(weights.get(i, 1.0) * v**a for i, v in enumerate(values, start=1))
+    if strategy is None:
+        return value
+    level_sum = sum(recursive_tree(q, n_b, a, strategy, side, weights)[1])
+    return value - level_sum if side == POLYGAMY else value + level_sum
+
+
+class TestBoundPlan:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_b=st.integers(2, 5),
+        a=st.floats(0.0, 6.0),
+        side=st.sampled_from((POLYGAMY, MONOGAMY)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_recursion(self, seed, n_b, a, side):
+        rng = np.random.default_rng(seed)
+        q = {sub: float(rng.uniform(0.0, 1.5)) if rng.random() > 0.1 else 0.0
+             for k in range(1, n_b + 1) for sub in combinations(range(1, n_b + 1), k)}
+        table = ComponentTable.from_values(q, n_b=n_b, measure=CONCURRENCE)
+        m = int(rng.integers(1, n_b - 1)) if n_b >= 3 else None
+        ref = CONCURRENCE.beta_max if side == POLYGAMY else CONCURRENCE.x_min
+        ids = applicable_bounds(n_b + 1, side, m is not None)
+        got = BoundPlan(table, side, ids, m).values(a)
+        assert got == [recursive_bound(q, n_b, bid, a, side, m, ref) for bid in ids]
+        for strategy in ("max", "mean"):
+            tree = residual_tree(table, a, strategy, side)
+            terms, levels, omitted = recursive_tree(q, n_b, a, strategy, side, {})
+            assert list(tree.terms.items()) == list(terms.items())
+            assert list(tree.level_values.values()) == levels
+            if strategy == "max":
+                assert list(tree.selection.values()) == omitted
+
+    def test_components_fetched_once_per_plan(self, monkeypatch):
+        table = ComponentTable.from_values(
+            {sub: 0.5 for k in range(1, 5) for sub in combinations(range(1, 5), k)}, n_b=4,
+            measure=CONCURRENCE)
+        plan = BoundPlan(table, POLYGAMY, (BASE, RESIDUAL_MAX, RESIDUAL_MEAN))
+        assert plan.exact == (True, True, True)
+
+        def no_lookup(*args):
+            raise AssertionError("table read after the plan was built")
+
+        monkeypatch.setattr(ComponentTable, "joint", no_lookup)
+        assert len({tuple(plan.values(a)) for a in (0.5, 1.0, 1.5)}) == 3
+
+    def test_estimated_components_clear_exact_flags(self):
+        table = ComponentTable(w_state(5), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
+        plan = BoundPlan(table, POLYGAMY, (BASE, RESIDUAL_MAX))
+        assert plan.exact == (True, False)
 
 
 class TestResidualTripartite:

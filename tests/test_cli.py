@@ -2,20 +2,25 @@ import json
 import math
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import entshare
 from entshare.cli import main, parse_cut, parse_grid
-from entshare.errors import EntshareError
+from entshare.errors import EntshareError, InvalidParameterError
+from entshare.reference import inclusive_grid
+from entshare.thresholds import find_zero
 from entshare.states import make_family, state_to_json
 
 
 ROOT = Path(__file__).resolve().parents[1]
+PARAMS_3Q = ",".join(["0.4472135955"] * 5)
 
 
 def run(capsys, *argv):
@@ -46,6 +51,22 @@ def table_inits(monkeypatch):
 
     monkeypatch.setattr(ComponentTable, "__init__", counting_init)
     return calls
+
+
+class GridBuilt(Exception):
+    """Raised in place of building a grid or scan; args hold its point count."""
+
+
+@pytest.fixture
+def grid_guard(monkeypatch):
+    """Make building a grid or a threshold scan raise GridBuilt, so no test allocates one."""
+    from entshare import reference, thresholds
+
+    def guard(n):
+        raise GridBuilt(n)
+
+    for mod in (reference, thresholds):
+        monkeypatch.setattr(mod, "range", guard, raising=False)
 
 
 class TestParsing:
@@ -174,6 +195,92 @@ class TestSweepCommand:
                            "--grid", "2:inf:1")
         assert code == 2 and "finite" in err
 
+    @pytest.mark.parametrize("args", [
+        ["--family", "w5", "--measure", "tau_assistance", "--side", "polygamy",
+         "--bounds", "residual_max,residual_mean", "--grid", "0.5:2:0.5"],
+        ["--family", "w4", "--measure", "concurrence", "--side", "monogamy", "--m", "1",
+         "--grid", "2:4:0.5"],
+        ["--family", "4q-theta", "--params", "0.785,0.785", "--measure", "tau_assistance",
+         "--side", "polygamy", "--grid", "0.5:2:0.5"],
+        ["--family", "3q", "--params", PARAMS_3Q, "--measure", "concurrence",
+         "--side", "monogamy", "--bounds", "pair_weighted", "--grid", "2:4:0.5"],
+    ], ids=["w5-residual", "w4-m1-weighted", "4q-theta-estimates", "3q-pair-weighted"])
+    def test_every_element_is_the_one_point_report(self, capsys, args):
+        grid_at = args.index("--grid")
+        common = args[:grid_at] + args[grid_at + 2:] + ["--restarts", "2"]
+        code, out, err = run(capsys, "sweep", *args, "--restarts", "2", "--format", "json")
+        assert code == 0, err
+        docs = json.loads(out)
+        assert len(docs) >= 4
+        for doc in docs:
+            code, one, err = run(capsys, "bounds", *common, "--exponent", repr(doc["exponent"]))
+            assert code == 0, err
+            assert one == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_table_lookups_do_not_grow_with_the_grid(self, capsys, monkeypatch):
+        from entshare import bounds
+
+        counts = Counter()
+        joint, classify = bounds.ComponentTable.joint, bounds.ordering_classify
+
+        def counting_joint(self, subset):
+            counts["joint"] += 1
+            return joint(self, subset)
+
+        def counting_classify(table):
+            counts["ordering_classify"] += 1
+            return classify(table)
+
+        monkeypatch.setattr(bounds.ComponentTable, "joint", counting_joint)
+        monkeypatch.setattr(bounds, "ordering_classify", counting_classify)
+        seen = []
+        for grid, points in (("0.5:2:0.75", 3), ("0.5:2:0.005", 301)):
+            counts.clear()
+            code, out, err = run(capsys, "sweep", "--family", "w5", "--measure",
+                                 "tau_assistance", "--side", "polygamy", "--grid", grid,
+                                 "--restarts", "2")
+            assert code == 0, err
+            assert len(out.strip().split("\n")) == points + 1
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["ordering_classify"] == 1
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "w4", "--side", "monogamy", "--grid", "0:2:1e-12"],
+        ["sweep", "--family", "w4", "--side", "monogamy", "--grid", "0:1:1e-6"],
+        ["sweep", "--family", "w4", "--side", "monogamy", "--grid", "0:1:5e-324"],
+        ["bounds", "--family", "w4", "--side", "monogamy", "--exponent", "nan"],
+        ["figure", "1", "--step", "1e-12"],
+        ["threshold", "--family", "3q", "--params", PARAMS_3Q, "--kind", "residual-zero",
+         "--scan-steps", "1000000000000"],
+    ], ids=["sweep-1e-12", "sweep-one-past", "sweep-overflow", "bounds-nan", "figure",
+            "threshold-scan"])
+    def test_oversize_input_exits_2_before_building(self, capsys, monkeypatch, grid_guard,
+                                                    argv):
+        from entshare import bounds
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("component table filled")
+
+        monkeypatch.setattr(bounds.BoundPlan, "__init__", no_table)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert re.search(r"1000000 points|999999|finite", err)
+
+    def test_limit_is_one_million_points(self, grid_guard):
+        with pytest.raises(GridBuilt) as built:
+            inclusive_grid(0.0, 999999.0, 1.0)
+        assert built.value.args == (1_000_000,)
+        with pytest.raises(InvalidParameterError):
+            inclusive_grid(0.0, 1_000_000.0, 1.0)
+        with pytest.raises(GridBuilt) as built:
+            find_zero(lambda x: x, 0.0, 1.0, scan_steps=999_999)
+        assert built.value.args == (1_000_000,)
+        with pytest.raises(InvalidParameterError):
+            find_zero(lambda x: x, 0.0, 1.0, scan_steps=1_000_000)
+
 
 class TestBoundsCommand:
     def test_json_report(self, capsys):
@@ -292,6 +399,19 @@ class TestFuzzCommand:
     def test_negative_samples_exits_2(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--samples", "-3")
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    @pytest.mark.parametrize("dims", ["2,2", "1,2,2", "2,2,1"])
+    def test_too_few_parties_or_a_small_dimension_exits_2(self, capsys, monkeypatch,
+                                                          samples, dims):
+        from entshare import cli
+
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sample drawn")
+
+        monkeypatch.setattr(cli, "haar_random_pure", no_sample)
+        code, out, err = run(capsys, "fuzz", "--samples", samples, "--dims", dims)
+        assert code == 2 and out == "" and "--dims" in err
 
     def test_infinite_check_exponent_exits_2(self, capsys):
         code, out, err = run(capsys, "fuzz", "--samples", "1",
@@ -480,7 +600,29 @@ def test_readme_scripts_run(tmp_path, argv):
 
 def test_readme_scripts_block_found():
     assert [argv[1] for argv in _readme_script_lines()] == [
-        "scripts/reproduce_figures.py", "scripts/audit_random_states.py"]
+        "scripts/reproduce_figures.py", "scripts/audit_random_states.py",
+        "scripts/output_digests.py"]
+
+
+@pytest.mark.parametrize("fuzz_code, expected", [(0, 2), (1, 1)])
+def test_audit_script_exits_with_the_first_nonzero_code(monkeypatch, tmp_path, capsys,
+                                                        fuzz_code, expected):
+    from entshare import cli
+
+    calls = []
+
+    def fake_main(argv):
+        calls.append(argv[0])
+        return 2 if argv[0] == "sweep" else fuzz_code
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(sys, "argv", ["audit_random_states.py", "5", "1"])
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "audit_random_states.py"), run_name="__main__")
+    assert exc.value.code == expected
+    assert calls == ["fuzz", "sweep", "sweep"]
+    assert capsys.readouterr().out.count("(exit 2)") == 2
 
 
 TRACER_PROBE = """
