@@ -6,8 +6,10 @@ command's stdout, and its argv. Two checkouts give equal lines exactly when
 every listed command printed the same bytes and exited the same way:
 figures 1-3, three- and four-qubit `fuzz`, `sweep` and `bounds` on w4, w5,
 3q and 4q-theta for both sides in JSON and CSV with and without `--m 1`,
-and both `threshold` kinds. Warnings and timing notes go to stderr and are
-not digested.
+both `threshold` kinds, and `measure --reduce` under both measures on one cut
+per dispatch branch (a pure state, a 2x2 mixed state, a rank-1 2x2 and a
+rank-1 2x4 reduction, and two 2x4 roofs). Warnings and timing notes go to
+stderr and are not digested.
 
 Usage: python scripts/output_digests.py [outfile]
 """
@@ -30,6 +32,15 @@ SIDES = {
     "polygamy": ("tau_assistance", "0:2.5:0.05", "1"),
     "monogamy": ("concurrence", "1.5:6:0.1", "2.5"),
 }
+# measure --reduce: (state arguments, cut), one per dispatch branch
+MEASURE_CASES = [
+    (["--family", "w4"], "A|rest"),                             # pure state
+    (["--family", "w4"], "A|B1"),                               # 2x2 closed forms
+    (["--family", "3q", "--params", "1,0,0,0,0"], "A|B1"),      # rank-1 2x2
+    (["--family", "4q-theta", "--params", "0,0"], "A|B1B2"),    # rank-1 2x4
+    (["--family", "w4"], "A|B1B2"),                             # roof
+    (["--family", "ghz:4"], "A|B1B2"),                          # roof
+]
 PAIR_CHECKS = ",".join(f"{side}:{measure}:{e}:pair_weighted"
                        for side, measure in (("monogamy", "concurrence"),
                                              ("polygamy", "concurrence_assistance"))
@@ -60,6 +71,10 @@ def commands() -> list[list[str]]:
     for bound in ("residual_max", "base"):
         cmds.append(["threshold", "--family", "4q-theta", *FAMILIES["4q-theta"],
                      "--kind", "empirical-beta", "--bound", bound, "--restarts", "4"])
+    for state, cut in MEASURE_CASES:
+        for measure in ("concurrence", "concurrence_assistance"):
+            cmds.append(["measure", *state, "--cut", cut, "--reduce", "--measure", measure,
+                         "--restarts", "2"])
     return cmds
 
 

@@ -425,10 +425,11 @@ class BoundPlan:
 
     def values(self, exponent: float) -> list[float]:
         """Each bound's value at `exponent`, in bound_ids order."""
+        if exponent < 0 and 0.0 in self._components:
+            raise InvalidParameterError(f"exponent {exponent} is negative and a component is 0")
         powers = [c**exponent for c in self._components]
         marginals = powers[:self.table.n_b]
-        sums = {}    # weighting -> (weighted marginal powers, their sum)
-        levels = {}  # (weighting, strategy) -> sum of the selected residual levels
+        sums = {}  # weighting -> (weighted marginal powers, their sum)
         out = []
         for bid, weighting, strategy in self._specs:
             if weighting is not None:
@@ -446,15 +447,19 @@ class BoundPlan:
             if strategy is None:
                 out.append(total)
                 continue
-            key = (weighting, strategy)
-            if key not in levels:
-                levels[key] = sum(_residual_levels(self._nodes, self._top, _SELECT[strategy],
-                                                   powers, weighted, self._polygamy)[1])
-            out.append(total - levels[key] if self._polygamy else total + levels[key])
+            level_sum = sum(_residual_levels(self._nodes, self._top, _SELECT[strategy],
+                                             powers, weighted, self._polygamy)[1])
+            out.append(total - level_sum if self._polygamy else total + level_sum)
         return out
 
     def report(self, exponent: float) -> BoundReport:
         """The bound report at one finite exponent: lhs, every bound, the flags."""
+        if self._lhs is None:  # fetched on the first report: bound_value never needs it
+            self._lhs = self.table.lhs()
+        lhs = self._lhs
+        if exponent < 0 and lhs.value == 0.0:
+            raise InvalidParameterError(f"exponent {exponent} is negative and the lhs is 0")
+        values = self.values(exponent)
         measure = self.table.measure
         range_warning = False
         if self.side == POLYGAMY and not (0 <= exponent <= measure.beta_max + 1e-12):
@@ -466,9 +471,6 @@ class BoundPlan:
                           ExponentRangeWarning, stacklevel=2)
             range_warning = True
 
-        if self._lhs is None:  # fetched on the first report: bound_value never needs it
-            self._lhs = self.table.lhs()
-        lhs = self._lhs
         lhs_power = lhs.value**exponent
         degenerate = exponent == 0.0 and (self._zero_marginal or lhs.value == 0.0)
         if degenerate:
@@ -478,7 +480,7 @@ class BoundPlan:
         margin = self.table.opt.margin()
         bounds: dict[str, BoundEntry] = {}
         satisfied: dict[str, bool | None] = {}
-        for bid, val, exact in zip(self.bound_ids, self.values(exponent), self.exact):
+        for bid, val, exact in zip(self.bound_ids, values, self.exact):
             bounds[bid] = BoundEntry(val, exact, range_warning)
             gap = (val - lhs_power) if self._polygamy else (lhs_power - val)
             if degenerate:

@@ -2,10 +2,10 @@
 
 Built-in measures are the concurrence and the concurrence of assistance,
 registered as concurrence_assistance and under its alias tau_assistance (the
-name the polygamy bounds use). On two qubits both have a closed form via the
-spin-flip spectrum; pure states are exact at any dimension; all remaining
-mixed-state cases are estimated by the convex-roof optimizer, flagged as
-estimates.
+name the polygamy bounds use). Rank-1 states (by the spectrum each
+DensityMatrix stores) are exact at any dimension; on two qubits both have a
+closed form via the spin-flip spectrum; all remaining mixed-state cases are
+estimated by the convex-roof optimizer, flagged as estimates.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     InvalidPartitionError,
     OptimizerConfigError,
 )
-from .states import Bipartition, DensityMatrix, PureState
+from .states import RANK_TOL, Bipartition, DensityMatrix, PureState
 
 EXACT = "exact"
 UPPER_ESTIMATE = "upper-estimate"
@@ -202,17 +202,19 @@ def measure_bipartite(
 ) -> MeasureValue:
     """Dispatch a measure across a cut: exact where possible, roof estimate otherwise.
 
-    Exact paths: globally pure states (the assistance measure reduces to the pure
-    concurrence there: the ensemble is forced), and 2x2 mixed states via the
-    spin-flip closed forms.
+    Exact paths: rank-1 states (a PureState, or one eigenvalue above RANK_TOL),
+    via the pure concurrence (the assistance measure reduces to it there: the
+    ensemble is forced), and 2x2 mixed states via the spin-flip closed forms.
+    Only states of rank 2 or more reach convex_roof.
     """
     if measure.name not in _MEASURES:
         raise InvalidParameterError(f"unsupported measure {measure.name!r}")
     if isinstance(state, PureState):
         return concurrence_pure(state, cut)
-    pure = state.as_pure()
-    if pure is not None:
-        return concurrence_pure(pure, cut)
+    w, v = state.eigensystem()
+    if np.count_nonzero(w > RANK_TOL) == 1:
+        top = v[:, -1] / np.linalg.norm(v[:, -1])
+        return concurrence_pure(PureState(top, state.dims), cut)
     _, da, db = _cut_shape(state.dims, cut)
     if da == 2 and db == 2:
         # the cut is A|B or B|A of a two-qubit state; SWAP commutes with sy x sy,
@@ -325,23 +327,16 @@ def convex_roof(
         raise InvalidParameterError(f"direction must be minimize or maximize, got {direction!r}")
     order, da, db = _cut_shape(rho.dims, cut)
     w, v = rho.eigensystem()
-    keep = w > 1e-12
+    keep = w > RANK_TOL
     r = int(np.count_nonzero(keep))
     m = opt.ensemble_size if opt.ensemble_size is not None else r + 2
     if m < r:
         raise OptimizerConfigError(f"ensemble_size {m} is below the state rank {r}")
     vfac = v[:, keep] * np.sqrt(w[keep])
-    flag = UPPER_ESTIMATE if direction == "minimize" else LOWER_ESTIMATE
-
-    if r == 1:
-        base = PureState(vfac[:, 0] / np.linalg.norm(vfac[:, 0]), rho.dims)
-        val = concurrence_pure(base, cut).value
-        return MeasureValue(max(0.0, val), flag, {"restarts": 0, "rank": 1, "iterations": 0})
-
     # gather map: column in cut order = column[original order] at these indices
     flatperm = np.arange(vfac.shape[0]).reshape(rho.dims).transpose(order).reshape(-1)
     vfac_cut = vfac[flatperm, :]
-    sign = 1.0 if direction == "minimize" else -1.0
+    sign, flag = (1.0, UPPER_ESTIMATE) if direction == "minimize" else (-1.0, LOWER_ESTIMATE)
 
     rng = np.random.default_rng(opt.seed)
     best = math.inf

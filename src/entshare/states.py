@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import InvalidParameterError, InvalidPartitionError, InvalidStateEr
 NORM_TOL = 1e-12
 HERM_TOL = 1e-10
 EIG_CLAMP = 1e-10
+RANK_TOL = 1e-12  # eigenvalues above this count toward the rank, wherever rank is read
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -59,13 +60,14 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator with party structure."""
+    """Hermitian, unit-trace, PSD operator with party structure, diagonalized once when built."""
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    _spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _freeze(np.asarray(self.matrix, dtype=complex))
         dims = tuple(int(d) for d in self.dims)
         side = math.prod(dims)
         if mat.shape != (side, side):
@@ -75,30 +77,23 @@ class DensityMatrix:
         tr = np.trace(mat).real
         if abs(tr - 1.0) > HERM_TOL:
             raise InvalidStateError(f"trace {tr!r} deviates from 1")
-        if np.linalg.eigvalsh((mat + mat.conj().T) / 2).min() < -EIG_CLAMP:
+        w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
+        if w.min() < -EIG_CLAMP:
             raise InvalidStateError("matrix has an eigenvalue below -1e-10")
-        object.__setattr__(self, "matrix", _freeze(mat))
+        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_spectrum", (_freeze(np.clip(w, 0.0, None)), _freeze(v)))
 
     @property
     def n_parties(self) -> int:
         return len(self.dims)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (clamped at 0) and eigenvectors, ascending."""
-        w, v = np.linalg.eigh((self.matrix + self.matrix.conj().T) / 2)
-        return np.clip(w, 0.0, None), v
+        """Eigenvalues (clamped at 0) and eigenvectors, ascending; read-only."""
+        return self._spectrum
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
-
-    def as_pure(self, tol: float = 1e-10) -> PureState | None:
-        """Dominant eigenvector as a PureState if the operator is pure, else None."""
-        if abs(self.purity() - 1.0) > tol:
-            return None
-        w, v = self.eigensystem()
-        vec = v[:, int(np.argmax(w))]
-        return PureState(vec / np.linalg.norm(vec), self.dims)
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,7 @@ def purify(rho: DensityMatrix) -> PureState:
     The ancilla dimension is max(rank, 2) and is appended as a new party.
     """
     w, v = rho.eigensystem()
-    keep = w > 1e-12
+    keep = w > RANK_TOL
     r = int(np.count_nonzero(keep))
     if r == 0:
         raise InvalidStateError("cannot purify an operator with no positive spectrum")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import BASE, POLYGAMY, RESIDUAL_MAX, BoundPlan, ComponentTable
+from .bounds import BASE, POLYGAMY, RESIDUAL_MAX, BoundPlan, ComponentTable, residual_tripartite
 from .bounds import bound_value  # noqa: F401  (bench/tracing.py wraps thresholds.bound_value)
 from .errors import EvaluationError, InvalidParameterError
 from .measures import DEFAULT_OPT, CorrelationMeasure, OptimizerConfig
@@ -39,11 +39,15 @@ class ThresholdResult:
         }
 
 
+def _check_scan_steps(scan_steps: int) -> None:
+    if not 8 <= scan_steps < MAX_GRID_POINTS:
+        raise InvalidParameterError(f"scan_steps must be in 8..{MAX_GRID_POINTS - 1}")
+
+
 def find_zero(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
               scan_steps: int = DEFAULT_SCAN_STEPS) -> ThresholdResult | None:
     """Smallest root of f in [lo, hi], or None when the scan sees no sign change."""
-    if not 8 <= scan_steps < MAX_GRID_POINTS:
-        raise InvalidParameterError(f"scan_steps must be in 8..{MAX_GRID_POINTS - 1}")
+    _check_scan_steps(scan_steps)
     if not lo < hi:
         raise InvalidParameterError(f"invalid range [{lo}, {hi}]")
     xs = [lo + (hi - lo) * i / scan_steps for i in range(scan_steps + 1)]
@@ -99,6 +103,7 @@ def residual_zero_exponent(state, measure: CorrelationMeasure,
     """
     if state.n_parties != 3:
         raise InvalidParameterError("residual-zero threshold is defined for three parties")
+    _check_scan_steps(scan_steps)
     table = ComponentTable(state, measure, opt)
     q_ab = table.marginal(1).value
     q_ac = table.marginal(2).value
@@ -107,7 +112,7 @@ def residual_zero_exponent(state, measure: CorrelationMeasure,
         return None
 
     def f(alpha):
-        return q_ab**alpha + q_ac**alpha - q_abc**alpha
+        return residual_tripartite(q_ab, q_ac, q_abc, alpha)
 
     lo = max(tol, 1e-4)
     return find_zero(f, lo, measure.beta_max, tol=tol, scan_steps=scan_steps)
@@ -130,6 +135,7 @@ def empirical_beta(state, measure: CorrelationMeasure, bound_id: str = RESIDUAL_
     """
     if bound_id not in _BETA_BOUND_IDS:
         raise InvalidParameterError(f"empirical beta supports bounds {_BETA_BOUND_IDS}")
+    _check_scan_steps(scan_steps)
     table = ComponentTable(state, measure, opt)
     lhs = table.lhs().value
     plan = BoundPlan(table, POLYGAMY, (bound_id,))

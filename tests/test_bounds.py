@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +23,7 @@ from entshare.bounds import (
     BoundPlan,
     ComponentTable,
     applicable_bounds,
+    bound_reports,
     bound_value,
     check_bound,
     evaluate_bounds,
@@ -157,6 +159,34 @@ class TestBoundPlan:
         table = ComponentTable(w_state(5), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
         plan = BoundPlan(table, POLYGAMY, (BASE, RESIDUAL_MAX))
         assert plan.exact == (True, False)
+
+    @pytest.mark.parametrize("side", [POLYGAMY, MONOGAMY])
+    def test_negative_exponent_on_a_zero_component_rejected(self, side):
+        table = ComponentTable.from_values({(1,): 0.0, (2,): 0.5, (1, 2): 0.5}, n_b=2,
+                                           measure=CONCURRENCE)
+        with pytest.raises(InvalidParameterError, match="negative"):
+            bound_value(table, BASE, -1.0, side)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="negative"):
+                bound_reports(table, side, [2.0, -1.0])
+        assert bound_value(table, BASE, 2.0, side) == (0.25, True)
+
+    def test_negative_exponent_on_a_zero_lhs_rejected_before_any_warning(self):
+        table = ComponentTable.from_values({(1,): 0.5, (2,): 0.5, (1, 2): 0.0}, n_b=2,
+                                           measure=CONCURRENCE)
+        assert bound_value(table, BASE, -1.0, POLYGAMY) == (4.0, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="lhs"):
+                bound_reports(table, POLYGAMY, [-1.0])
+
+    def test_negative_exponent_on_non_zero_components_evaluated(self):
+        table = ComponentTable.from_values({(1,): 0.5, (2,): 0.5, (1, 2): 0.5}, n_b=2,
+                                           measure=CONCURRENCE)
+        with pytest.warns(ExponentRangeWarning):
+            (report,) = bound_reports(table, POLYGAMY, [-1.0])
+        assert report.bounds[BASE].value == 4.0 and report.lhs_power == 2.0
 
 
 class TestResidualTripartite:

@@ -150,6 +150,23 @@ class TestThresholdCommand:
         assert code == 3
         assert "degenerate" in err
 
+    @pytest.mark.parametrize("steps", ["4", "1000000"])
+    @pytest.mark.parametrize("state, kind", [
+        (["--family", "3q", "--params", PARAMS_3Q], "residual-zero"),
+        (["--family", "4q-theta", "--params", "0.785,0.785"], "empirical-beta"),
+    ], ids=["residual-zero", "empirical-beta"])
+    def test_bad_scan_steps_exit_2_before_any_table(self, capsys, monkeypatch, state, kind,
+                                                    steps):
+        from entshare import thresholds
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("component table built")
+
+        monkeypatch.setattr(thresholds, "ComponentTable", no_table)
+        code, out, err = run(capsys, "threshold", *state, "--kind", kind, "--scan-steps", steps,
+                             "--restarts", "2")
+        assert code == 2 and out == "" and "scan_steps" in err
+
 
 class TestSweepCommand:
     def test_csv_contract_and_flags_recomputable(self, capsys, tmp_path):
@@ -297,6 +314,13 @@ class TestBoundsCommand:
                              "--side", "monogamy", "--exponent", "nan")
         assert code == 2 and out == "" and "finite" in err
 
+    @pytest.mark.parametrize("args", [["bounds", "--exponent", "-1"],
+                                      ["sweep", "--grid=-1:1:0.5"]], ids=["bounds", "sweep"])
+    def test_negative_exponent_on_a_zero_component_exits_2(self, capsys, args):
+        code, out, err = run(capsys, args[0], "--family", "3q", "--params", "1,0,0,0,0",
+                             "--side", "polygamy", *args[1:])
+        assert code == 2 and out == "" and "negative" in err
+
     def test_wrong_side_bound_exits_2_before_any_roof(self, capsys, monkeypatch):
         from entshare import measures
 
@@ -417,6 +441,21 @@ class TestFuzzCommand:
         code, out, err = run(capsys, "fuzz", "--samples", "1",
                              "--checks", "monogamy:concurrence:inf")
         assert code == 2 and out == "" and "finite" in err
+
+    def test_one_spectrum_per_density_matrix(self, capsys, monkeypatch):
+        import numpy as np
+
+        calls = Counter()
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        code, _, _ = run(capsys, "fuzz", "--samples", "1", "--dims", "2,2,2")
+        assert code == 0
+        # two measures, each reducing to the two pairs A,B1 and A,B2: four density matrices
+        assert (calls["eigh"], calls["eigvalsh"]) == (4, 0)
 
     def test_one_table_per_sample_and_measure(self, capsys, table_inits):
         code, _, _ = run(capsys, "fuzz", "--samples", "3", "--dims", "2,2,2")

@@ -196,12 +196,27 @@ class TestDispatch:
         mv = measure_bipartite(CONCURRENCE, bell.density(), AB)
         assert mv.exact and mv.value == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("measure", [CONCURRENCE, CONCURRENCE_ASSISTANCE])
+    def test_rank_one_two_by_four_is_exact_without_a_roof(self, monkeypatch, measure):
+        from entshare import measures
+
+        def no_roof(*args, **kwargs):
+            raise AssertionError("convex_roof called")
+
+        monkeypatch.setattr(measures, "convex_roof", no_roof)
+        # a Bell pair on A,B1 next to |00> on B2,B3: the A,B1,B2 reduction is pure
+        psi = np.zeros(16)
+        psi[0b0000] = psi[0b1100] = 1 / math.sqrt(2)
+        rho = partial_trace(PureState(psi, (2, 2, 2, 2)), (0, 1, 2))
+        assert np.count_nonzero(rho.eigensystem()[0] > 1e-12) == 1
+        mv = measure_bipartite(measure, rho, Bipartition({0}, {1, 2}))
+        assert mv.exact and mv.value == pytest.approx(1.0, abs=1e-12)
+
 
 class TestConvexRoof:
     def test_pure_input_trivial(self, bell):
         mv = convex_roof(bell.density(), AB, "minimize")
         assert mv.value == pytest.approx(1.0, abs=1e-10)
-        assert mv.optimizer_meta.get("rank") == 1
 
     def test_ensemble_size_below_rank_rejected(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))

@@ -43,6 +43,14 @@ class TestInvariants:
         with pytest.raises(InvalidStateError):
             DensityMatrix(np.diag([1.5, -0.5]), (2,))
 
+    def test_spectrum_stored_once(self):
+        rho = DensityMatrix(np.diag([0.75, 0.25 + 1e-11, -1e-11]), (3,))
+        w, v = rho.eigensystem()
+        assert rho.eigensystem()[0] is w and rho.eigensystem()[1] is v
+        assert not w.flags.writeable and not v.flags.writeable
+        # the small negative eigenvalue is clamped to 0
+        assert w[0] == 0.0 and w[1:] == pytest.approx([0.25, 0.75], abs=1e-10)
+
     def test_bipartition_rules(self):
         with pytest.raises(InvalidPartitionError):
             Bipartition(set(), {1})

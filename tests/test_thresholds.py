@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from entshare.bounds import BASE, RESIDUAL_MAX
+from entshare import thresholds
+from entshare.bounds import BASE, RESIDUAL_MAX, ComponentTable, residual_tripartite
 from entshare.errors import EvaluationError, InvalidParameterError
 from entshare.measures import CONCURRENCE, TAU_ASSISTANCE, OptimizerConfig
 from entshare.states import PureState, make_family, w_state
@@ -75,6 +76,13 @@ class TestResidualZero:
         with pytest.raises(InvalidParameterError):
             residual_zero_exponent(w_state(4), CONCURRENCE)
 
+    def test_scan_values_are_the_tripartite_residual(self):
+        state = make_family("3q", [1 / math.sqrt(5)] * 5)
+        table = ComponentTable(state, CONCURRENCE)
+        q = (table.marginal(1).value, table.marginal(2).value, table.lhs().value)
+        res = residual_zero_exponent(state, CONCURRENCE)
+        assert all(v == residual_tripartite(*q, x) for x, v in res.scan_profile)
+
     def test_phase_does_not_move_the_root(self):
         lam = [1 / math.sqrt(5)] * 5
         r0 = residual_zero_exponent(make_family("3q", lam + [0.0]), CONCURRENCE)
@@ -110,3 +118,17 @@ class TestEmpiricalBeta:
         a = empirical_beta(state, CONCURRENCE, RESIDUAL_MAX, opt)
         b = empirical_beta(state, CONCURRENCE, RESIDUAL_MAX, opt)
         assert a.root == b.root
+
+
+@pytest.mark.parametrize("scan_steps", [4, 1_000_000])
+@pytest.mark.parametrize("solver, state", [
+    (residual_zero_exponent, make_family("3q", [1 / math.sqrt(5)] * 5)),
+    (empirical_beta, make_family("4q-theta", [math.pi / 4, math.pi / 4])),
+], ids=["residual-zero", "empirical-beta"])
+def test_scan_steps_checked_before_the_table(monkeypatch, solver, state, scan_steps):
+    def no_table(*args, **kwargs):
+        raise AssertionError("component table built")
+
+    monkeypatch.setattr(thresholds, "ComponentTable", no_table)
+    with pytest.raises(InvalidParameterError, match="scan_steps"):
+        solver(state, CONCURRENCE, scan_steps=scan_steps)
