@@ -6,10 +6,11 @@ command's stdout, and its argv. Two checkouts give equal lines exactly when
 every listed command printed the same bytes and exited the same way:
 figures 1-3, three- and four-qubit `fuzz`, `sweep` and `bounds` on w4, w5,
 3q and 4q-theta for both sides in JSON and CSV with and without `--m 1`,
-both `threshold` kinds, and `measure --reduce` under both measures on one cut
-per dispatch branch (a pure state, a 2x2 mixed state, a rank-1 2x2 and a
-rank-1 2x4 reduction, and two 2x4 roofs). Warnings and timing notes go to
-stderr and are not digested.
+both `threshold` kinds (residual-zero also on GHZ, which has no root and
+exits 3), and `measure --reduce` under both measures on one cut per dispatch
+branch (a pure state, a 2x2 mixed state, a rank-1 2x2 and a rank-1 2x4
+reduction, and two 2x4 roofs). Warnings and timing notes go to stderr and
+are not digested.
 
 Usage: python scripts/output_digests.py [outfile]
 """
@@ -68,6 +69,7 @@ def commands() -> list[list[str]]:
         cmds.append(["sweep", "--family", "w5", "--measure", measure, "--side", side,
                      "--restarts", "4", "--seed", "11", "--grid", grid, "--m", "2"])
     cmds.append(["threshold", "--family", "3q", *FAMILIES["3q"], "--kind", "residual-zero"])
+    cmds.append(["threshold", "--family", "ghz", "--params", "3", "--kind", "residual-zero"])
     for bound in ("residual_max", "base"):
         cmds.append(["threshold", "--family", "4q-theta", *FAMILIES["4q-theta"],
                      "--kind", "empirical-beta", "--bound", bound, "--restarts", "4"])

@@ -3,7 +3,11 @@
 The bound arithmetic is split from measurement: a ComponentTable memoizes the
 bipartite cut values Q_{A|S} of one (state, measure) pair, each as the
 MeasureValue (value plus exactness flag) that measure_bipartite returns, so
-each expensive optimizer call runs once however many exponents are read.
+each expensive optimizer call runs once however many exponents are read. On
+a generalized W-class state (support on |0...0> and the weight-1 strings)
+the table reads every mixed joint cut from the exact closed form
+Q_{A|S} = sqrt(sum_{i in S} Q^2_{AB_i}) of Kim & Sanders (J. Phys. A 41,
+495301, 2008) instead of a convex roof, so W-state tables are all-exact.
 
 Every bound is evaluated through a BoundPlan, built once per (table, side,
 bound ids, m). The plan does the exponent-independent work: it fetches and
@@ -39,6 +43,7 @@ the marginals, laid out by the ordering index m (weight_map), and need m.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -52,7 +57,7 @@ from .measures import (
     OptimizerConfig,
     measure_bipartite,
 )
-from .states import Bipartition, DensityMatrix, PureState, partial_trace
+from .states import Bipartition, DensityMatrix, PureState, partial_trace, w_class_weights
 
 POLYGAMY = "polygamy"
 MONOGAMY = "monogamy"
@@ -91,7 +96,24 @@ EXACT_TOL = 1e-9
 
 
 class ComponentTable:
-    """Cut values Q_{A|S} of one (state, measure) pair, computed once each."""
+    """Cut values Q_{A|S} of one (state, measure) pair, computed once each.
+
+    Marginals and the lhs go through measure_bipartite (2x2 closed forms and
+    the pure cut). A joint with 2 <= |S| <= n_b - 1 of a generalized W-class
+    state (states.w_class_weights, checked once, on the first such joint) is
+    exact under both measures, with no partial trace and no roof:
+    Q_{A|S} = 2 |b_0| sqrt(sum_{i in S} |b_i|^2) = sqrt(sum_{i in S} C^2_{AB_i})
+    (Kim & Sanders, J. Phys. A 41, 495301, 2008).
+
+    Proof: for |psi> = a|0...0> + sum_k b_k |1_k>, rho_{AS} is spanned by
+    x = a|0...0> + b_0|1_A> + sum_{i in S} b_i|1_i> and |0...0>, with weight
+    1 on x. A member c x + d|0...0> has across A|S the coefficient rows
+    (ca + d, c b_i, ...) and (c b_0, 0, ...), so det(M M^H) is
+    |c|^4 |b_0|^2 sum_S |b_i|^2 and its unnormalized concurrence
+    2 sqrt(det(M M^H)) is 2 |c|^2 |b_0| sqrt(sum_S |b_i|^2). The |c_k|^2 of
+    any decomposition sum to 1, so every decomposition has the same average,
+    and the minimizing and maximizing roofs coincide.
+    """
 
     def __init__(self, state: PureState | DensityMatrix | None,
                  measure: CorrelationMeasure | None, opt: OptimizerConfig = DEFAULT_OPT,
@@ -135,7 +157,15 @@ class ComponentTable:
     def all_exact(self) -> bool:
         return all(c.exact for c in self._cache.values())
 
+    @functools.cached_property
+    def _w_weights(self) -> tuple[float, ...] | None:
+        """The state's W-class weights |b_k|^2, or None; read on the first mixed joint."""
+        return w_class_weights(self.state)
+
     def _measure_cut(self, key: tuple[int, ...]) -> MeasureValue:
+        if 2 <= len(key) < self.n_b and self._w_weights is not None:
+            w = self._w_weights
+            return MeasureValue(2.0 * math.sqrt(w[0]) * math.sqrt(sum(w[i] for i in key)), EXACT)
         keep = (0,) + key
         if len(keep) == self.state.n_parties:
             sub = self.state

@@ -314,10 +314,10 @@ def cmd_threshold(args) -> int:
     measure = get_measure(args.measure)
     opt = optimizer_from_args(args)
     if args.kind == "residual-zero":
+        table = bmod.ComponentTable(state, measure, opt)
         result = residual_zero_exponent(state, measure, opt, tol=args.tol,
-                                        scan_steps=args.scan_steps)
+                                        scan_steps=args.scan_steps, table=table)
         if result is None:
-            table = bmod.ComponentTable(state, measure, opt)
             if table.marginal(1).value == 0.0 and table.marginal(2).value == 0.0:
                 sys.stderr.write("no root: degenerate state, both pair components vanish\n")
             else:

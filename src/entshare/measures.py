@@ -5,7 +5,10 @@ registered as concurrence_assistance and under its alias tau_assistance (the
 name the polygamy bounds use). Rank-1 states (by the spectrum each
 DensityMatrix stores) are exact at any dimension; on two qubits both have a
 closed form via the spin-flip spectrum; all remaining mixed-state cases are
-estimated by the convex-roof optimizer, flagged as estimates.
+estimated by the convex-roof optimizer, flagged as estimates. Component
+tables (bounds.ComponentTable) do not send the mixed joint cuts of a
+generalized W-class state here: both measures have a closed form on them
+(Kim & Sanders, J. Phys. A 41, 495301, 2008).
 """
 
 from __future__ import annotations
@@ -288,8 +291,14 @@ def _gram(mem):
 
 
 def _member_values(mem) -> np.ndarray:
-    _, t, f = _gram(mem)
-    return np.sqrt(np.maximum(2.0 * (t * t - f), 0.0))
+    """Unsmoothed member values 2 sqrt(sum_{i<j} s_i^2 s_j^2) over singular values s.
+
+    Equal to sqrt(2 (t^2 - f)), but every term is non-negative, so a
+    near-product member gives no rounding noise under the square root.
+    """
+    s2 = np.linalg.svd(mem, compute_uv=False) ** 2
+    tail = np.cumsum(s2[:, :0:-1], axis=1)[:, ::-1]  # column i: sum of s2[:, i + 1:]
+    return 2.0 * np.sqrt((s2[:, :-1] * tail).sum(axis=1))
 
 
 def _roof_objective(theta, vfac, m, r, da, db, sign, eps2):

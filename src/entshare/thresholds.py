@@ -95,16 +95,19 @@ def find_zero(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
 
 def residual_zero_exponent(state, measure: CorrelationMeasure,
                            opt: OptimizerConfig = DEFAULT_OPT, tol: float = DEFAULT_TOL,
-                           scan_steps: int = DEFAULT_SCAN_STEPS) -> ThresholdResult | None:
+                           scan_steps: int = DEFAULT_SCAN_STEPS,
+                           table: ComponentTable | None = None) -> ThresholdResult | None:
     """Exponent where the three-party residual changes sign, or None.
 
     None covers both fixed-sign residuals and the degenerate case of states
-    whose pairwise components vanish.
+    whose pairwise components vanish; pass the (state, measure) table to read
+    its components afterwards without measuring them again.
     """
     if state.n_parties != 3:
         raise InvalidParameterError("residual-zero threshold is defined for three parties")
     _check_scan_steps(scan_steps)
-    table = ComponentTable(state, measure, opt)
+    if table is None:
+        table = ComponentTable(state, measure, opt)
     q_ab = table.marginal(1).value
     q_ac = table.marginal(2).value
     q_abc = table.lhs().value

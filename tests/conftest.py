@@ -6,6 +6,8 @@ the Hermitian square-root construction, so tests cross-check rather than echo
 the implementation.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,27 @@ def random_two_qubit_mixed(seed: int, rank: int) -> np.ndarray:
 @pytest.fixture
 def bell() -> PureState:
     return PureState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
+
+
+def all_subsets(n_b: int) -> list[tuple[int, ...]]:
+    """Every non-empty subset of the B parties 1..n_b, as a sorted tuple."""
+    return [s for r in range(1, n_b + 1) for s in combinations(range(1, n_b + 1), r)]
+
+
+@pytest.fixture
+def no_joint_reductions(monkeypatch):
+    """Make convex_roof and a table's reductions beyond A plus one B party raise."""
+    from entshare import bounds, measures
+
+    trace = bounds.partial_trace
+
+    def pair_trace_only(state, keep):
+        if len(keep) > 2:
+            raise AssertionError(f"partial_trace to {keep}")
+        return trace(state, keep)
+
+    def no_roof(*args, **kwargs):
+        raise AssertionError("convex_roof called")
+
+    monkeypatch.setattr(bounds, "partial_trace", pair_trace_only)
+    monkeypatch.setattr(measures, "convex_roof", no_roof)

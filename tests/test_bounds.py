@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_lambda_sum, oracle_wootters
+from conftest import all_subsets, oracle_lambda_sum, oracle_wootters
+from entshare import bounds as bmod
 from entshare.bounds import (
     BASE,
     BOUNDS,
@@ -38,7 +39,9 @@ from entshare.measures import (
     CONCURRENCE,
     CONCURRENCE_ASSISTANCE,
     TAU_ASSISTANCE,
+    MeasureValue,
     OptimizerConfig,
+    convex_roof,
     measure_bipartite,
 )
 from entshare.states import (
@@ -51,6 +54,23 @@ from entshare.states import (
 )
 
 SQ2, SQ3 = math.sqrt(2), math.sqrt(3)
+
+
+def near_w(n: int) -> PureState:
+    """w_state(n) plus 1e-6 on |0110...0> (B1 and B2 excited), renormalized: not W-class."""
+    amps = w_state(n).amplitudes.copy()
+    amps[(1 << (n - 2)) | (1 << (n - 3))] += 1e-6
+    return PureState(amps / np.linalg.norm(amps), (2,) * n)
+
+
+def general_w(n: int) -> PureState:
+    """A generalized W-class state: unequal complex b_k and a nonzero |0...0> amplitude."""
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = 0.3
+    for k in range(n):
+        amps[1 << (n - 1 - k)] = (0.2 + 0.15 * k) * np.exp(0.7j * k)
+    return PureState(amps / np.linalg.norm(amps), (2,) * n)
+
 
 W4_TABLE = {
     (1,): 0.5, (2,): 0.5, (3,): 0.5,
@@ -156,7 +176,7 @@ class TestBoundPlan:
         assert len({tuple(plan.values(a)) for a in (0.5, 1.0, 1.5)}) == 3
 
     def test_estimated_components_clear_exact_flags(self):
-        table = ComponentTable(w_state(5), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
+        table = ComponentTable(near_w(5), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
         plan = BoundPlan(table, POLYGAMY, (BASE, RESIDUAL_MAX))
         assert plan.exact == (True, False)
 
@@ -271,7 +291,7 @@ class TestResidualTree:
         assert tree.exact
 
     def test_exactness_flag_tracks_estimates(self):
-        table = ComponentTable(w_state(4), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
+        table = ComponentTable(near_w(4), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
         tree = residual_tree(table, 1.0)
         assert not tree.exact
 
@@ -300,9 +320,9 @@ class TestComponentTable:
             ComponentTable.from_values({(1,): 0.5, (2,): -0.25}, n_b=2)
 
     def test_caches_the_dispatched_measure_value(self):
-        table = ComponentTable(w_state(4), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
+        table = ComponentTable(near_w(4), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
         cut = Bipartition({0}, {1, 2})
-        direct = measure_bipartite(TAU_ASSISTANCE, partial_trace(w_state(4), (0, 1, 2)), cut,
+        direct = measure_bipartite(TAU_ASSISTANCE, partial_trace(near_w(4), (0, 1, 2)), cut,
                                    OptimizerConfig(restarts=2))
         assert table.joint((1, 2)) == direct
         assert table.joint((1, 2)).exactness == "lower-estimate"
@@ -330,6 +350,75 @@ class TestComponentTable:
             comp = table.marginal(i)
             assert comp.exact
             assert comp.value == pytest.approx(0.5, abs=1e-10)
+
+
+class TestWClassTable:
+    @pytest.mark.parametrize("make, subset", [
+        (w_state, (1, 2)), (w_state, (1, 2, 3)), (general_w, (1, 2)), (general_w, (2, 3, 4)),
+    ], ids=["w5-2x4", "w5-2x8", "general-2x4", "general-2x8"])
+    def test_closed_form_equals_the_roof_in_both_directions(self, make, subset):
+        state = make(5)
+        rho = partial_trace(state, (0,) + subset)
+        cut = Bipartition({0}, set(range(1, len(subset) + 1)))
+        for measure, direction in ((CONCURRENCE, "minimize"), (TAU_ASSISTANCE, "maximize")):
+            closed = ComponentTable(state, measure).joint(subset)
+            assert closed.exact
+            roof = convex_roof(rho, cut, direction, OptimizerConfig(restarts=16)).value
+            # a minimizing roof is an upper estimate, a maximizing one a lower estimate
+            if direction == "minimize":
+                assert roof >= closed.value - 1e-12
+            else:
+                assert roof <= closed.value + 1e-12
+            assert roof == pytest.approx(closed.value, abs=1e-12)
+
+    def test_value_is_the_root_of_the_pair_squares(self):
+        table = ComponentTable(general_w(5), CONCURRENCE)
+        for subset in all_subsets(4)[4:-1]:
+            pairs = sum(table.marginal(i).value ** 2 for i in subset)
+            assert table.joint(subset).value == pytest.approx(math.sqrt(pairs), abs=1e-12)
+
+    @pytest.mark.parametrize("make, n", [(w_state, 4), (w_state, 5), (general_w, 5)])
+    @pytest.mark.parametrize("measure", [CONCURRENCE, TAU_ASSISTANCE])
+    def test_every_component_exact_without_roof_or_joint_reduction(self, no_joint_reductions,
+                                                                    make, n, measure):
+        table = ComponentTable(make(n), measure, OptimizerConfig(restarts=1))
+        assert all(table.joint(s).exact for s in all_subsets(n - 1))
+
+    def test_detected_once_per_table(self, monkeypatch):
+        calls = []
+        detect = bmod.w_class_weights
+
+        def counting(state):
+            calls.append(state)
+            return detect(state)
+
+        monkeypatch.setattr(bmod, "w_class_weights", counting)
+        table = ComponentTable(w_state(5), CONCURRENCE)
+        for subset in all_subsets(4):
+            table.joint(subset)
+        assert len(calls) == 1
+
+    def test_three_party_tables_never_detect(self, monkeypatch):
+        def no_detection(state):
+            raise AssertionError("W-class detection ran")
+
+        monkeypatch.setattr(bmod, "w_class_weights", no_detection)
+        for state in (w_state(3), haar_random_pure((2, 2, 2), 4)):
+            for measure in (CONCURRENCE, TAU_ASSISTANCE):
+                table = ComponentTable(state, measure)
+                assert all(table.joint(s).exact for s in all_subsets(2))
+
+    @pytest.mark.parametrize("state", [near_w(4), w_state(4).density()], ids=["near-w", "mixed"])
+    def test_other_tables_measure_their_joints(self, monkeypatch, state):
+        cuts = []
+
+        def recording(measure, sub, cut, opt):
+            cuts.append(sub.dims)
+            return MeasureValue(0.5, "upper-estimate", {"restarts": 1})
+
+        monkeypatch.setattr(bmod, "measure_bipartite", recording)
+        assert not ComponentTable(state, CONCURRENCE).joint((1, 2)).exact
+        assert cuts == [(2, 2, 2)]
 
 
 class TestBoundValues:
@@ -460,7 +549,7 @@ class TestOrdering:
         assert result.comparisons[0].relation == "le"
 
     def test_w5_assistance_table_has_flags(self):
-        result = ordering_classify(ComponentTable(w_state(5), TAU_ASSISTANCE,
+        result = ordering_classify(ComponentTable(near_w(5), TAU_ASSISTANCE,
                                                   OptimizerConfig(restarts=4)))
         assert len(result.comparisons) == 3
         assert any(not c.tail.exact for c in result.comparisons)
@@ -499,7 +588,7 @@ class TestEvaluateBounds:
         assert rep.satisfied[BASE] is True
 
     def test_estimate_comparisons_can_be_indeterminate(self):
-        rep = evaluate_bounds(w_state(5), TAU_ASSISTANCE, 2.0, POLYGAMY,
+        rep = evaluate_bounds(near_w(5), TAU_ASSISTANCE, 2.0, POLYGAMY,
                               OptimizerConfig(restarts=4))
         assert rep.satisfied[RESIDUAL_MAX] is None
 

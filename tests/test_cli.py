@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import entshare
+from conftest import all_subsets
 from entshare.cli import main, parse_cut, parse_grid
 from entshare.errors import EntshareError, InvalidParameterError
 from entshare.reference import inclusive_grid
@@ -150,6 +151,21 @@ class TestThresholdCommand:
         assert code == 3
         assert "degenerate" in err
 
+    def test_no_root_measures_each_component_once(self, capsys, monkeypatch):
+        from entshare import bounds
+
+        calls = Counter()
+        for name in ("partial_trace", "measure_bipartite"):
+            def counting(*args, _name=name, _fn=getattr(bounds, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(bounds, name, counting)
+        code, out, err = run(capsys, "threshold", "--family", "ghz", "--params", "3",
+                             "--kind", "residual-zero")
+        assert (code, out) == (3, "")
+        assert err == "no root: degenerate state, both pair components vanish\n"
+        assert calls == {"partial_trace": 2, "measure_bipartite": 3}
+
     @pytest.mark.parametrize("steps", ["4", "1000000"])
     @pytest.mark.parametrize("state, kind", [
         (["--family", "3q", "--params", PARAMS_3Q], "residual-zero"),
@@ -261,6 +277,32 @@ class TestSweepCommand:
             seen.append(dict(counts))
         assert seen[0] == seen[1]
         assert seen[0]["ordering_classify"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "w5", "--measure", "tau_assistance", "--side", "polygamy",
+     "--grid", "0:2:0.5"],
+    ["bounds", "--family", "w4", "--measure", "concurrence", "--side", "monogamy",
+     "--exponent", "2", "--m", "1"],
+], ids=["w5-sweep", "w4-bounds"])
+def test_w_state_tables_are_exact_without_roofs(capsys, monkeypatch, no_joint_reductions,
+                                                 argv):
+    from entshare.bounds import ComponentTable
+
+    tables = []
+    init = ComponentTable.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(self)
+
+    monkeypatch.setattr(ComponentTable, "__init__", recording_init)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    [table] = tables
+    subsets = all_subsets(table.n_b)
+    assert len(table._cache) == len(subsets)  # the run read every component
+    assert all(table.joint(s).exact for s in subsets)
 
 
 class TestGridSize:

@@ -334,3 +334,13 @@ class TestRoofKernel:
             if p > 1e-14
         ]
         assert float(_member_values(mem).sum()) == pytest.approx(sum(weighted), abs=1e-12)
+
+    @pytest.mark.parametrize("da, db", [(2, 4), (2, 8), (4, 4)])
+    def test_member_values_of_product_members_carry_no_rounding_noise(self, da, db):
+        rng = np.random.default_rng(da * db)
+        u = rng.standard_normal((200, da)) + 1j * rng.standard_normal((200, da))
+        v = rng.standard_normal((200, db)) + 1j * rng.standard_normal((200, db))
+        mem = u[:, :, None] * v[:, None, :]
+        mem /= np.linalg.norm(mem.reshape(200, -1), axis=1)[:, None, None]
+        # sqrt(2 (t^2 - f)) of the same members reaches ~1e-8 from rounding alone
+        assert np.max(_member_values(mem)) < 1e-12
