@@ -4,12 +4,14 @@
 Each line is the exit code, the first 16 hex digits of the sha256 of the
 command's stdout, and its argv. Two checkouts give equal lines exactly when
 every listed command printed the same bytes and exited the same way:
-figures 1-3, three- and four-qubit `fuzz`, `sweep` and `bounds` on w4, w5,
-3q and 4q-theta for both sides in JSON and CSV with and without `--m 1`,
-both `threshold` kinds (residual-zero also on GHZ, which has no root and
-exits 3), and `measure --reduce` under both measures on one cut per dispatch
-branch (a pure state, a 2x2 mixed state, a rank-1 2x2 and a rank-1 2x4
-reduction, and two 2x4 roofs). Warnings and timing notes go to stderr and
+figures 1-3, three- and four-qubit `fuzz` (one four-qubit run with checks
+that name no bound, so every applicable bound and the hierarchy checks
+run), `sweep` and `bounds` on w4, w5, 3q and 4q-theta for both sides in JSON
+and CSV with and without `--m 1`, both `threshold` kinds (residual-zero also
+on GHZ, which has no root and exits 3; empirical-beta also with `--cap 0`,
+an invalid range that exits 2), and `measure --reduce` under both measures
+on one cut per dispatch branch (a pure state, a 2x2 mixed state, a rank-1
+2x2 and a rank-1 2x4 reduction, and two 2x4 roofs). Warnings and timing notes go to stderr and
 are not digested.
 
 Usage: python scripts/output_digests.py [outfile]
@@ -42,6 +44,9 @@ MEASURE_CASES = [
     (["--family", "w4"], "A|B1B2"),                             # roof
     (["--family", "ghz:4"], "A|B1B2"),                          # roof
 ]
+# no bound named: all applicable bounds, so verify_hierarchy's checks run too
+HIERARCHY_CHECKS = ("polygamy:concurrence_assistance:1,monogamy:concurrence:2.5,"
+                    "polygamy:concurrence:1:weighted")
 PAIR_CHECKS = ",".join(f"{side}:{measure}:{e}:pair_weighted"
                        for side, measure in (("monogamy", "concurrence"),
                                              ("polygamy", "concurrence_assistance"))
@@ -57,6 +62,8 @@ def commands() -> list[list[str]]:
                      "--format", fmt])
     cmds.append(["fuzz", "--samples", "2", "--dims", "2,2,2,2", "--seed", "3",
                  "--restarts", "2"])
+    cmds.append(["fuzz", "--samples", "2", "--dims", "2,2,2,2", "--seed", "3",
+                 "--restarts", "2", "--checks", HIERARCHY_CHECKS])
     for family, params in FAMILIES.items():
         for side, (measure, grid, exponent) in SIDES.items():
             common = ["--family", family, *params, "--measure", measure, "--side", side,
@@ -73,6 +80,8 @@ def commands() -> list[list[str]]:
     for bound in ("residual_max", "base"):
         cmds.append(["threshold", "--family", "4q-theta", *FAMILIES["4q-theta"],
                      "--kind", "empirical-beta", "--bound", bound, "--restarts", "4"])
+    cmds.append(["threshold", "--family", "4q-theta", *FAMILIES["4q-theta"],
+                 "--kind", "empirical-beta", "--restarts", "2", "--cap", "0"])
     for state, cut in MEASURE_CASES:
         for measure in ("concurrence", "concurrence_assistance"):
             cmds.append(["measure", *state, "--cut", cut, "--reduce", "--measure", measure,

@@ -23,6 +23,11 @@ may differ from `**` in the last bit, so it is not used). evaluate_bounds is a
 one-point plan; a sweep is one plan over its grid; bound_value and
 residual_tree build a plan (or its flattened recursion) for one exponent.
 
+Every comparison (verdicts, orderings, hierarchy checks, the empirical-beta
+shift) takes its tolerance from one rule, comparison_tol: EXACT_TOL when every
+compared value is exact, the optimizer's margin otherwise. Exact values always
+get a satisfied/violated verdict; estimates within the tolerance get None.
+
 Sides and ids (the BOUNDS table below). `base` applies at any party count,
 `pair_weighted` at three parties only, every other bound at four or more.
 Weighted bounds other than `pair_weighted` put powers of a scalar weight on
@@ -95,6 +100,11 @@ BOUNDS = {
 EXACT_TOL = 1e-9
 
 
+def comparison_tol(opt: OptimizerConfig, *exact: bool) -> float:
+    """The one comparison rule: the tolerance for values with these exact flags."""
+    return EXACT_TOL if all(exact) else opt.margin()
+
+
 class ComponentTable:
     """Cut values Q_{A|S} of one (state, measure) pair, computed once each.
 
@@ -154,9 +164,6 @@ class ComponentTable:
     def lhs(self) -> MeasureValue:
         return self.joint(tuple(range(1, self.n_b + 1)))
 
-    def all_exact(self) -> bool:
-        return all(c.exact for c in self._cache.values())
-
     @functools.cached_property
     def _w_weights(self) -> tuple[float, ...] | None:
         """The state's W-class weights |b_k|^2, or None; read on the first mixed joint."""
@@ -173,18 +180,6 @@ class ComponentTable:
             sub = partial_trace(self.state, keep)
         cut = Bipartition({0}, set(range(1, len(keep))))
         return measure_bipartite(self.measure, sub, cut, self.opt)
-
-
-def residual_tripartite(q_ab: float, q_ac: float, q_abc: float, alpha: float) -> float:
-    """Signed three-party residual q_ab^a + q_ac^a - q_abc^a."""
-    if min(q_ab, q_ac, q_abc) < 0:
-        raise InvalidParameterError("residual components must be non-negative")
-    if alpha < 0:
-        raise InvalidParameterError(f"exponent must be non-negative, got {alpha}")
-    if alpha == 0 and 0.0 in (q_ab, q_ac, q_abc):
-        warnings.warn("0**0 in residual; result is convention-dependent",
-                      DegenerateExponentWarning, stacklevel=2)
-    return q_ab**alpha + q_ac**alpha - q_abc**alpha
 
 
 def _weight_powers(n_b: int, m: int) -> tuple[int, ...]:
@@ -328,7 +323,8 @@ class BoundReport:
     satisfied: dict[str, bool | None]
     m: int | None
     degenerate: bool
-    margin: float
+    margin: float  # the comparison_tol of an estimate
+    tol: dict[str, float]  # each bound's comparison_tol against the lhs
 
     @property
     def lhs_power(self) -> float:
@@ -353,7 +349,7 @@ def ordering_classify(table: ComponentTable) -> OrderingResult:
     """Find the ordering index m splitting marginals above/below their tail cuts.
 
     Comparison i checks Q_{AB_i} against Q_{A|B_{i+1}...}; ties within the
-    estimator margin count for whichever direction is needed.
+    comparison_tol of the pair count for whichever direction is needed.
     """
     n_b = table.n_b
     if n_b < 3:
@@ -362,11 +358,11 @@ def ordering_classify(table: ComponentTable) -> OrderingResult:
     for i in range(1, n_b):
         marg = table.marginal(i)
         tail = table.joint(tuple(range(i + 1, n_b + 1)))
-        margin = EXACT_TOL if (marg.exact and tail.exact) else table.opt.margin()
+        tol = comparison_tol(table.opt, marg.exact, tail.exact)
         diff = marg.value - tail.value
-        if diff > margin:
+        if diff > tol:
             rel = "ge"
-        elif diff < -margin:
+        elif diff < -tol:
             rel = "le"
         else:
             rel = "both"
@@ -415,8 +411,10 @@ class BoundPlan:
     strategy, every component of the recursion), and the residual recursion
     is flattened. values() and report() then evaluate any exponent without
     another table lookup. Marginal sums are (weighted) power sums; a residual
-    strategy subtracts (polygamy) or adds (monogamy) its selected levels;
-    pair_weighted sorts its two marginals in place of an ordering index.
+    strategy subtracts (polygamy) or adds (monogamy) its selected levels. A
+    plan holds one weight layout, the scalar weight's power per party: from m
+    (weight_map) or, for pair_weighted (three parties only), (0, 1) down the
+    descending sort of the two marginals.
     """
 
     def __init__(self, table: ComponentTable, side: str, bound_ids, m: int | None = None):
@@ -426,12 +424,12 @@ class BoundPlan:
             check_bound(side, bid, n_b + 1)
         self.table, self.side, self.m = table, side, m
         self._polygamy = side == POLYGAMY
-        self._lhs = None
         marginals = [table.marginal(i) for i in range(1, n_b + 1)]
         values = [c.value for c in marginals]
         self._zero_marginal = 0.0 in values
+        self._margin = comparison_tol(table.opt, False)
         self._specs = []
-        self._ref = self._layout = self._pair = None
+        self._ref = self._layout = None
         for bid in self.bound_ids:
             weighting, strategy = BOUNDS[side][bid]
             self._specs.append((bid, weighting, strategy))
@@ -439,7 +437,8 @@ class BoundPlan:
                 continue
             self._ref = _power_ref(table.measure, side)
             if bid == PAIR_WEIGHTED:
-                self._pair = sorted(range(n_b), key=values.__getitem__, reverse=True)
+                order = sorted(range(n_b), key=values.__getitem__, reverse=True)
+                self._layout = tuple(order.index(b) for b in range(n_b))
             elif m is None:
                 raise InvalidParameterError(f"bound {bid!r} needs an ordering index m")
             else:
@@ -465,10 +464,6 @@ class BoundPlan:
             if weighting is not None:
                 ratio = exponent / self._ref
                 scalar = ratio if weighting == "ratio" else 2.0**ratio - 1.0
-            if bid == PAIR_WEIGHTED:
-                hi, lo = marginals[self._pair[0]], marginals[self._pair[1]]
-                out.append(sum([hi, scalar * lo]))  # weights (1, scalar)
-                continue
             if weighting not in sums:
                 weighted = marginals if weighting is None else [
                     scalar**k * p for k, p in zip(self._layout, marginals)]
@@ -482,11 +477,20 @@ class BoundPlan:
             out.append(total - level_sum if self._polygamy else total + level_sum)
         return out
 
+    @functools.cached_property
+    def lhs(self) -> MeasureValue:
+        """The joint cut Q_{A|B_1...B_n}, fetched on first use: bound_value never needs it."""
+        return self.table.lhs()
+
+    @functools.cached_property
+    def tol(self) -> dict[str, float]:
+        """Each bound's comparison_tol against the lhs; every report shares this dict."""
+        return {bid: comparison_tol(self.table.opt, exact, self.lhs.exact)
+                for bid, exact in zip(self.bound_ids, self.exact)}
+
     def report(self, exponent: float) -> BoundReport:
         """The bound report at one finite exponent: lhs, every bound, the flags."""
-        if self._lhs is None:  # fetched on the first report: bound_value never needs it
-            self._lhs = self.table.lhs()
-        lhs = self._lhs
+        lhs = self.lhs
         if exponent < 0 and lhs.value == 0.0:
             raise InvalidParameterError(f"exponent {exponent} is negative and the lhs is 0")
         values = self.values(exponent)
@@ -507,23 +511,25 @@ class BoundPlan:
             warnings.warn("exponent 0 with a zero component; report flagged degenerate",
                           DegenerateExponentWarning, stacklevel=2)
 
-        margin = self.table.opt.margin()
         bounds: dict[str, BoundEntry] = {}
         satisfied: dict[str, bool | None] = {}
+        tols = self.tol
         for bid, val, exact in zip(self.bound_ids, values, self.exact):
             bounds[bid] = BoundEntry(val, exact, range_warning)
+            tol = tols[bid]
             gap = (val - lhs_power) if self._polygamy else (lhs_power - val)
             if degenerate:
                 satisfied[bid] = None
-            elif exact and lhs.exact:
-                satisfied[bid] = bool(gap >= -EXACT_TOL)
-            elif gap >= margin:
+            elif exact and lhs.exact:  # exact values always get a verdict
+                satisfied[bid] = bool(gap >= -tol)
+            elif gap >= tol:
                 satisfied[bid] = True
-            elif gap <= -margin:
+            elif gap <= -tol:
                 satisfied[bid] = False
             else:
                 satisfied[bid] = None
-        return BoundReport(exponent, self.side, lhs, bounds, satisfied, self.m, degenerate, margin)
+        return BoundReport(exponent, self.side, lhs, bounds, satisfied, self.m, degenerate,
+                           self._margin, tols)
 
 
 def bound_value(table: ComponentTable, bound_id: str, exponent: float, side: str,
@@ -608,8 +614,8 @@ def verify_hierarchy(state, measure: CorrelationMeasure, exponents, side: str,
     """Evaluate a grid and collect violations of the bound and ordering checks.
 
     Returns (reports, violations, indeterminate_count). A violated bound or a
-    broken tighter/looser ordering becomes a Violation; estimate-backed
-    comparisons inside the margin only increment the indeterminate count.
+    tighter/looser ordering broken beyond its comparison_tol becomes a
+    Violation; indeterminate (estimate-backed) verdicts only count.
     Pass the (state, measure) table to share its components between calls.
     """
     if table is None:
@@ -633,7 +639,7 @@ def verify_hierarchy(state, measure: CorrelationMeasure, exponents, side: str,
             if tighter in report.bounds and looser in report.bounds:
                 a, b = report.bounds[tighter], report.bounds[looser]
                 gap = (b.value - a.value) if side == POLYGAMY else (a.value - b.value)
-                tol = EXACT_TOL if (a.exact and b.exact) else report.margin
+                tol = comparison_tol(table.opt, a.exact, b.exact)
                 if gap < -tol:
                     rel = "<=" if side == POLYGAMY else ">="
                     violations.append(Violation(report.exponent, f"{tighter}{rel}{looser}", gap))

@@ -114,11 +114,6 @@ def load_state(args) -> PureState:
 
 
 def optimizer_from_args(args) -> OptimizerConfig:
-    if getattr(args, "opt_json", None):
-        doc = json.loads(args.opt_json)
-        if not isinstance(doc, dict):
-            raise EntshareError("--opt-json must be a JSON object")
-        return OptimizerConfig.from_dict({**doc, "seed": args.seed})
     return OptimizerConfig(
         ensemble_size=args.ensemble_size,
         restarts=args.restarts,
@@ -141,7 +136,6 @@ def _add_opt_args(p):
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--opt-tol", type=float, default=1e-8)
     p.add_argument("--ensemble-size", type=int, default=None)
-    p.add_argument("--opt-json", help="optimizer settings as a JSON object")
 
 
 def _add_report_args(p):
@@ -259,9 +253,7 @@ def _report_rows(reports, bound_ids):
     for rep in reports:
         row = [rep.exponent, rep.lhs_power]
         row += [rep.bounds[b].value for b in bound_ids]
-        for b in bound_ids:
-            exact_pair = rep.bounds[b].exact and rep.lhs.exact
-            row.append(bmod.EXACT_TOL if exact_pair else rep.margin)
+        row += [rep.tol[b] for b in bound_ids]
         for b in bound_ids:
             ok = rep.satisfied[b]
             row.append("na" if ok is None else ("1" if ok else "0"))

@@ -85,14 +85,6 @@ class OptimizerConfig:
         """Comparison margin for estimate-backed inequalities."""
         return 10.0 * self.tol + 1e-9
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> OptimizerConfig:
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(doc) - known
-        if bad:
-            raise OptimizerConfigError(f"unknown optimizer settings: {sorted(bad)}")
-        return cls(**doc)
-
 
 DEFAULT_OPT = OptimizerConfig()
 

@@ -3,6 +3,12 @@
 Scan-then-bisect: a uniform scan locates the first sign change, bisection
 shrinks that bracket. Robust on the smooth but non-monotone residual
 functions this toolkit produces, and deterministic.
+
+Both threshold kinds are one scan (_scan) of bound(a) - lhs^a from a
+single-bound polygamy BoundPlan on [max(tol, SCAN_FLOOR), hi]: residual-zero
+scans the three-party `base` bound (the residual Q_AB^a + Q_AC^a - Q_A|BC^a)
+up to beta_max; empirical-beta scans its bound up to the cap, shifted by the
+bound's bounds.comparison_tol.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import BASE, POLYGAMY, RESIDUAL_MAX, BoundPlan, ComponentTable, residual_tripartite
+from .bounds import BASE, POLYGAMY, RESIDUAL_MAX, BoundPlan, ComponentTable
 from .bounds import bound_value  # noqa: F401  (bench/tracing.py wraps thresholds.bound_value)
 from .errors import EvaluationError, InvalidParameterError
 from .measures import DEFAULT_OPT, CorrelationMeasure, OptimizerConfig
@@ -19,6 +25,7 @@ from .reference import MAX_GRID_POINTS
 DEFAULT_TOL = 1e-6
 DEFAULT_SCAN_STEPS = 256
 DEFAULT_SEARCH_CAP = 4.0
+SCAN_FLOOR = 1e-4  # lowest scanned exponent
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,37 @@ def find_zero(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
     return ThresholdResult(root, (a, b), iterations, f(root), tuple(profile))
 
 
+def _scan(state, measure: CorrelationMeasure, opt: OptimizerConfig, bound_id: str, hi: float,
+          tol: float, scan_steps: int, table: ComponentTable | None = None,
+          shifted: bool = False) -> ThresholdResult | None:
+    """Smallest root of bound(a) - lhs^a (+ its tolerance if shifted) on [lo, hi], or None.
+
+    Arguments are checked before the table is built. A shifted scan violated
+    at lo has no root, nor has a base bound whose marginals all vanish.
+    """
+    _check_scan_steps(scan_steps)
+    if not math.isfinite(tol):
+        raise InvalidParameterError(f"tol must be finite, got {tol}")
+    lo = max(tol, SCAN_FLOOR)
+    if not lo < hi < math.inf:
+        raise InvalidParameterError(f"invalid range [{lo}, {hi}]")
+    if table is None:
+        table = ComponentTable(state, measure, opt)
+    plan = BoundPlan(table, POLYGAMY, (bound_id,))
+    lhs = plan.lhs.value
+    if bound_id == BASE and not any(table.marginal(b).value for b in range(1, table.n_b + 1)):
+        return None
+    shift = plan.tol[bound_id] if shifted else 0.0
+
+    def f(alpha):
+        return plan.values(alpha)[0] - lhs**alpha + shift
+
+    result = find_zero(f, lo, hi, tol=tol, scan_steps=scan_steps)
+    if result is not None and shifted and result.scan_profile[0][1] < 0:
+        return None  # violated from the start: no transition inside the range
+    return result
+
+
 def residual_zero_exponent(state, measure: CorrelationMeasure,
                            opt: OptimizerConfig = DEFAULT_OPT, tol: float = DEFAULT_TOL,
                            scan_steps: int = DEFAULT_SCAN_STEPS,
@@ -105,20 +143,7 @@ def residual_zero_exponent(state, measure: CorrelationMeasure,
     """
     if state.n_parties != 3:
         raise InvalidParameterError("residual-zero threshold is defined for three parties")
-    _check_scan_steps(scan_steps)
-    if table is None:
-        table = ComponentTable(state, measure, opt)
-    q_ab = table.marginal(1).value
-    q_ac = table.marginal(2).value
-    q_abc = table.lhs().value
-    if q_ab == 0.0 and q_ac == 0.0:
-        return None
-
-    def f(alpha):
-        return residual_tripartite(q_ab, q_ac, q_abc, alpha)
-
-    lo = max(tol, 1e-4)
-    return find_zero(f, lo, measure.beta_max, tol=tol, scan_steps=scan_steps)
+    return _scan(state, measure, opt, BASE, measure.beta_max, tol, scan_steps, table)
 
 
 _BETA_BOUND_IDS = (BASE, RESIDUAL_MAX)
@@ -130,28 +155,12 @@ def empirical_beta(state, measure: CorrelationMeasure, bound_id: str = RESIDUAL_
                    search_cap: float = DEFAULT_SEARCH_CAP) -> ThresholdResult | None:
     """Largest exponent at which the chosen upper bound still holds for this state.
 
-    Solved as the smallest root of bound(a) - lhs^a + shift, where the shift
-    is the comparison margin: states that saturate the bound make the plain
-    difference identically zero on the valid range, so the margin-shifted
+    Solved as the smallest root of bound(a) - lhs^a + tol, with tol the
+    bound's comparison tolerance: states that saturate the bound make the
+    plain difference identically zero on the valid range, so the shifted
     function is what actually changes sign at the transition to violation.
     Returns None when no transition occurs below the cap.
     """
     if bound_id not in _BETA_BOUND_IDS:
         raise InvalidParameterError(f"empirical beta supports bounds {_BETA_BOUND_IDS}")
-    _check_scan_steps(scan_steps)
-    table = ComponentTable(state, measure, opt)
-    lhs = table.lhs().value
-    plan = BoundPlan(table, POLYGAMY, (bound_id,))
-    shift = 1e-9 if table.all_exact() else opt.margin()
-
-    def f(alpha):
-        return plan.values(alpha)[0] - lhs**alpha + shift
-
-    lo = max(tol, 1e-4)
-    result = find_zero(f, lo, search_cap, tol=tol, scan_steps=scan_steps)
-    if result is None:
-        return None
-    if f(lo) < 0:
-        # violated from the start: no transition inside the range
-        return None
-    return result
+    return _scan(state, measure, opt, bound_id, search_cap, tol, scan_steps, shifted=True)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import all_subsets, oracle_lambda_sum, oracle_wootters
 from entshare import bounds as bmod
+from entshare import cli, thresholds
 from entshare.bounds import (
     BASE,
     BOUNDS,
@@ -30,7 +31,6 @@ from entshare.bounds import (
     evaluate_bounds,
     ordering_classify,
     residual_tree,
-    residual_tripartite,
     verify_hierarchy,
     weight_map,
 )
@@ -207,29 +207,6 @@ class TestBoundPlan:
         with pytest.warns(ExponentRangeWarning):
             (report,) = bound_reports(table, POLYGAMY, [-1.0])
         assert report.bounds[BASE].value == 4.0 and report.lhs_power == 2.0
-
-
-class TestResidualTripartite:
-    def test_three_qubit_family_root(self):
-        # alpha_1 = 2 ln 2 / ln 3 zeroes the equal-amplitude family residual
-        alpha1 = 2 * math.log(2) / math.log(3)
-        val = residual_tripartite(0.4, 0.4, 2 * SQ3 / 5, alpha1)
-        assert abs(val) < 1e-4
-
-    def test_all_zero(self):
-        assert residual_tripartite(0.0, 0.0, 0.0, 1.0) == 0.0
-
-    def test_direct_arithmetic(self):
-        val = residual_tripartite(0.4, 0.4, 2 * SQ3 / 5, 2.0)
-        assert val == pytest.approx(8 / 25 - 12 / 25, abs=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            residual_tripartite(-0.1, 0.2, 0.3, 1.0)
-
-    def test_zero_exponent_degenerate_warns(self):
-        with pytest.warns(DegenerateExponentWarning):
-            residual_tripartite(0.0, 0.5, 0.5, 0.0)
 
 
 class TestWeightedPair:
@@ -658,6 +635,126 @@ class TestHierarchy:
         c_joint = math.sqrt(max(0.0, 2 * (1 - float(np.trace(red @ red).real))))
         assert c_joint**2 + 1e-9 >= c_ab**2 + c_ac**2
         assert ca_ab**2 + ca_ac**2 + 1e-9 >= c_joint**2
+
+
+# past beta_max = 2 the W-state pair residuals turn negative, so residual_max
+# exceeds base and the hierarchy check has something to find
+RULE_EXPONENTS = [1.0, 3.0]
+
+
+def _wide_rule(opt, *exact):
+    """A stand-in rule, wider than every gap here, with a distinct value per case."""
+    return 10.0 if all(exact) else 20.0
+
+
+def _rule_reports(table):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExponentRangeWarning)
+        return bound_reports(table, POLYGAMY, RULE_EXPONENTS)
+
+
+def _rule_verdicts(state, table, rule, monkeypatch):
+    def expect(gap, tol, exact):
+        if exact:
+            return gap >= -tol
+        return True if gap >= tol else (False if gap <= -tol else None)
+
+    reports = _rule_reports(table)
+    want = [{b: expect(e.value - rep.lhs_power, rule(table.opt, e.exact, rep.lhs.exact),
+                       e.exact and rep.lhs.exact) for b, e in rep.bounds.items()}
+            for rep in reports]
+    return [rep.satisfied for rep in reports], want
+
+
+def _rule_ordering(state, table, rule, monkeypatch):
+    comparisons = ordering_classify(table).comparisons
+    want = []
+    for c in comparisons:
+        tol = rule(table.opt, c.marginal.exact, c.tail.exact)
+        diff = c.marginal.value - c.tail.value
+        want.append("ge" if diff > tol else ("le" if diff < -tol else "both"))
+    return [c.relation for c in comparisons], want
+
+
+def _rule_hierarchy(state, table, rule, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExponentRangeWarning)
+        reports, violations, _ = verify_hierarchy(state, TAU_ASSISTANCE, RULE_EXPONENTS,
+                                                  POLYGAMY, table.opt, table=table)
+    want = []
+    for rep in reports:
+        tight, loose = rep.bounds[RESIDUAL_MAX], rep.bounds[BASE]
+        if loose.value - tight.value < -rule(table.opt, tight.exact, loose.exact):
+            want.append((rep.exponent, loose.value - tight.value))
+    got = [(v.exponent, v.gap) for v in violations if v.check == "residual_max<=base"]
+    return got, want
+
+
+def _rule_csv_tol(state, table, rule, monkeypatch):
+    reports = _rule_reports(table)
+    ids = list(reports[0].bounds)
+    _, rows = cli._report_rows(reports, ids)
+    want = [[rule(table.opt, rep.bounds[b].exact, rep.lhs.exact) for b in ids] for rep in reports]
+    return [row[2 + len(ids):2 + 2 * len(ids)] for row in rows], want
+
+
+def _rule_json_margin(state, table, rule, monkeypatch):
+    reports = _rule_reports(table)
+    return ([cli._report_doc(rep)["margin"] for rep in reports],
+            [rule(table.opt, False)] * len(reports))
+
+
+def _rule_beta_shift(state, table, rule, monkeypatch):
+    scanned = []
+    find_zero = thresholds.find_zero
+
+    def spy(f, lo, hi, **kwargs):
+        scanned.append(f)
+        return find_zero(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(thresholds, "find_zero", spy)
+    thresholds.empirical_beta(state, TAU_ASSISTANCE, RESIDUAL_MAX, table.opt)
+    (f,) = scanned
+    lhs = table.lhs()
+    # f(x) minus the unshifted difference, to six figures (the subtraction rounds)
+    shifts = [f(x) - (bound_value(table, RESIDUAL_MAX, x, POLYGAMY)[0] - lhs.value**x)
+              for x in (0.5, 1.5)]
+    exact = bound_value(table, RESIDUAL_MAX, 1.0, POLYGAMY)[1]
+    want = rule(table.opt, exact, lhs.exact)
+    return [float(f"{v:.6g}") for v in shifts], [float(f"{want:.6g}")] * 2
+
+
+RULE_CONSUMERS = {
+    "report-verdict": _rule_verdicts,
+    "ordering": _rule_ordering,
+    "hierarchy-check": _rule_hierarchy,
+    "csv-tol": _rule_csv_tol,
+    "json-margin": _rule_json_margin,
+    "empirical-beta-shift": _rule_beta_shift,
+}
+
+
+@pytest.fixture(scope="module")
+def rule_tables():
+    """An all-exact table (w4) and an estimate table (near_w(4), 2 restarts)."""
+    opt = OptimizerConfig(restarts=2)
+    return {name: (state, ComponentTable(state, TAU_ASSISTANCE, opt))
+            for name, state in (("w4", w_state(4)), ("near-w4", near_w(4)))}
+
+
+@pytest.mark.parametrize("consumer", list(RULE_CONSUMERS))
+@pytest.mark.parametrize("case", ["w4", "near-w4"])
+def test_every_consumer_uses_the_one_comparison_rule(rule_tables, monkeypatch, case, consumer):
+    state, table = rule_tables[case]
+    observe = RULE_CONSUMERS[consumer]
+    got, want = observe(state, table, bmod.comparison_tol, monkeypatch)
+    assert got == want
+    monkeypatch.setattr(bmod, "comparison_tol", _wide_rule)
+    got, wide = observe(state, table, _wide_rule, monkeypatch)
+    assert got == wide
+    # the stand-in rule moves what the consumer reports, so the consumer reads the rule
+    assert wide != want
+    assert all(c.exact for c in table._cache.values()) == (case == "w4")
 
 
 class TestSyntheticProperties:

@@ -183,6 +183,21 @@ class TestThresholdCommand:
                              "--restarts", "2")
         assert code == 2 and out == "" and "scan_steps" in err
 
+    @pytest.mark.parametrize("bad", [
+        ["--cap", "0"], ["--cap", "-1"], ["--cap", "nan"], ["--cap", "1e-5"],
+        ["--tol", "nan"], ["--tol", "inf"],
+    ], ids=["cap-0", "cap-negative", "cap-nan", "cap-below-floor", "tol-nan", "tol-inf"])
+    def test_bad_cap_or_tol_exits_2_before_any_table(self, capsys, monkeypatch, bad):
+        from entshare import thresholds
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("component table built")
+
+        monkeypatch.setattr(thresholds, "ComponentTable", no_table)
+        code, out, err = run(capsys, "threshold", "--family", "4q-theta", "--params",
+                             "0.785,0.785", "--kind", "empirical-beta", "--restarts", "2", *bad)
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestSweepCommand:
     def test_csv_contract_and_flags_recomputable(self, capsys, tmp_path):
@@ -588,32 +603,16 @@ class TestFuzzCommand:
         assert code == 2
 
 
-class TestOptimizerJson:
-    def test_opt_json_accepted(self, capsys):
-        code, out, _ = run(capsys, "measure", "--family", "w4", "--measure", "concurrence",
-                           "--cut", "A|B1B2", "--reduce", "--seed", "4",
-                           "--opt-json", json.dumps({"restarts": 3, "max_iters": 200}))
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["exactness"] == "upper-estimate"
-        assert doc["optimizer_meta"]["restarts"] == 3
-        assert "converged" in doc["optimizer_meta"]
-
+class TestOptimizerFlags:
     @pytest.mark.parametrize("measure", ["concurrence", "tau_assistance"])
     @pytest.mark.parametrize("opt_args", [
         ["--restarts", "0"], ["--max-iters", "0"], ["--opt-tol", "0"], ["--ensemble-size", "0"],
-        ["--opt-json", '{"restarts": 0}'], ["--opt-json", "[3]"],
-    ], ids=["restarts", "max-iters", "opt-tol", "ensemble-size", "json-restarts", "json-list"])
+    ], ids=["restarts", "max-iters", "opt-tol", "ensemble-size"])
     def test_invalid_optimizer_settings_exit_2(self, capsys, measure, opt_args):
         code, out, err = run(capsys, "measure", "--family", "w4", "--measure", measure,
                              "--cut", "A|B1B2", "--reduce", *opt_args)
         assert code == 2
         assert out == "" and err.startswith("error:")
-
-    def test_opt_json_rejects_unknown_keys(self, capsys):
-        code, _, err = run(capsys, "measure", "--family", "w4", "--cut", "A|B1B2",
-                           "--reduce", "--opt-json", '{"stepsize": 3}')
-        assert code == 2
 
 
 SCIPY_PROBE = """

@@ -285,8 +285,6 @@ class TestOptimizerConfig:
     def test_invalid_settings_rejected(self, bad):
         with pytest.raises(OptimizerConfigError):
             OptimizerConfig(**bad)
-        with pytest.raises(OptimizerConfigError):
-            OptimizerConfig.from_dict(bad)
 
     def test_smallest_valid_settings(self):
         opt = OptimizerConfig(ensemble_size=1, restarts=1, max_iters=1, tol=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entshare import thresholds
-from entshare.bounds import BASE, RESIDUAL_MAX, ComponentTable, residual_tripartite
+from entshare.bounds import BASE, RESIDUAL_MAX, ComponentTable
 from entshare.errors import EvaluationError, InvalidParameterError
 from entshare.measures import CONCURRENCE, TAU_ASSISTANCE, OptimizerConfig
 from entshare.states import PureState, make_family, w_state
@@ -79,9 +79,23 @@ class TestResidualZero:
     def test_scan_values_are_the_tripartite_residual(self):
         state = make_family("3q", [1 / math.sqrt(5)] * 5)
         table = ComponentTable(state, CONCURRENCE)
-        q = (table.marginal(1).value, table.marginal(2).value, table.lhs().value)
+        q_ab, q_ac, q_abc = (table.marginal(1).value, table.marginal(2).value,
+                             table.lhs().value)
         res = residual_zero_exponent(state, CONCURRENCE)
-        assert all(v == residual_tripartite(*q, x) for x, v in res.scan_profile)
+        assert all(v == q_ab**x + q_ac**x - q_abc**x for x, v in res.scan_profile)
+
+    def test_family_root_is_the_analytic_one(self):
+        # Q_AB = Q_AC = 0.4 and Q_A|BC = 2 sqrt(3)/5: the root is 2 ln 2 / ln 3
+        res = residual_zero_exponent(make_family("3q", [1 / math.sqrt(5)] * 5), CONCURRENCE,
+                                     tol=1e-9)
+        assert res.root == pytest.approx(2 * math.log(2) / math.log(3), abs=1e-8)
+        x, v = res.scan_profile[-1]
+        assert x == pytest.approx(2.0, abs=1e-15)
+        assert v == pytest.approx(8 / 25 - 12 / 25, abs=1e-12)
+
+    def test_product_state_has_no_root(self):
+        # every component vanishes, so the residual is identically zero
+        assert residual_zero_exponent(make_family("3q", [1, 0, 0, 0, 0]), CONCURRENCE) is None
 
     def test_phase_does_not_move_the_root(self):
         lam = [1 / math.sqrt(5)] * 5
@@ -132,3 +146,24 @@ def test_scan_steps_checked_before_the_table(monkeypatch, solver, state, scan_st
     monkeypatch.setattr(thresholds, "ComponentTable", no_table)
     with pytest.raises(InvalidParameterError, match="scan_steps"):
         solver(state, CONCURRENCE, scan_steps=scan_steps)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"search_cap": 0.0}, "invalid range"), ({"search_cap": -1.0}, "invalid range"),
+    ({"search_cap": math.nan}, "invalid range"), ({"search_cap": 1e-5}, "invalid range"),
+    ({"search_cap": math.inf}, "invalid range"), ({"tol": 5.0}, "invalid range"),
+    ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
+], ids=["cap-0", "cap-negative", "cap-nan", "cap-below-floor", "cap-inf", "tol-above-cap",
+        "tol-nan", "tol-inf"])
+def test_range_and_tol_checked_before_the_table(monkeypatch, kwargs, match):
+    def no_table(*args, **kwargs):
+        raise AssertionError("component table built")
+
+    monkeypatch.setattr(thresholds, "ComponentTable", no_table)
+    state = make_family("4q-theta", [math.pi / 4, math.pi / 4])
+    with pytest.raises(InvalidParameterError, match=match):
+        empirical_beta(state, CONCURRENCE, RESIDUAL_MAX, **kwargs)
+    if "tol" in kwargs:
+        with pytest.raises(InvalidParameterError, match=match):
+            residual_zero_exponent(make_family("3q", [1 / math.sqrt(5)] * 5), CONCURRENCE,
+                                   **kwargs)
