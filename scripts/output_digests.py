@@ -11,8 +11,11 @@ and CSV with and without `--m 1`, both `threshold` kinds (residual-zero also
 on GHZ, which has no root and exits 3; empirical-beta also with `--cap 0`,
 an invalid range that exits 2), and `measure --reduce` under both measures
 on one cut per dispatch branch (a pure state, a 2x2 mixed state, a rank-1
-2x2 and a rank-1 2x4 reduction, and two 2x4 roofs). Warnings and timing notes go to stderr and
-are not digested.
+2x2 and a rank-1 2x4 reduction, two 2x4 cuts restricted to 2x2, a 2x4 roof on
+a Haar 4-qubit state and a 2x8 roof restricted to 2x4 on a Haar 5-qubit
+state). The two Haar states are written as JSON into a temporary working
+directory, so every argv stays the same from run to run. Warnings and timing
+notes go to stderr and are not digested.
 
 Usage: python scripts/output_digests.py [outfile]
 """
@@ -20,9 +23,13 @@ Usage: python scripts/output_digests.py [outfile]
 import contextlib
 import hashlib
 import io
+import os
 import sys
+import tempfile
+from pathlib import Path
 
 from entshare.cli import main
+from entshare.states import haar_random_pure, state_to_json
 
 FAMILIES = {
     "w4": [],
@@ -41,9 +48,13 @@ MEASURE_CASES = [
     (["--family", "w4"], "A|B1"),                               # 2x2 closed forms
     (["--family", "3q", "--params", "1,0,0,0,0"], "A|B1"),      # rank-1 2x2
     (["--family", "4q-theta", "--params", "0,0"], "A|B1B2"),    # rank-1 2x4
-    (["--family", "w4"], "A|B1B2"),                             # roof
-    (["--family", "ghz:4"], "A|B1B2"),                          # roof
+    (["--family", "w4"], "A|B1B2"),                             # compressed to 2x2
+    (["--family", "ghz:4"], "A|B1B2"),                          # compressed to 2x2
+    (["--state", "haar4.json"], "A|B1B2"),                      # 2x4 roof, nothing shrinks
+    (["--state", "haar5.json"], "A|B1B2B3"),                    # 2x8 compressed to a 2x4 roof
 ]
+# the Haar states the measure cases read, written into the working directory
+HAAR_STATES = {"haar4.json": ((2,) * 4, 4), "haar5.json": ((2,) * 5, 5)}
 # no bound named: all applicable bounds, so verify_hierarchy's checks run too
 HIERARCHY_CHECKS = ("polygamy:concurrence_assistance:1,monogamy:concurrence:2.5,"
                     "polygamy:concurrence:1:weighted")
@@ -97,9 +108,21 @@ def digest_line(argv: list[str]) -> str:
     return f"{code} {digest} {' '.join(argv)}"
 
 
+def digest_lines() -> list[str]:
+    """Every command's digest line, run inside a temporary directory holding the Haar states."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for name, (dims, seed) in HAAR_STATES.items():
+                Path(name).write_text(state_to_json(haar_random_pure(dims, seed)))
+            return [digest_line(argv) for argv in commands()]
+        finally:
+            os.chdir(home)
+
+
 if __name__ == "__main__":
-    lines = [digest_line(argv) for argv in commands()]
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(digest_lines()) + "\n"
     if len(sys.argv) > 1:
         with open(sys.argv[1], "w") as fh:
             fh.write(text)

@@ -4,11 +4,12 @@ Built-in measures are the concurrence and the concurrence of assistance,
 registered as concurrence_assistance and under its alias tau_assistance (the
 name the polygamy bounds use). Rank-1 states (by the spectrum each
 DensityMatrix stores) are exact at any dimension; on two qubits both have a
-closed form via the spin-flip spectrum; all remaining mixed-state cases are
-estimated by the convex-roof optimizer, flagged as estimates. Component
-tables (bounds.ComponentTable) do not send the mixed joint cuts of a
-generalized W-class state here: both measures have a closed form on them
-(Kim & Sanders, J. Phys. A 41, 495301, 2008).
+closed form via the spin-flip spectrum. A mixed cut larger than 2x2 is first
+restricted to the supports of its two reduced states: both measures are
+invariant under a local isometry, and the ensembles of rho map one-to-one
+onto those of its restriction. A side of rank 1 makes the value 0, a 2x2
+restriction reaches the closed forms, and only what remains is estimated by
+the convex-roof optimizer, flagged as an estimate.
 """
 
 from __future__ import annotations
@@ -189,6 +190,42 @@ def assistance_2q(rho: DensityMatrix) -> MeasureValue:
     return MeasureValue(float(lam.sum()), EXACT)
 
 
+def _cut_factor(rho: DensityMatrix, order: list[int]) -> np.ndarray:
+    """Y with rho = Y Y^H: the sqrt(w)-weighted eigenvectors above RANK_TOL, rows in cut order."""
+    w, v = rho.eigensystem()
+    keep = w > RANK_TOL
+    vfac = v[:, keep] * np.sqrt(w[keep])
+    # gather map: row in cut order = row[original order] at these indices
+    flatperm = np.arange(vfac.shape[0]).reshape(rho.dims).transpose(order).reshape(-1)
+    return vfac[flatperm, :]
+
+
+def _support(f: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the range of f f^H (singular values with s^2 > RANK_TOL)."""
+    u, s, _ = np.linalg.svd(f, full_matrices=False)
+    return u[:, s * s > RANK_TOL]
+
+
+def _compress(rho: DensityMatrix, cut: Bipartition) -> tuple[DensityMatrix, Bipartition] | None:
+    """rho restricted to supp(rho_A) x supp(rho_B) across the cut, or None when a side has rank 1.
+
+    Returns (rho, cut) unchanged when neither side shrinks. The restriction is
+    not renormalized: its trace falls short of 1 only by the reduced-state
+    weight below RANK_TOL.
+    """
+    order, da, db = _cut_shape(rho.dims, cut)
+    y = _cut_factor(rho, order).reshape(da, db, -1)
+    ua = _support(y.reshape(da, -1))
+    ub = _support(y.transpose(1, 0, 2).reshape(db, -1))
+    ra, rb = ua.shape[1], ub.shape[1]
+    if ra == 1 or rb == 1:
+        return None
+    if ra == da and rb == db:
+        return rho, cut
+    y = np.einsum("ai,abk,bj->ijk", ua.conj(), y, ub.conj()).reshape(ra * rb, -1)
+    return DensityMatrix(y @ y.conj().T, (ra, rb)), Bipartition({0}, {1})
+
+
 def measure_bipartite(
     measure: CorrelationMeasure,
     state: PureState | DensityMatrix,
@@ -200,7 +237,9 @@ def measure_bipartite(
     Exact paths: rank-1 states (a PureState, or one eigenvalue above RANK_TOL),
     via the pure concurrence (the assistance measure reduces to it there: the
     ensemble is forced), and 2x2 mixed states via the spin-flip closed forms.
-    Only states of rank 2 or more reach convex_roof.
+    A larger mixed cut is restricted to the supports of its reduced states
+    first: a side of rank 1 is a product state (value 0), a 2x2 restriction
+    takes the closed forms, and any other restriction goes to convex_roof.
     """
     if measure.name not in _MEASURES:
         raise InvalidParameterError(f"unsupported measure {measure.name!r}")
@@ -210,8 +249,12 @@ def measure_bipartite(
     if np.count_nonzero(w > RANK_TOL) == 1:
         top = v[:, -1] / np.linalg.norm(v[:, -1])
         return concurrence_pure(PureState(top, state.dims), cut)
-    _, da, db = _cut_shape(state.dims, cut)
-    if da == 2 and db == 2:
+    if _cut_shape(state.dims, cut)[1:] != (2, 2):
+        compressed = _compress(state, cut)
+        if compressed is None:
+            return MeasureValue(0.0, EXACT)
+        state, cut = compressed
+    if state.dims == (2, 2):
         # the cut is A|B or B|A of a two-qubit state; SWAP commutes with sy x sy,
         # so the spin-flip spectrum is the same in either party order
         return assistance_2q(state) if measure.assistance else wootters_concurrence(state)
@@ -327,16 +370,11 @@ def convex_roof(
     if direction not in ("minimize", "maximize"):
         raise InvalidParameterError(f"direction must be minimize or maximize, got {direction!r}")
     order, da, db = _cut_shape(rho.dims, cut)
-    w, v = rho.eigensystem()
-    keep = w > RANK_TOL
-    r = int(np.count_nonzero(keep))
+    vfac_cut = _cut_factor(rho, order)
+    r = vfac_cut.shape[1]
     m = opt.ensemble_size if opt.ensemble_size is not None else r + 2
     if m < r:
         raise OptimizerConfigError(f"ensemble_size {m} is below the state rank {r}")
-    vfac = v[:, keep] * np.sqrt(w[keep])
-    # gather map: column in cut order = column[original order] at these indices
-    flatperm = np.arange(vfac.shape[0]).reshape(rho.dims).transpose(order).reshape(-1)
-    vfac_cut = vfac[flatperm, :]
     sign, flag = (1.0, UPPER_ESTIMATE) if direction == "minimize" else (-1.0, LOWER_ESTIMATE)
 
     rng = np.random.default_rng(opt.seed)

@@ -148,23 +148,6 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(r.reshape(d, d), tuple(work_dims))
 
 
-def w_class_weights(state) -> tuple[float, ...] | None:
-    """Weights |b_k|^2 of a generalized W-class qubit state, or None.
-
-    The state is W-class when every amplitude off |0...0> and the weight-1
-    strings |1_k> (party k excited) is exactly 0; b_k is the amplitude of
-    |1_k>. Mixed states and states with a party of dimension above 2 give None.
-    """
-    if not isinstance(state, PureState) or any(d != 2 for d in state.dims):
-        return None
-    n = state.n_parties
-    singles = [1 << (n - 1 - k) for k in range(n)]
-    rest = np.delete(state.amplitudes, [0] + singles)
-    if np.any(rest != 0):
-        return None
-    return tuple(float(abs(state.amplitudes[i]) ** 2) for i in singles)
-
-
 def purify(rho: DensityMatrix) -> PureState:
     """Pure state on system x ancilla whose system reduction equals `rho`.
 

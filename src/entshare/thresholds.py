@@ -109,8 +109,8 @@ def _scan(state, measure: CorrelationMeasure, opt: OptimizerConfig, bound_id: st
     at lo has no root, nor has a base bound whose marginals all vanish.
     """
     _check_scan_steps(scan_steps)
-    if not math.isfinite(tol):
-        raise InvalidParameterError(f"tol must be finite, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError(f"tol must be a positive finite number, got {tol}")
     lo = max(tol, SCAN_FLOOR)
     if not lo < hi < math.inf:
         raise InvalidParameterError(f"invalid range [{lo}, {hi}]")

@@ -76,19 +76,11 @@ def all_subsets(n_b: int) -> list[tuple[int, ...]]:
 
 
 @pytest.fixture
-def no_joint_reductions(monkeypatch):
-    """Make convex_roof and a table's reductions beyond A plus one B party raise."""
-    from entshare import bounds, measures
+def no_roof(monkeypatch):
+    """Make convex_roof raise, so a test sees every value come from an exact path."""
+    from entshare import measures
 
-    trace = bounds.partial_trace
-
-    def pair_trace_only(state, keep):
-        if len(keep) > 2:
-            raise AssertionError(f"partial_trace to {keep}")
-        return trace(state, keep)
-
-    def no_roof(*args, **kwargs):
+    def raising(*args, **kwargs):
         raise AssertionError("convex_roof called")
 
-    monkeypatch.setattr(bounds, "partial_trace", pair_trace_only)
-    monkeypatch.setattr(measures, "convex_roof", no_roof)
+    monkeypatch.setattr(measures, "convex_roof", raising)

@@ -185,8 +185,9 @@ class TestThresholdCommand:
 
     @pytest.mark.parametrize("bad", [
         ["--cap", "0"], ["--cap", "-1"], ["--cap", "nan"], ["--cap", "1e-5"],
-        ["--tol", "nan"], ["--tol", "inf"],
-    ], ids=["cap-0", "cap-negative", "cap-nan", "cap-below-floor", "tol-nan", "tol-inf"])
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1"],
+    ], ids=["cap-0", "cap-negative", "cap-nan", "cap-below-floor", "tol-nan", "tol-inf",
+            "tol-0", "tol-negative"])
     def test_bad_cap_or_tol_exits_2_before_any_table(self, capsys, monkeypatch, bad):
         from entshare import thresholds
 
@@ -300,8 +301,7 @@ class TestSweepCommand:
     ["bounds", "--family", "w4", "--measure", "concurrence", "--side", "monogamy",
      "--exponent", "2", "--m", "1"],
 ], ids=["w5-sweep", "w4-bounds"])
-def test_w_state_tables_are_exact_without_roofs(capsys, monkeypatch, no_joint_reductions,
-                                                 argv):
+def test_w_state_tables_are_exact_without_roofs(capsys, monkeypatch, no_roof, argv):
     from entshare.bounds import ComponentTable
 
     tables = []
@@ -378,13 +378,7 @@ class TestBoundsCommand:
                              "--side", "polygamy", *args[1:])
         assert code == 2 and out == "" and "negative" in err
 
-    def test_wrong_side_bound_exits_2_before_any_roof(self, capsys, monkeypatch):
-        from entshare import measures
-
-        def no_roof(*args, **kwargs):
-            raise AssertionError("convex_roof called")
-
-        monkeypatch.setattr(measures, "convex_roof", no_roof)
+    def test_wrong_side_bound_exits_2_before_any_roof(self, capsys, no_roof):
         code, out, err = run(capsys, "bounds", "--family", "w5", "--measure", "tau_assistance",
                              "--side", "polygamy", "--bounds", "ratio_weighted",
                              "--exponent", "1")
@@ -550,16 +544,12 @@ class TestFuzzCommand:
         ("2,2,2", "polygamy:concurrence:1:ratio_weighted"),
     ])
     def test_bound_off_its_party_count_exits_2_before_sampling(self, capsys, monkeypatch,
-                                                                 dims, check):
-        from entshare import cli, measures
-
-        def no_roof(*args, **kwargs):
-            raise AssertionError("convex_roof called")
+                                                                 no_roof, dims, check):
+        from entshare import cli
 
         def no_sample(*args, **kwargs):
             raise AssertionError("sample drawn")
 
-        monkeypatch.setattr(measures, "convex_roof", no_roof)
         monkeypatch.setattr(cli, "haar_random_pure", no_sample)
         code, out, err = run(capsys, "fuzz", "--samples", "2", "--dims", dims,
                              "--checks", f"monogamy:concurrence:2:base,{check}")
@@ -618,22 +608,31 @@ class TestOptimizerFlags:
 SCIPY_PROBE = """
 import contextlib, io, sys
 from entshare.cli import build_parser, main
+from entshare.states import haar_random_pure, state_to_json
 build_parser()
 loaded = ["scipy.optimize" in sys.modules]
+with open("haar4.json", "w") as fh:
+    fh.write(state_to_json(haar_random_pure((2, 2, 2, 2), 0)))
+runs = [["fuzz", "--samples", "2"],
+        ["measure", "--family", "w4", "--cut", "A|B1B2", "--reduce", "--restarts", "1"],
+        ["threshold", "--family", "4q-theta", "--params", "0.785,0.785",
+         "--kind", "empirical-beta", "--restarts", "1"],
+        ["measure", "--state", "haar4.json", "--cut", "A|B1B2", "--reduce",
+         "--restarts", "1"]]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    assert main(["fuzz", "--samples", "2"]) == 0
-    loaded.append("scipy.optimize" in sys.modules)
-    assert main(["measure", "--family", "w4", "--cut", "A|B1B2", "--reduce",
-                 "--restarts", "1"]) == 0
-    loaded.append("scipy.optimize" in sys.modules)
+    for argv in runs:
+        assert main(argv) == 0
+        loaded.append("scipy.optimize" in sys.modules)
 print(loaded)
 """
 
 
-def test_scipy_imported_only_by_roofs():
-    proc = run_python("-c", SCIPY_PROBE)
+def test_scipy_imported_only_by_roofs(tmp_path):
+    # w4 A|B1B2 and every 4q-theta joint restrict to 2x2; rho_{B1B2} of a Haar
+    # 4-qubit state has full rank, so its A|B1B2 cut is a roof
+    proc = run_python("-c", SCIPY_PROBE, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False, True]"
+    assert proc.stdout.strip() == "[False, False, False, False, True]"
 
 
 def _readme_block(heading: str) -> str:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_lambda_sum, oracle_wootters, random_two_qubit_mixed
+from entshare import measures
 from entshare.errors import DimensionError, InvalidParameterError, OptimizerConfigError
 from entshare.measures import (
     CONCURRENCE,
@@ -23,6 +24,7 @@ from entshare.measures import (
     wootters_concurrence,
 )
 from entshare.states import (
+    RANK_TOL,
     Bipartition,
     DensityMatrix,
     PureState,
@@ -164,14 +166,18 @@ class TestDispatch:
         assert measure_bipartite(CONCURRENCE, s, cut_a_vs_rest(3)).value == pytest.approx(0.0)
 
     def test_mixed_higher_dim_is_estimate(self):
-        rho = partial_trace(w_state(4), {0, 1, 2})
-        mv = measure_bipartite(CONCURRENCE, rho, Bipartition({0}, {1, 2}),
-                               OptimizerConfig(restarts=4))
+        # rho_{B1B2} of a Haar 4-qubit state has full rank: the 2x4 cut needs a roof
+        rho = partial_trace(haar_random_pure((2, 2, 2, 2), 0), {0, 1, 2})
+        cut = Bipartition({0}, {1, 2})
+        mv = measure_bipartite(CONCURRENCE, rho, cut, OptimizerConfig(restarts=4))
         assert mv.exactness == "upper-estimate"
-        assert mv.value == pytest.approx(math.sqrt(2) / 2, abs=5e-3)
+        best = measure_bipartite(CONCURRENCE, rho, cut, OptimizerConfig(restarts=16, seed=3))
+        assert mv.value == pytest.approx(best.value, abs=5e-3)
+        assert mv.value <= measure_bipartite(CONCURRENCE_ASSISTANCE, rho, cut,
+                                             OptimizerConfig(restarts=4)).value
 
     def test_hand_built_alias_maximizes(self):
-        rho = partial_trace(w_state(4), {0, 1, 2})
+        rho = partial_trace(haar_random_pure((2, 2, 2, 2), 0), {0, 1, 2})
         cut, opt = Bipartition({0}, {1, 2}), OptimizerConfig(restarts=2)
         mv = measure_bipartite(CorrelationMeasure("tau_assistance"), rho, cut, opt)
         assert mv.exactness == "lower-estimate"
@@ -197,13 +203,7 @@ class TestDispatch:
         assert mv.exact and mv.value == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("measure", [CONCURRENCE, CONCURRENCE_ASSISTANCE])
-    def test_rank_one_two_by_four_is_exact_without_a_roof(self, monkeypatch, measure):
-        from entshare import measures
-
-        def no_roof(*args, **kwargs):
-            raise AssertionError("convex_roof called")
-
-        monkeypatch.setattr(measures, "convex_roof", no_roof)
+    def test_rank_one_two_by_four_is_exact_without_a_roof(self, no_roof, measure):
         # a Bell pair on A,B1 next to |00> on B2,B3: the A,B1,B2 reduction is pure
         psi = np.zeros(16)
         psi[0b0000] = psi[0b1100] = 1 / math.sqrt(2)
@@ -211,6 +211,71 @@ class TestDispatch:
         assert np.count_nonzero(rho.eigensystem()[0] > 1e-12) == 1
         mv = measure_bipartite(measure, rho, Bipartition({0}, {1, 2}))
         assert mv.exact and mv.value == pytest.approx(1.0, abs=1e-12)
+
+
+def _perturbed_w(n: int, eps: float) -> PureState:
+    amps = w_state(n).amplitudes + eps * haar_random_pure((2,) * n, 0).amplitudes
+    return PureState(amps / np.linalg.norm(amps), (2,) * n)
+
+
+class TestSupportRestriction:
+    @pytest.mark.parametrize("measure", [CONCURRENCE, CONCURRENCE_ASSISTANCE])
+    def test_w_class_cut_takes_the_closed_forms(self, no_roof, measure):
+        # rho_{B1B2} of w4 has rank 2: the 2x4 cut restricts to 2x2 (Kim-Sanders value)
+        rho = partial_trace(w_state(4), {0, 1, 2})
+        mv = measure_bipartite(measure, rho, Bipartition({0}, {1, 2}))
+        assert mv.exact and mv.value == pytest.approx(math.sqrt(2) / 2, abs=1e-14)
+
+    @pytest.mark.parametrize("measure", [CONCURRENCE, CONCURRENCE_ASSISTANCE])
+    def test_a_side_of_rank_one_gives_an_exact_zero(self, no_roof, measure):
+        # |+> on A next to a mixed B1B2: a product state across A|B1B2
+        bc = random_two_qubit_mixed(7, 3)
+        rho = DensityMatrix(np.kron(np.full((2, 2), 0.5), bc), (2, 2, 2))
+        for cut in (Bipartition({0}, {1, 2}), Bipartition({1, 2}, {0})):
+            assert measure_bipartite(measure, rho, cut) == MeasureValue(0.0, "exact")
+
+    @pytest.mark.parametrize("measure, direction", [(CONCURRENCE, "minimize"),
+                                                    (CONCURRENCE_ASSISTANCE, "maximize")])
+    def test_uncompressible_cut_reaches_the_roof_unchanged(self, monkeypatch, measure,
+                                                            direction):
+        from entshare import measures
+
+        calls = []
+
+        def recording(rho, cut, how, opt):
+            calls.append((rho, cut, how))
+            return MeasureValue(0.5, "upper-estimate", {"restarts": 1})
+
+        monkeypatch.setattr(measures, "convex_roof", recording)
+        rho = partial_trace(haar_random_pure((2, 2, 2, 2), 0), {0, 1, 2})
+        cut = Bipartition({1, 2}, {0})
+        measure_bipartite(measure, rho, cut)
+        assert len(calls) == 1 and calls[0][0] is rho and calls[0][1:] == (cut, direction)
+
+    @pytest.mark.parametrize("measure", [CONCURRENCE, CONCURRENCE_ASSISTANCE])
+    def test_compressed_roof_equals_the_full_roof(self, measure):
+        # A|B1B2B3 of a Haar 5-qubit state: rho_{B1B2B3} has rank 4, so 2x8 becomes 2x4
+        rho = partial_trace(haar_random_pure((2,) * 5, 1), {0, 1, 2, 3})
+        cut, opt = Bipartition({0}, {1, 2, 3}), OptimizerConfig(restarts=3)
+        compressed = measures._compress(rho, cut)[0]
+        assert compressed.dims == (2, 4)
+        mv = measure_bipartite(measure, rho, cut, opt)
+        direction = "maximize" if measure.assistance else "minimize"
+        full = convex_roof(rho, cut, direction, opt)
+        assert mv.exactness == full.exactness
+        assert mv.value == pytest.approx(full.value, abs=1e-9)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-7])
+    def test_rank_cut_discards_only_weight_below_the_rank_tolerance(self, eps):
+        # the Haar admixture adds reduced-state eigenvalues of order eps^2, below RANK_TOL
+        rho = partial_trace(_perturbed_w(4, eps), {0, 1, 2})
+        compressed, _ = measures._compress(rho, Bipartition({0}, {1, 2}))
+        assert compressed.dims == (2, 2)
+        w_b = np.linalg.eigvalsh(partial_trace(rho, {1, 2}).matrix)
+        dropped = w_b[w_b <= RANK_TOL].clip(0.0, None).sum()
+        lost = 1.0 - np.trace(compressed.matrix).real
+        assert -1e-15 <= lost <= dropped + 1e-15
+        assert lost <= 2 * RANK_TOL
 
 
 class TestConvexRoof:

@@ -18,7 +18,6 @@ from entshare.states import (
     purify,
     state_from_json,
     state_to_json,
-    w_class_weights,
     w_state,
 )
 
@@ -252,35 +251,3 @@ class TestJson:
         doc = {"dims": [2], "amplitudes": [{"index": [2], "re": 1.0, "im": 0.0}]}
         with pytest.raises(InvalidStateError):
             state_from_json(json.dumps(doc))
-
-
-class TestWClassWeights:
-    def test_w_states(self):
-        assert w_class_weights(w_state(4)) == pytest.approx((0.25,) * 4, abs=1e-15)
-        assert w_class_weights(w_state(5)) == pytest.approx((0.2,) * 5, abs=1e-15)
-
-    def test_generalized_w_state(self):
-        amps = np.zeros(16, dtype=complex)
-        amps[0] = 0.5
-        b = np.array([0.4, 0.3j, -0.5, 0.2 + 0.3j])  # party k at |1_k>, k = 0..3
-        amps[[8, 4, 2, 1]] = b
-        amps /= np.linalg.norm(amps)
-        weights = w_class_weights(PureState(amps, (2,) * 4))
-        assert weights == pytest.approx(tuple(np.abs(amps[[8, 4, 2, 1]]) ** 2), abs=1e-15)
-
-    def test_all_zero_string(self):
-        amps = np.zeros(8)
-        amps[0] = 1.0
-        assert w_class_weights(PureState(amps, (2, 2, 2))) == (0.0, 0.0, 0.0)
-
-    def test_weight_two_component_is_not_w_class(self):
-        amps = w_state(5).amplitudes.copy()
-        amps[0b01100] += 1e-6
-        assert w_class_weights(PureState(amps / np.linalg.norm(amps), (2,) * 5)) is None
-        assert w_class_weights(make_family("ghz", [3])) is None
-
-    def test_qutrit_and_mixed_states_are_not_w_class(self):
-        amps = np.zeros(12)
-        amps[[4, 2, 1]] = 1 / math.sqrt(3)  # |100>, |010>, |001> on dims (3, 2, 2)
-        assert w_class_weights(PureState(amps, (3, 2, 2))) is None
-        assert w_class_weights(w_state(4).density()) is None

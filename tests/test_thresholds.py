@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import all_subsets
 from entshare import thresholds
 from entshare.bounds import BASE, RESIDUAL_MAX, ComponentTable
 from entshare.errors import EvaluationError, InvalidParameterError
@@ -105,11 +106,13 @@ class TestResidualZero:
 
 
 class TestEmpiricalBeta:
-    def test_theta_state_transition(self):
+    def test_theta_state_transition(self, no_roof):
         state = make_family("4q-theta", [math.pi / 4, math.pi / 4])
         res = empirical_beta(state, CONCURRENCE, RESIDUAL_MAX)
         assert res is not None
         assert res.root == pytest.approx(1.507126, abs=1e-4)
+        table = ComponentTable(state, CONCURRENCE)
+        assert all(table.joint(s).exact for s in all_subsets(3))
 
     def test_w5_base_saturates_at_configured_power(self):
         res = empirical_beta(w_state(5), TAU_ASSISTANCE, BASE)
