@@ -153,10 +153,7 @@ class ComponentTable:
 
     def _measure_cut(self, key: tuple[int, ...]) -> MeasureValue:
         keep = (0,) + key
-        if len(keep) == self.state.n_parties:
-            sub = self.state
-        else:
-            sub = partial_trace(self.state, keep)
+        sub = self.state if len(keep) == self.state.n_parties else partial_trace(self.state, keep)
         cut = Bipartition({0}, set(range(1, len(keep))))
         return measure_bipartite(self.measure, sub, cut, self.opt)
 

@@ -151,12 +151,20 @@ def _cut_matrix(state: PureState, cut: Bipartition) -> np.ndarray:
     return t.reshape(da, db)
 
 
+def _pure_value(s2: np.ndarray) -> np.ndarray:
+    """2 sqrt(sum_{i<j} s_i^2 s_j^2) over the squared singular values s2 on the last axis.
+
+    Equal to sqrt(2 (t^2 - sum s^4)), t = sum s^2, but with no cancellation
+    under the root: a near-product state gives no rounding noise.
+    """
+    tail = np.cumsum(s2[..., :0:-1], axis=-1)[..., ::-1]  # entry i: sum of s2[..., i + 1:]
+    return 2.0 * np.sqrt((s2[..., :-1] * tail).sum(axis=-1))
+
+
 def concurrence_pure(state: PureState, cut: Bipartition) -> MeasureValue:
-    """sqrt(2 (1 - tr rho_A^2)) across the cut; exact."""
-    m = _cut_matrix(state, cut)
-    s2 = np.linalg.svd(m, compute_uv=False) ** 2
-    val = 2.0 * max(0.0, 1.0 - float(np.sum(s2**2)))
-    return MeasureValue(math.sqrt(val), EXACT)
+    """sqrt(2 (1 - tr rho_A^2)) across the cut over the Schmidt weights above RANK_TOL; exact."""
+    s2 = np.linalg.svd(_cut_matrix(state, cut), compute_uv=False) ** 2
+    return MeasureValue(float(_pure_value(s2[s2 > RANK_TOL])), EXACT)
 
 
 def _spin_flip_spectrum(rho: DensityMatrix) -> np.ndarray:
@@ -326,14 +334,8 @@ def _gram(mem):
 
 
 def _member_values(mem) -> np.ndarray:
-    """Unsmoothed member values 2 sqrt(sum_{i<j} s_i^2 s_j^2) over singular values s.
-
-    Equal to sqrt(2 (t^2 - f)), but every term is non-negative, so a
-    near-product member gives no rounding noise under the square root.
-    """
-    s2 = np.linalg.svd(mem, compute_uv=False) ** 2
-    tail = np.cumsum(s2[:, :0:-1], axis=1)[:, ::-1]  # column i: sum of s2[:, i + 1:]
-    return 2.0 * np.sqrt((s2[:, :-1] * tail).sum(axis=1))
+    """Unsmoothed member values: the pure value of every member's singular values."""
+    return _pure_value(np.linalg.svd(mem, compute_uv=False) ** 2)
 
 
 def _roof_objective(theta, vfac, m, r, da, db, sign, eps2):

@@ -590,6 +590,16 @@ class TestEvaluateBounds:
         assert rep.bounds[BASE].value == pytest.approx(0.75, abs=1e-10)
         assert rep.satisfied[BASE] is True
 
+    @pytest.mark.parametrize("measure", [CONCURRENCE, TAU_ASSISTANCE])
+    def test_product_joint_cut_is_no_false_violation(self, measure):
+        # A = 0.6|0> + 0.8|1> next to |++> on B1B2: every component is an exact 0,
+        # so the small exponent cannot blow rounding noise in the lhs up to 0.42
+        state = PureState(np.kron([0.6, 0.8], np.full(4, 0.5)), (2, 2, 2))
+        rep = evaluate_bounds(state, measure, 0.05, POLYGAMY)
+        assert rep.lhs == MeasureValue(0.0, "exact") and rep.lhs_power == 0.0
+        assert rep.bounds[BASE].value == 0.0
+        assert rep.satisfied[BASE] is True
+
     def test_estimate_comparisons_can_be_indeterminate(self):
         # the perturbed W state misses saturation at the power 2 by about 1e-3,
         # inside the 1e-2 margin of an optimizer with tol 1e-3

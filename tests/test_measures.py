@@ -86,6 +86,14 @@ class TestPureConcurrence:
         c2 = concurrence_pure(s, Bipartition({1, 2}, {0})).value
         assert c1 == pytest.approx(c2, abs=1e-10)
 
+    @pytest.mark.parametrize("measure", [CONCURRENCE, CONCURRENCE_ASSISTANCE])
+    def test_product_cut_is_exactly_zero(self, measure):
+        # the Schmidt weight ~1e-32 that rounding leaves is below RANK_TOL; the
+        # old 2 (1 - sum s^4) form gave 2.98e-8 here
+        state = PureState(np.kron([0.6, 0.8], np.full(4, 0.5)), (2, 2, 2))
+        assert concurrence_pure(state, cut_a_vs_rest(3)) == MeasureValue(0.0, "exact")
+        assert measure_bipartite(measure, state, cut_a_vs_rest(3)).value == 0.0
+
     def test_cut_must_cover_parties(self, bell):
         from entshare.errors import InvalidPartitionError
 
@@ -407,3 +415,14 @@ class TestRoofKernel:
         mem /= np.linalg.norm(mem.reshape(200, -1), axis=1)[:, None, None]
         # sqrt(2 (t^2 - f)) of the same members reaches ~1e-8 from rounding alone
         assert np.max(_member_values(mem)) < 1e-12
+
+    @KERNEL_CASES
+    def test_member_values_keep_their_bytes(self, shape, at_zero):
+        # the pure-value helper the roof shares with concurrence_pure, written out per member
+        m, r, da, db = shape
+        vfac, theta = _kernel_input(m, r, da, db, at_zero)
+        mem, _ = _members(theta, vfac, m, r, da, db)
+        s2 = np.linalg.svd(mem, compute_uv=False) ** 2
+        tail = np.cumsum(s2[:, :0:-1], axis=1)[:, ::-1]
+        assert _member_values(mem).tobytes() == (
+            2.0 * np.sqrt((s2[:, :-1] * tail).sum(axis=1))).tobytes()
