@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from entshare.states import PureState
+from entshare.states import PureState, haar_random_pure, w_state
 
 
 def oracle_reduce(amps: np.ndarray, dims, keep) -> np.ndarray:
@@ -73,6 +73,18 @@ def bell() -> PureState:
 def all_subsets(n_b: int) -> list[tuple[int, ...]]:
     """Every non-empty subset of the B parties 1..n_b, as a sorted tuple."""
     return [s for r in range(1, n_b + 1) for s in combinations(range(1, n_b + 1), r)]
+
+
+def near_w(n: int, eps: float = 1e-3) -> PureState:
+    """w_state(n) plus eps times a Haar-random state, renormalized.
+
+    At the default eps every reduced state of a joint with two or more B
+    parties keeps a rank above 2, so these joints still need a convex roof
+    after the dispatch restricts them to their supports: tables of this
+    state carry estimates.
+    """
+    amps = w_state(n).amplitudes + eps * haar_random_pure((2,) * n, 0).amplitudes
+    return PureState(amps / np.linalg.norm(amps), (2,) * n)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_subsets, oracle_lambda_sum, oracle_wootters
+from conftest import all_subsets, near_w, oracle_lambda_sum, oracle_wootters
 from entshare import bounds as bmod
 from entshare import cli, thresholds
 from entshare.bounds import (
@@ -54,17 +54,6 @@ from entshare.states import (
 )
 
 SQ2, SQ3 = math.sqrt(2), math.sqrt(3)
-
-
-def near_w(n: int, eps: float = 1e-3) -> PureState:
-    """w_state(n) plus eps times a Haar-random state, renormalized.
-
-    Every reduced state of a joint with two or more B parties keeps a rank
-    above 2, so these joints still need a convex roof after the dispatch
-    restricts them to their supports: tables of this state carry estimates.
-    """
-    amps = w_state(n).amplitudes + eps * haar_random_pure((2,) * n, 0).amplitudes
-    return PureState(amps / np.linalg.norm(amps), (2,) * n)
 
 
 def general_w(n: int) -> PureState:

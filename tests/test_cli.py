@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entshare
@@ -17,7 +18,7 @@ from entshare.cli import main, parse_cut, parse_grid
 from entshare.errors import EntshareError, InvalidParameterError
 from entshare.reference import inclusive_grid
 from entshare.thresholds import find_zero
-from entshare.states import make_family, state_to_json
+from entshare.states import PureState, make_family, state_to_json
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,6 +125,28 @@ class TestMeasureCommand:
                            "tau_assistance", "--cut", "A|rest")
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.8, abs=1e-10)
+
+    @pytest.mark.parametrize("state, cut", [
+        (["--family", "w4"], "A|B1B2"),
+        (["--family", "w5"], "A|B1B2B3"),
+        (["--family", "w5"], "B1,B3|A"),
+        (["--family", "ghz:5"], "A|B1B2B3"),
+        (["--family", "4q-theta", "--params", "0.785,0.785"], "A|B1B2"),
+        (["--family", "4q-theta", "--params", "0.3,1.2,0.5"], "B2|A,B3"),
+        (["--state", "general_w6.json"], "A|B1B2B3B4"),
+    ], ids=["w4", "w5", "w5-two-sided", "ghz5", "4q-theta", "4q-theta-phase", "general-w6"])
+    @pytest.mark.parametrize("measure", ["concurrence", "concurrence_assistance"])
+    def test_reduced_cuts_of_exact_families_need_no_roof(self, capsys, tmp_path, monkeypatch,
+                                                         no_roof, state, cut, measure):
+        amps = np.zeros(64, dtype=complex)
+        amps[[0, 32, 16, 8, 4, 2, 1]] = [0.2, 0.5, 0.3j, -0.4, 0.25, 0.1 + 0.2j, 0.35]
+        (tmp_path / "general_w6.json").write_text(
+            state_to_json(PureState(amps / np.linalg.norm(amps), (2,) * 6)))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "measure", *state, "--cut", cut, "--reduce",
+                             "--measure", measure)
+        assert code == 0, err
+        assert json.loads(out)["exactness"] == "exact"
 
     def test_invalid_family_exits_2(self, capsys):
         code, _, err = run(capsys, "measure", "--family", "w9")

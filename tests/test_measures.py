@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_lambda_sum, oracle_wootters, random_two_qubit_mixed
+from conftest import near_w, oracle_lambda_sum, oracle_wootters, random_two_qubit_mixed
 from entshare import measures
 from entshare.errors import DimensionError, InvalidParameterError, OptimizerConfigError
 from entshare.measures import (
@@ -221,11 +221,6 @@ class TestDispatch:
         assert mv.exact and mv.value == pytest.approx(1.0, abs=1e-12)
 
 
-def _perturbed_w(n: int, eps: float) -> PureState:
-    amps = w_state(n).amplitudes + eps * haar_random_pure((2,) * n, 0).amplitudes
-    return PureState(amps / np.linalg.norm(amps), (2,) * n)
-
-
 class TestSupportRestriction:
     @pytest.mark.parametrize("measure", [CONCURRENCE, CONCURRENCE_ASSISTANCE])
     def test_w_class_cut_takes_the_closed_forms(self, no_roof, measure):
@@ -276,7 +271,7 @@ class TestSupportRestriction:
     @pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-7])
     def test_rank_cut_discards_only_weight_below_the_rank_tolerance(self, eps):
         # the Haar admixture adds reduced-state eigenvalues of order eps^2, below RANK_TOL
-        rho = partial_trace(_perturbed_w(4, eps), {0, 1, 2})
+        rho = partial_trace(near_w(4, eps), {0, 1, 2})
         compressed, _ = measures._compress(rho, Bipartition({0}, {1, 2}))
         assert compressed.dims == (2, 2)
         w_b = np.linalg.eigvalsh(partial_trace(rho, {1, 2}).matrix)
