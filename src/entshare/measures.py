@@ -186,10 +186,22 @@ def _spin_flip_spectrum(rho: DensityMatrix) -> np.ndarray:
     return lam
 
 
+# Rounding bound on l1 - l2 - l3 - l4, in units of eps tr rho (4 x 4 operands):
+# the stored eigendecomposition, its 1e-15 cut and the sqrt(w) scaling give
+# Y Y^H = rho + E with ||E||_1 <= 4 (4 + 3) eps tr rho + 3e-15, at most 42;
+# l1 - l2 - l3 - l4 moves by at most 2 ||E||_1 under E (measured up to 1.7 on
+# separable states), 84; the two products forming T and its SVD move each
+# lambda by at most (2 * 4 + 4) eps tr rho, 48 for four. A computed value
+# below the sum cannot be told from 0: separable states, whose exact value
+# is 0, reach 8.6 eps.
+_LAMBDA_ROUNDING = 174 * np.finfo(float).eps
+
+
 def wootters_concurrence(rho: DensityMatrix) -> MeasureValue:
-    """Two-qubit mixed-state concurrence, max(0, l1 - l2 - l3 - l4)."""
+    """Two-qubit mixed-state concurrence, max(0, l1 - l2 - l3 - l4); an exact 0 below rounding."""
     lam = _spin_flip_spectrum(rho)
-    return MeasureValue(max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])), EXACT)
+    c = float(lam[0] - lam[1] - lam[2] - lam[3])
+    return MeasureValue(c if c > _LAMBDA_ROUNDING * rho.eigensystem()[0].sum() else 0.0, EXACT)
 
 
 def assistance_2q(rho: DensityMatrix) -> MeasureValue:
@@ -270,13 +282,6 @@ def measure_bipartite(
     return convex_roof(state, cut, direction, opt)
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first roof call so that commands
-    without a roof never load scipy.optimize."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
-
-
 # --- convex-roof optimizer ----------------------------------------------------
 #
 # Every size-m ensemble of rho arises as psi_k = sum_j W_kj sqrt(mu_j) |e_j>
@@ -285,8 +290,8 @@ def minimize(*args, **kwargs):
 # m(m-1)/2, theta[:npair] = re and theta[npair:2 npair] = im give the strict
 # upper triangle in row-major order as H_ij = im - i re (the lower triangle is
 # its conjugate), and theta[2 npair:] is the real diagonal. This placement is
-# one gather map per m, computed once; the gradient flows back through the
-# same map. From eigh(H) = V diag(lam) V^H only the m x r block
+# one linear map per m, computed once; the gradient flows back through its
+# transpose. From eigh(H) = V diag(lam) V^H only the m x r block
 # W = V e^{i lam} V[:r]^H is formed, and one matmul with the eigenvector factor
 # of rho gives every member M_k as a da x db matrix. With g_k = M_k M_k^H,
 # t_k = tr g_k and f_k = sum |g_k|^2, the average concurrence is sum_k of the
@@ -294,43 +299,55 @@ def minimize(*args, **kwargs):
 # its kinks so L-BFGS gets an exact analytic gradient; reported values are
 # always re-evaluated unsmoothed, so a minimize result is a true achievable
 # ensemble average.
+#
+# The R restarts of one roof run as one batch. theta is stacked as (R, m^2);
+# the kernel takes any leading axes (one stacked eigh on (R, m, m)), and
+# minimize drives every row with its own L-BFGS state: its last _MEMORY steps
+# for the two-loop recursion and its own weak Wolfe line search. Every
+# operation acts row by row, so a restart's path does not depend on which
+# restarts share its batch, and the batch pays numpy's per-call overhead once
+# per step instead of once per restart. A restart converges when a step lowers
+# its objective by at most opt.tol * 1e-4 relative to max(|f|, 1), or when no
+# gradient entry exceeds 1e-10; it then leaves the batch, which ends when no
+# restart is left or after opt.max_iters iterations.
 
 
 @functools.lru_cache(maxsize=None)
-def _generator_layout(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather map (src, sgn): the float view of H is theta[src] * sgn.
+def _generator_layout(m: int) -> np.ndarray:
+    """The linear map L (m^2 x 2m^2) with the float view of H = theta @ L.
 
-    The imaginary diagonal has sgn 0. The map is linear, so a gradient in the
-    float view of H pulls back to theta as bincount(src, sgn * grad).
+    Each column of L holds at most one +-1, so theta @ L is exact; each row
+    holds at most two, so a gradient in the float view of H pulls back to
+    theta as grad @ L.T with one rounding per entry, in any summation order.
     """
     iu, ju = np.triu_indices(m, 1)
     up, lo, dg = 2 * (iu * m + ju), 2 * (ju * m + iu), 2 * (m + 1) * np.arange(m)
     npair = iu.size
     re, im = np.arange(npair), npair + np.arange(npair)
-    src = np.zeros(2 * m * m, dtype=np.intp)
-    sgn = np.zeros(2 * m * m)
+    lay = np.zeros((m * m, 2 * m * m))
     for pos, idx, c in ((up, im, 1.0), (up + 1, re, -1.0), (lo, im, 1.0), (lo + 1, re, 1.0),
                         (dg, 2 * npair + np.arange(m), 1.0)):
-        src[pos], sgn[pos] = idx, c
-    src.flags.writeable = sgn.flags.writeable = False
-    return src, sgn
+        lay[idx, pos] = c
+    lay.flags.writeable = False
+    return lay
 
 
 def _members(theta, vfac, m, r, da, db):
-    src, sgn = _generator_layout(m)
-    lam, v = np.linalg.eigh((theta[src] * sgn).view(complex).reshape(m, m))
-    vh = v.conj().T
+    lead = theta.shape[:-1]
+    h = (theta @ _generator_layout(m)).view(complex).reshape(*lead, m, m)
+    lam, v = np.linalg.eigh(h)
+    vh = v.conj().swapaxes(-1, -2)
     ph = np.exp(1j * lam)
-    mem = ((v * ph) @ vh[:, :r] @ vfac.T).reshape(m, da, db)
+    mem = ((v * ph[..., None, :]) @ vh[..., :r] @ vfac.T).reshape(*lead, m, da, db)
     return mem, (lam, v, vh, ph)
 
 
 def _gram(mem):
     """Per member: g = M M^H, t = tr g and f = sum |g|^2."""
-    g = mem @ mem.conj().transpose(0, 2, 1)
-    t = g.trace(axis1=1, axis2=2).real
-    gf = g.reshape(len(g), -1).view(float)
-    return g, t, (gf * gf).sum(axis=1)
+    g = mem @ mem.conj().swapaxes(-1, -2)
+    t = g.trace(axis1=-2, axis2=-1).real
+    gf = g.reshape(*g.shape[:-2], -1).view(float)
+    return g, t, (gf * gf).sum(axis=-1)
 
 
 def _member_values(mem) -> np.ndarray:
@@ -339,22 +356,146 @@ def _member_values(mem) -> np.ndarray:
 
 
 def _roof_objective(theta, vfac, m, r, da, db, sign, eps2):
-    """Smoothed ensemble average and its gradient in the theta parameters."""
+    """Smoothed ensemble average and its gradient in theta, over theta's leading axes."""
     mem, (lam, v, vh, ph) = _members(theta, vfac, m, r, da, db)
     g, t, f = _gram(mem)
     ce = np.sqrt(np.maximum(2.0 * (t * t - f), 0.0) + eps2)
-    val = sign * float(ce.sum())
+    val = sign * ce.sum(axis=-1)
 
-    k = (4.0 / ce)[:, None, None] * (t[:, None, None] * mem - g @ mem)
-    gw = k.reshape(m, da * db) @ vfac.conj()
-    p = vh @ (gw @ v[:r])
-    dl = lam[:, None] - lam[None, :]
+    k = (4.0 / ce)[..., None, None] * (t[..., None, None] * mem - g @ mem)
+    gw = k.reshape(*k.shape[:-2], da * db) @ vfac.conj()
+    p = vh @ (gw @ v[..., :r, :])
+    dl = lam[..., :, None] - lam[..., None, :]
     close = np.abs(dl) < 1e-12
-    gam = np.where(close, ph[:, None], (ph[:, None] - ph[None, :]) / (1j * np.where(close, 1.0, dl)))
-    # gradient in the real and imaginary parts of H's entries, scattered back onto theta
+    gam = np.where(close, ph[..., :, None],
+                   (ph[..., :, None] - ph[..., None, :]) / (1j * np.where(close, 1.0, dl)))
+    # gradient in the real and imaginary parts of H's entries, pulled back onto theta
     gh = -1j * (v @ (p * gam.conj()) @ vh)
-    src, sgn = _generator_layout(m)
-    return val, sign * np.bincount(src, sgn * gh.reshape(-1).view(float), m * m)
+    return val, sign * (gh.reshape(*gh.shape[:-2], -1).view(float) @ _generator_layout(m).T)
+
+
+_MEMORY = 10  # (s, y) pairs each restart keeps for its two-loop recursion
+_ARMIJO, _CURVATURE = 1e-4, 0.9  # weak Wolfe constants
+_MAX_TRIALS = 20  # objective evaluations per line search
+_EPS = np.finfo(float).eps
+_EYE = np.eye(_MEMORY)
+_STRICT_UPPER = np.triu(np.ones((_MEMORY, _MEMORY)), 1)
+
+
+@dataclass(frozen=True)
+class BatchResult:
+    """Where a minimize batch ended: per-restart points and stop flags, summed work counts."""
+
+    x: np.ndarray  # (R, n): every restart's last point
+    fun: float  # the lowest objective in the batch
+    success: np.ndarray  # (R,): the stopping rule was met
+    iterations: np.ndarray  # (R,)
+    nit: int  # iterations summed over the restarts
+    nfev: int  # objective evaluations summed over the restarts
+
+
+def _two_loop(g, s_mem, y_mem, rho, gamma):
+    """The L-BFGS product H g for every row, from that row's pairs (oldest first).
+
+    Each loop of the recursion is a unit triangular system: the first gives
+    alpha_j = rho_j (s_j.g - sum_{i>j} alpha_i s_j.y_i), the second
+    beta_j = rho_j (y_j.q + sum_{i<j} (alpha_i - beta_i) y_j.s_i) with
+    q = gamma (g - sum_i alpha_i y_i); one batched solve takes each. Empty
+    slots hold s = y = 0 and rho = 0 and add nothing.
+    """
+    sy = s_mem @ y_mem.swapaxes(1, 2)  # sy[:, j, i] = s_j . y_i
+    upper = rho[:, :, None] * (sy * _STRICT_UPPER)
+    alpha = np.linalg.solve(_EYE + upper, rho[:, :, None] * (s_mem @ g[:, :, None]))[:, :, 0]
+    q = gamma[:, None] * (g - (alpha[:, None] @ y_mem)[:, 0])
+    lower = sy.swapaxes(1, 2) * _STRICT_UPPER.T  # y_j . s_i below the diagonal
+    rhs = (y_mem @ q[:, :, None])[:, :, 0] + (lower @ alpha[:, :, None])[:, :, 0]
+    beta = np.linalg.solve(_EYE + rho[:, :, None] * lower, (rho * rhs)[:, :, None])[:, :, 0]
+    return q + ((alpha - beta)[:, None] @ s_mem)[:, 0]
+
+
+def _line_search(fun, args, x, f, g, d, t):
+    """A weak Wolfe step along d from every row of x: (step, f, grad, evaluations).
+
+    Each row starts at its t, bisects between its largest step that met the
+    Armijo condition and its smallest that failed it, and doubles while none
+    has failed, until a step also meets the curvature condition or
+    _MAX_TRIALS evaluations have passed. The last Armijo step is returned;
+    step 0 means none was found, or d is not a descent direction.
+    """
+    gd = (g * d).sum(axis=1)
+    lo, hi = np.zeros(len(x)), np.full(len(x), np.inf)
+    step, f_new, g_new = np.zeros(len(x)), f.copy(), g.copy()
+    todo = np.flatnonzero(gd < 0)
+    nfev = 0
+    for _ in range(_MAX_TRIALS):
+        if todo.size == 0:
+            break
+        ft, gt = fun(x[todo] + t[todo, None] * d[todo], *args)
+        nfev += todo.size
+        armijo = ft <= f[todo] + _ARMIJO * t[todo] * gd[todo]
+        wolfe = armijo & ((gt * d[todo]).sum(axis=1) >= _CURVATURE * gd[todo])
+        ok, bad = todo[armijo], todo[~armijo]
+        step[ok], f_new[ok], g_new[ok], lo[ok] = t[ok], ft[armijo], gt[armijo], t[ok]
+        hi[bad] = t[bad]
+        todo = todo[~wolfe]
+        t[todo] = np.where(np.isinf(hi[todo]), 2.0 * lo[todo], 0.5 * (lo[todo] + hi[todo]))
+    return step, f_new, g_new, nfev
+
+
+def minimize(fun, x0, args=(), *, max_iters, ftol, gtol) -> BatchResult:
+    """L-BFGS from every row of x0 at once; fun(x, *args) gives (f, grad) for a stack of rows.
+
+    A row stops as converged when a step lowers f by at most
+    ftol * max(|f|, |f_new|, 1) or when max |grad| <= gtol. It stops as not
+    converged after max_iters iterations, or when its line search finds no
+    step from steepest descent; a failed search from stored pairs forgets
+    them and retries from steepest descent. Only running rows are evaluated:
+    their state is compacted whenever one stops.
+    """
+    x = np.array(x0, dtype=float)
+    nrow, n = x.shape
+    f, g = fun(x, *args)
+    nfev = nrow
+    success = np.abs(g).max(axis=1) <= gtol
+    iterations = np.zeros(nrow, dtype=int)
+    rows = np.flatnonzero(~success)
+    xr, fr, gr = x[rows], f[rows], g[rows]
+    s_mem, y_mem = np.zeros((rows.size, _MEMORY, n)), np.zeros((rows.size, _MEMORY, n))
+    rho, gamma = np.zeros((rows.size, _MEMORY)), np.ones(rows.size)
+    for _ in range(max_iters):
+        if rows.size == 0:
+            break
+        iterations[rows] += 1
+        fresh = ~rho.any(axis=1)
+        d = -_two_loop(gr, s_mem, y_mem, rho, gamma)
+        t = np.where(fresh, np.minimum(1.0, 1.0 / np.linalg.norm(gr, axis=1)), 1.0)
+        step, f_new, g_new, evals = _line_search(fun, args, xr, fr, gr, d, t)
+        nfev += evals
+
+        # a row that did not move has s = y = 0, so it skips its pair like a
+        # pair without positive curvature does
+        s, y = step[:, None] * d, g_new - gr
+        sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
+        keep = sy > _EPS * yy
+        for mem_, latest in ((s_mem, s), (y_mem, y),
+                             (rho, np.divide(1.0, sy, out=np.zeros(len(sy)), where=keep))):
+            mem_[:, :-1] = mem_[:, 1:]
+            mem_[:, -1] = latest
+        np.divide(sy, yy, out=gamma, where=keep)
+        lost = step == 0
+        rho[lost], gamma[lost] = 0.0, 1.0
+
+        scale = np.maximum(np.maximum(np.abs(fr), np.abs(f_new)), 1.0)
+        done = ~lost & ((fr - f_new <= ftol * scale) | (np.abs(g_new).max(axis=1) <= gtol))
+        xr, fr, gr = xr + s, f_new, g_new
+        stop = done | (lost & fresh)
+        if stop.any():
+            x[rows], f[rows] = xr, fr
+            success[rows[done]] = True
+            rows, xr, fr, gr, s_mem, y_mem, rho, gamma = (
+                a[~stop] for a in (rows, xr, fr, gr, s_mem, y_mem, rho, gamma))
+    x[rows], f[rows] = xr, fr
+    return BatchResult(x, float(f.min()), success, iterations, int(iterations.sum()), nfev)
 
 
 def convex_roof(
@@ -366,8 +507,10 @@ def convex_roof(
     """Optimize the ensemble-average pure concurrence over all decompositions of rho.
 
     Returns the best value across restarts: an upper estimate when
-    minimizing, a lower estimate when maximizing. Deterministic for a fixed
-    (seed, restarts); ties go to the earliest restart.
+    minimizing, a lower estimate when maximizing. The restarts run as one
+    minimize batch: restart 0 from theta = 0, the others from seeded normal
+    draws. Deterministic for a fixed (seed, restarts); ties go to the earliest
+    restart.
     """
     if direction not in ("minimize", "maximize"):
         raise InvalidParameterError(f"direction must be minimize or maximize, got {direction!r}")
@@ -380,22 +523,13 @@ def convex_roof(
     sign, flag = (1.0, UPPER_ESTIMATE) if direction == "minimize" else (-1.0, LOWER_ESTIMATE)
 
     rng = np.random.default_rng(opt.seed)
-    best = math.inf
-    best_meta = {}
-    for rs in range(opt.restarts):
-        x0 = np.zeros(m * m) if rs == 0 else rng.standard_normal(m * m) * 0.7
-        res = minimize(
-            _roof_objective,
-            x0,
-            args=(vfac_cut, m, r, da, db, sign, 1e-12),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": opt.max_iters, "ftol": opt.tol * 1e-4, "gtol": 1e-10},
-        )
-        mem, _ = _members(res.x, vfac_cut, m, r, da, db)
-        val = float(_member_values(mem).sum())
-        if sign * val < best:
-            best = sign * val
-            best_meta = {"restarts": opt.restarts, "best_restart": rs,
-                         "iterations": int(res.nit), "converged": bool(res.success)}
-    return MeasureValue(max(0.0, sign * best), flag, best_meta)
+    x0 = np.zeros((opt.restarts, m * m))
+    x0[1:] = rng.standard_normal((opt.restarts - 1, m * m)) * 0.7
+    res = minimize(_roof_objective, x0, (vfac_cut, m, r, da, db, sign, 1e-12),
+                   max_iters=opt.max_iters, ftol=opt.tol * 1e-4, gtol=1e-10)
+    mem, _ = _members(res.x, vfac_cut, m, r, da, db)
+    values = _member_values(mem).sum(axis=-1)
+    best = int(np.argmin(sign * values))
+    meta = {"restarts": opt.restarts, "best_restart": best,
+            "iterations": int(res.iterations[best]), "converged": bool(res.success[best])}
+    return MeasureValue(max(0.0, float(values[best])), flag, meta)

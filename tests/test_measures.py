@@ -38,6 +38,12 @@ from entshare.states import (
 AB = Bipartition({0}, {1})
 
 
+def _unit(rng, d):
+    """A random complex unit vector in dimension d."""
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z)
+
+
 class TestMeasureValue:
     def test_non_negative(self):
         with pytest.raises(InvalidParameterError):
@@ -147,6 +153,27 @@ class TestTwoQubitClosedForms:
     def test_assistance_dominates_concurrence(self, seed):
         rho = DensityMatrix(random_two_qubit_mixed(seed, (seed % 4) + 1), (2, 2))
         assert assistance_2q(rho).value >= wootters_concurrence(rho).value - 1e-12
+
+    def test_separable_mixtures_read_an_exact_zero(self):
+        # rank 2 forces l1 = l2 on a mixture of two product states, so the
+        # concurrence is 0; the raw l1 - l2 - l3 - l4 keeps rounding noise
+        rng = np.random.default_rng(0)
+        raw = []
+        for _ in range(2000):
+            a, b = (np.kron(_unit(rng, 2), _unit(rng, 2)) for _ in range(2))
+            p = rng.uniform(0.1, 0.9)
+            rho = DensityMatrix(p * np.outer(a, a.conj()) + (1 - p) * np.outer(b, b.conj()), (2, 2))
+            lam = measures._spin_flip_spectrum(rho)
+            raw.append(lam[0] - lam[1] - lam[2] - lam[3])
+            assert wootters_concurrence(rho) == MeasureValue(0.0, "exact")
+        assert sum(x > 0 for x in raw) > 1000 and max(raw) < 1e-14
+
+    def test_a_small_concurrence_survives_the_rounding_floor(self):
+        # (1 - p)|00><00| + p|Phi+><Phi+| has concurrence p
+        p = 1e-12
+        phi = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        rho = (1 - p) * np.diag([1.0, 0, 0, 0]) + p * np.outer(phi, phi)
+        assert wootters_concurrence(DensityMatrix(rho, (2, 2))).value == pytest.approx(p, rel=1e-3)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_independent_spectrum_oracle(self, seed):
@@ -268,6 +295,19 @@ class TestSupportRestriction:
         assert mv.exactness == full.exactness
         assert mv.value == pytest.approx(full.value, abs=1e-9)
 
+    def test_separable_two_by_four_mixture_reads_an_exact_zero(self, no_roof):
+        # p|a><a| x |u><u| + (1 - p)|b><b| x |v><v|: rho_{B1B2} has rank 2, so the
+        # cut restricts to 2x2 and takes the Wootters form
+        rng = np.random.default_rng(1)
+        cut = Bipartition({0}, {1, 2})
+        for _ in range(200):
+            a, b = (np.kron(_unit(rng, 2), _unit(rng, 4)) for _ in range(2))
+            p = rng.uniform(0.1, 0.9)
+            rho = DensityMatrix(p * np.outer(a, a.conj()) + (1 - p) * np.outer(b, b.conj()),
+                                (2, 2, 2))
+            assert measures._compress(rho, cut)[0].dims == (2, 2)
+            assert measure_bipartite(CONCURRENCE, rho, cut) == MeasureValue(0.0, "exact")
+
     @pytest.mark.parametrize("eps", [0.0, 1e-8, 1e-7])
     def test_rank_cut_discards_only_weight_below_the_rank_tolerance(self, eps):
         # the Haar admixture adds reduced-state eigenvalues of order eps^2, below RANK_TOL
@@ -338,11 +378,56 @@ class TestConvexRoof:
         assert roof.exactness == "upper-estimate"
         assert roof.value == pytest.approx(wootters_concurrence(rho).value, abs=1e-5)
 
-    def test_deterministic_given_seed(self):
-        rho = DensityMatrix(random_two_qubit_mixed(4, 3), (2, 2))
-        a = convex_roof(rho, AB, "minimize", OptimizerConfig(seed=11))
-        b = convex_roof(rho, AB, "minimize", OptimizerConfig(seed=11))
-        assert a.value == b.value
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    @pytest.mark.parametrize("rho, cut", [
+        (DensityMatrix(random_two_qubit_mixed(4, 3), (2, 2)), AB),
+        (partial_trace(haar_random_pure((2,) * 5, 2), {0, 1, 2}), Bipartition({0}, {1, 2})),
+    ], ids=["2x2-rank3", "2x4-rank4"])
+    def test_deterministic_given_seed(self, rho, cut, direction):
+        a = convex_roof(rho, cut, direction, OptimizerConfig(restarts=5, seed=11))
+        b = convex_roof(rho, cut, direction, OptimizerConfig(restarts=5, seed=11))
+        assert a == b and a.value.hex() == b.value.hex()
+
+    def test_one_iteration_is_not_converged(self):
+        rho = DensityMatrix(random_two_qubit_mixed(3, 3), (2, 2))
+        mv = convex_roof(rho, AB, "minimize", OptimizerConfig(restarts=3, max_iters=1))
+        assert mv.optimizer_meta["converged"] is False
+        assert mv.optimizer_meta["iterations"] == 1
+
+
+class TestBatchMinimize:
+    def test_quadratics_reach_their_minimizers(self):
+        # every row carries its own centre in its last three entries; their
+        # gradient is 0, so they never move and each row keeps its own quadratic
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        a = (q * [1.0, 10.0, 100.0]) @ q.T
+
+        def fun(x):
+            r = x[:, :3] - x[:, 3:]
+            return 0.5 * np.einsum("ki,ij,kj->k", r, a, r), np.hstack([r @ a, np.zeros_like(r)])
+
+        centres = rng.standard_normal((5, 3))
+        x0 = np.hstack([3.0 * rng.standard_normal((5, 3)), centres])
+        res = measures.minimize(fun, x0, max_iters=100, ftol=0.0, gtol=1e-12)
+        assert res.success.all()
+        assert np.array_equal(res.x[:, 3:], centres)
+        assert np.max(np.abs(res.x[:, :3] - centres)) <= 1e-10
+        assert type(res.fun) is float and res.nit == res.iterations.sum()
+
+    def test_a_restart_does_not_depend_on_its_batch(self):
+        rho = partial_trace(haar_random_pure((2,) * 5, 2), {0, 1, 2})
+        vfac = measures._cut_factor(rho, [0, 1, 2])
+        r = vfac.shape[1]
+        m = r + 2
+        x0 = np.vstack([np.zeros(m * m), 0.7 * np.random.default_rng(3).standard_normal((3, m * m))])
+        args, settings = (vfac, m, r, 2, 4, 1.0, 1e-12), {"max_iters": 500, "ftol": 1e-12, "gtol": 1e-10}
+        four = measures.minimize(_roof_objective, x0, args, **settings)
+        two = measures.minimize(_roof_objective, x0[:2], args, **settings)
+        assert np.max(np.abs(two.x - four.x[:2])) <= 1e-12
+        assert two.iterations.tolist() == four.iterations[:2].tolist()
+        assert two.success.tolist() == four.success[:2].tolist()
+        assert four.nfev > four.nit >= four.iterations.max() > 1
 
 
 class TestOptimizerConfig:
