@@ -195,7 +195,7 @@ def _spin_flip_spectrum(rho: DensityMatrix) -> np.ndarray:
 # (c) the two products forming T and its SVD move each lambda by at most
 #     (2 * 4 + 4) eps tr rho: 48 for the four.
 # Below the sum, 174 eps tr rho (3.9e-14 at unit trace), a computed value
-# cannot be told from 0; separable states, whose exact value is 0, reach 8.6 eps.
+# cannot be told from 0; separable states, whose exact value is 0, reach 7.2 eps.
 _LAMBDA_ROUNDING = 174 * np.finfo(float).eps
 
 
