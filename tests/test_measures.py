@@ -378,15 +378,15 @@ class TestConvexRoof:
         assert roof.exactness == "upper-estimate"
         assert roof.value == pytest.approx(wootters_concurrence(rho).value, abs=1e-5)
 
-    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
-    @pytest.mark.parametrize("rho, cut", [
-        (DensityMatrix(random_two_qubit_mixed(4, 3), (2, 2)), AB),
-        (partial_trace(haar_random_pure((2,) * 5, 2), {0, 1, 2}), Bipartition({0}, {1, 2})),
-    ], ids=["2x2-rank3", "2x4-rank4"])
-    def test_deterministic_given_seed(self, rho, cut, direction):
-        a = convex_roof(rho, cut, direction, OptimizerConfig(restarts=5, seed=11))
-        b = convex_roof(rho, cut, direction, OptimizerConfig(restarts=5, seed=11))
-        assert a == b and a.value.hex() == b.value.hex()
+    def test_deterministic_given_seed(self):
+        # a 2x2 rank-3 state and a 2x4 rank-4 reduction, both directions
+        cases = [(DensityMatrix(random_two_qubit_mixed(4, 3), (2, 2)), AB),
+                 (partial_trace(haar_random_pure((2,) * 5, 2), {0, 1, 2}), Bipartition({0}, {1, 2}))]
+        for rho, cut in cases:
+            for direction in ("minimize", "maximize"):
+                a = convex_roof(rho, cut, direction, OptimizerConfig(restarts=5, seed=11))
+                b = convex_roof(rho, cut, direction, OptimizerConfig(restarts=5, seed=11))
+                assert a == b and a.value.hex() == b.value.hex()
 
     def test_one_iteration_is_not_converged(self):
         rho = DensityMatrix(random_two_qubit_mixed(3, 3), (2, 2))
