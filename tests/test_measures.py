@@ -380,8 +380,9 @@ class TestConvexRoof:
 
     def test_deterministic_given_seed(self):
         # a 2x2 rank-3 state and a 2x4 rank-4 reduction, both directions
+        rho_2x4 = partial_trace(haar_random_pure((2,) * 5, 2), {0, 1, 2})
         cases = [(DensityMatrix(random_two_qubit_mixed(4, 3), (2, 2)), AB),
-                 (partial_trace(haar_random_pure((2,) * 5, 2), {0, 1, 2}), Bipartition({0}, {1, 2}))]
+                 (rho_2x4, Bipartition({0}, {1, 2}))]
         for rho, cut in cases:
             for direction in ("minimize", "maximize"):
                 a = convex_roof(rho, cut, direction, OptimizerConfig(restarts=5, seed=11))
@@ -420,8 +421,10 @@ class TestBatchMinimize:
         vfac = measures._cut_factor(rho, [0, 1, 2])
         r = vfac.shape[1]
         m = r + 2
-        x0 = np.vstack([np.zeros(m * m), 0.7 * np.random.default_rng(3).standard_normal((3, m * m))])
-        args, settings = (vfac, m, r, 2, 4, 1.0, 1e-12), {"max_iters": 500, "ftol": 1e-12, "gtol": 1e-10}
+        draws = 0.7 * np.random.default_rng(3).standard_normal((3, m * m))
+        x0 = np.vstack([np.zeros(m * m), draws])
+        args = (vfac, m, r, 2, 4, 1.0, 1e-12)
+        settings = {"max_iters": 500, "ftol": 1e-12, "gtol": 1e-10}
         four = measures.minimize(_roof_objective, x0, args, **settings)
         two = measures.minimize(_roof_objective, x0[:2], args, **settings)
         assert np.max(np.abs(two.x - four.x[:2])) <= 1e-12
