@@ -29,7 +29,6 @@ from .states import (
     haar_random_pure,
     make_family,
     partial_trace,
-    purify,
     state_from_json,
     state_to_json,
     w_state,
@@ -55,7 +54,6 @@ __all__ = [
     "make_family",
     "measure_bipartite",
     "partial_trace",
-    "purify",
     "state_from_json",
     "state_to_json",
     "w_state",

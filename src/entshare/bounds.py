@@ -25,7 +25,7 @@ residual_tree build a plan (or its flattened recursion) for one exponent.
 
 Every comparison (verdicts, orderings, hierarchy checks, the empirical-beta
 shift) takes its tolerance from one rule, comparison_tol: EXACT_TOL when every
-compared value is exact, the optimizer's margin otherwise. Exact values always
+compared value is exact, 10 tol + 1e-9 of the optimizer's tol otherwise. Exact values always
 get a satisfied/violated verdict; estimates within the tolerance get None.
 
 Sides and ids (the BOUNDS table below). `base` applies at any party count,
@@ -101,8 +101,8 @@ EXACT_TOL = 1e-9
 
 
 def comparison_tol(opt: OptimizerConfig, *exact: bool) -> float:
-    """The one comparison rule: the tolerance for values with these exact flags."""
-    return EXACT_TOL if all(exact) else opt.margin()
+    """The one comparison rule: EXACT_TOL when every value is exact, else 10 opt.tol + 1e-9."""
+    return EXACT_TOL if all(exact) else 10.0 * opt.tol + 1e-9
 
 
 class ComponentTable:
@@ -183,10 +183,6 @@ class ResidualTree:
     selection records which party was omitted by each max.
     """
 
-    alpha: float
-    strategy: str
-    sign: str
-    weighted: bool
     terms: dict[tuple[int, ...], float] = field(default_factory=dict)
     level_values: dict[int, float] = field(default_factory=dict)
     selection: dict[int, int | None] = field(default_factory=dict)
@@ -269,9 +265,7 @@ def residual_tree(table: ComponentTable, alpha: float, strategy: str = "max",
     weighted = [wmap.get(b, 1.0) * p for b, p in enumerate(powers[:len(marginals)], start=1)]
     values, level_values = _residual_levels(nodes, top, _SELECT[strategy], powers, weighted,
                                             sign == POLYGAMY)
-    tree = ResidualTree(alpha=alpha, strategy=strategy, sign=sign, weighted=weights is not None,
-                        terms=dict(zip(subsets, values)),
-                        exact=all(c.exact for c in components))
+    tree = ResidualTree(terms=dict(zip(subsets, values)), exact=all(c.exact for c in components))
     for level, (children, value) in enumerate(zip(top, level_values),
                                               start=2 if strategy == "max" else 3):
         tree.level_values[level] = value

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import bounds as bmod
 from . import reference
 from .errors import EntshareError
-from .measures import OptimizerConfig, get_measure, measure_bipartite
+from .measures import DEFAULT_OPT, OptimizerConfig, get_measure, measure_bipartite
 from .states import (
     Bipartition,
     PureState,
@@ -61,7 +61,7 @@ def fmt(x: float) -> str:
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
-        return 17
+        return DEFAULT_OPT.seed
     try:
         return int(raw)
     except ValueError:
@@ -114,13 +114,8 @@ def load_state(args) -> PureState:
 
 
 def optimizer_from_args(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        ensemble_size=args.ensemble_size,
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        tol=args.opt_tol,
-        seed=args.seed,
-    )
+    return OptimizerConfig(restarts=args.restarts, max_iters=args.max_iters, tol=args.opt_tol,
+                           seed=args.seed)
 
 
 def _add_state_args(p):
@@ -131,11 +126,10 @@ def _add_state_args(p):
 
 def _add_opt_args(p):
     p.add_argument("--seed", type=int, default=None,
-                   help=f"PRNG seed (default: ${SEED_ENV_VAR} or 17)")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--opt-tol", type=float, default=1e-8)
-    p.add_argument("--ensemble-size", type=int, default=None)
+                   help=f"PRNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_OPT.seed})")
+    p.add_argument("--restarts", type=int, default=DEFAULT_OPT.restarts)
+    p.add_argument("--max-iters", type=int, default=DEFAULT_OPT.max_iters)
+    p.add_argument("--opt-tol", type=float, default=DEFAULT_OPT.tol)
 
 
 def _add_report_args(p):

@@ -59,32 +59,19 @@ class MeasureValue:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Convex-roof optimizer settings.
+    """Convex-roof optimizer settings."""
 
-    ensemble_size None means rank + 2; the two spare ensemble members matter
-    for separable states, whose optimal decompositions can need more members
-    than the rank.
-    """
-
-    ensemble_size: int | None = None
     restarts: int = 16
     max_iters: int = 500
     tol: float = 1e-8
     seed: int = 17
 
     def __post_init__(self):
-        counts = {"restarts": self.restarts, "max_iters": self.max_iters}
-        if self.ensemble_size is not None:
-            counts["ensemble_size"] = self.ensemble_size
-        for name, value in counts.items():
+        for name, value in (("restarts", self.restarts), ("max_iters", self.max_iters)):
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise OptimizerConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.tol, numbers.Real) or not 0 < self.tol < math.inf:
             raise OptimizerConfigError(f"tol must be a positive finite number, got {self.tol!r}")
-
-    def margin(self) -> float:
-        """Comparison margin for estimate-backed inequalities."""
-        return 10.0 * self.tol + 1e-9
 
 
 DEFAULT_OPT = OptimizerConfig()
@@ -525,9 +512,7 @@ def convex_roof(
     order, da, db = _cut_shape(rho.dims, cut)
     vfac_cut = _cut_factor(rho, order)
     r = vfac_cut.shape[1]
-    m = opt.ensemble_size if opt.ensemble_size is not None else r + 2
-    if m < r:
-        raise OptimizerConfigError(f"ensemble_size {m} is below the state rank {r}")
+    m = r + 2  # separable states can need more ensemble members than the rank
     sign, flag = (1.0, UPPER_ESTIMATE) if direction == "minimize" else (-1.0, LOWER_ESTIMATE)
 
     rng = np.random.default_rng(opt.seed)

@@ -92,9 +92,6 @@ class DensityMatrix:
         """Eigenvalues (clamped at 0) and eigenvectors, ascending; read-only."""
         return self._spectrum
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -146,27 +143,6 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
         del work_dims[idx]
     d = math.prod(work_dims)
     return DensityMatrix(r.reshape(d, d), tuple(work_dims))
-
-
-def purify(rho: DensityMatrix) -> PureState:
-    """Pure state on system x ancilla whose system reduction equals `rho`.
-
-    The ancilla dimension is max(rank, 2) and is appended as a new party.
-    """
-    w, v = rho.eigensystem()
-    keep = w > RANK_TOL
-    r = int(np.count_nonzero(keep))
-    if r == 0:
-        raise InvalidStateError("cannot purify an operator with no positive spectrum")
-    anc = max(r, 2)
-    d = rho.matrix.shape[0]
-    psi = np.zeros((d, anc), dtype=complex)
-    cols = np.flatnonzero(keep)
-    for j, c in enumerate(cols):
-        psi[:, j] = np.sqrt(w[c]) * v[:, c]
-    vec = psi.reshape(-1)
-    vec = vec / np.linalg.norm(vec)
-    return PureState(vec, rho.dims + (anc,))
 
 
 _FAMILY_IDS = ("3q", "4q-theta", "w4", "w5", "ghz")

@@ -595,7 +595,7 @@ class TestEvaluateBounds:
         opt = OptimizerConfig(restarts=4, tol=1e-3)
         rep = evaluate_bounds(near_w(5), TAU_ASSISTANCE, 2.0, POLYGAMY, opt)
         gap = rep.bounds[RESIDUAL_MAX].value - rep.lhs_power
-        assert 0 < abs(gap) < opt.margin()
+        assert 0 < abs(gap) < bmod.comparison_tol(opt, False)
         assert rep.satisfied[RESIDUAL_MAX] is None
 
 
@@ -761,6 +761,14 @@ RULE_CONSUMERS = {
     "json-margin": _rule_json_margin,
     "empirical-beta-shift": _rule_beta_shift,
 }
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.25])
+def test_comparison_tol_values(tol):
+    opt = OptimizerConfig(tol=tol)
+    assert bmod.comparison_tol(opt) == bmod.comparison_tol(opt, True, True) == bmod.EXACT_TOL
+    for flags in ((False,), (True, False), (False, True, True)):
+        assert bmod.comparison_tol(opt, *flags) == 10.0 * tol + 1e-9
 
 
 @pytest.fixture(scope="module")

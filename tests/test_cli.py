@@ -14,8 +14,9 @@ import pytest
 
 import entshare
 from conftest import all_subsets
-from entshare.cli import main, parse_cut, parse_grid
+from entshare.cli import _default_seed, build_parser, main, parse_cut, parse_grid
 from entshare.errors import EntshareError, InvalidParameterError
+from entshare.measures import DEFAULT_OPT
 from entshare.reference import inclusive_grid
 from entshare.thresholds import find_zero
 from entshare.states import PureState, make_family, state_to_json
@@ -619,13 +620,25 @@ class TestFuzzCommand:
 class TestOptimizerFlags:
     @pytest.mark.parametrize("measure", ["concurrence", "tau_assistance"])
     @pytest.mark.parametrize("opt_args", [
-        ["--restarts", "0"], ["--max-iters", "0"], ["--opt-tol", "0"], ["--ensemble-size", "0"],
-    ], ids=["restarts", "max-iters", "opt-tol", "ensemble-size"])
+        ["--restarts", "0"], ["--max-iters", "0"], ["--opt-tol", "0"],
+    ], ids=["restarts", "max-iters", "opt-tol"])
     def test_invalid_optimizer_settings_exit_2(self, capsys, measure, opt_args):
         code, out, err = run(capsys, "measure", "--family", "w4", "--measure", measure,
                              "--cut", "A|B1B2", "--reduce", *opt_args)
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["measure"], ["bounds", "--side", "polygamy", "--exponent", "1"],
+        ["sweep", "--side", "polygamy", "--grid", "0:1:1"],
+        ["threshold", "--kind", "residual-zero"], ["fuzz", "--samples", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_defaults_are_the_library_defaults(self, argv, monkeypatch):
+        monkeypatch.delenv("ENTSHARE_SEED", raising=False)
+        args = build_parser().parse_args(argv)
+        assert (args.restarts, args.max_iters, args.opt_tol) == (
+            DEFAULT_OPT.restarts, DEFAULT_OPT.max_iters, DEFAULT_OPT.tol)
+        assert args.seed is None and _default_seed() == DEFAULT_OPT.seed
 
 
 SCIPY_PROBE = """

@@ -326,10 +326,18 @@ class TestConvexRoof:
         mv = convex_roof(bell.density(), AB, "minimize")
         assert mv.value == pytest.approx(1.0, abs=1e-10)
 
-    def test_ensemble_size_below_rank_rejected(self):
-        rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        with pytest.raises(OptimizerConfigError):
-            convex_roof(rho, AB, "minimize", OptimizerConfig(ensemble_size=2))
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_ensemble_has_rank_plus_two_members(self, monkeypatch, rank):
+        starts, real = [], measures.minimize
+
+        def recording(fun, x0, *args, **kwargs):
+            starts.append(x0.shape)
+            return real(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(measures, "minimize", recording)
+        rho = DensityMatrix(random_two_qubit_mixed(rank, rank), (2, 2))
+        convex_roof(rho, AB, "minimize", OptimizerConfig(restarts=3, max_iters=2))
+        assert starts == [(3, (rank + 2) ** 2)]
 
     def test_direction_validated(self, bell):
         with pytest.raises(InvalidParameterError):
@@ -436,15 +444,15 @@ class TestBatchMinimize:
 class TestOptimizerConfig:
     @pytest.mark.parametrize("bad", [
         {"restarts": 0}, {"restarts": 2.5}, {"max_iters": 0}, {"tol": 0.0}, {"tol": -1e-8},
-        {"tol": float("nan")}, {"tol": float("inf")}, {"ensemble_size": 0},
+        {"tol": float("nan")}, {"tol": float("inf")},
     ])
     def test_invalid_settings_rejected(self, bad):
         with pytest.raises(OptimizerConfigError):
             OptimizerConfig(**bad)
 
     def test_smallest_valid_settings(self):
-        opt = OptimizerConfig(ensemble_size=1, restarts=1, max_iters=1, tol=1e-12)
-        assert opt.restarts == 1 and opt.ensemble_size == 1
+        opt = OptimizerConfig(restarts=1, max_iters=1, tol=1e-12)
+        assert (opt.restarts, opt.max_iters, opt.tol) == (1, 1, 1e-12)
 
 
 KERNEL_CASES = pytest.mark.parametrize("shape, at_zero", [

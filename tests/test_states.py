@@ -15,7 +15,6 @@ from entshare.states import (
     haar_random_pure,
     make_family,
     partial_trace,
-    purify,
     state_from_json,
     state_to_json,
     w_state,
@@ -106,31 +105,20 @@ class TestPartialTrace:
         assert np.allclose(again.matrix, oracle_reduce(w_state(4).amplitudes, (2,) * 4, [0, 1]),
                            atol=1e-12)
 
-
-class TestPurify:
-    def test_pure_input_gets_trivial_ancilla(self, bell):
-        pur = purify(bell.density())
-        assert pur.dims == (2, 2, 2)
-        back = partial_trace(pur, {0, 1})
-        assert np.max(np.abs(back.matrix - bell.density().matrix)) < 1e-10
-
-    def test_maximally_mixed_qubit(self):
-        pur = purify(DensityMatrix(np.eye(2) / 2, (2,)))
-        back = partial_trace(pur, {0})
-        assert np.max(np.abs(back.matrix - np.eye(2) / 2)) < 1e-10
-
-    def test_rank_two_roundtrip(self):
-        rho = partial_trace(w_state(4), {0, 1, 2})
-        pur = purify(rho)
-        assert pur.dims == (2, 2, 2, 2)
-        back = partial_trace(pur, {0, 1, 2})
-        assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
-
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_mixed_roundtrip(self, seed):
-        rho = partial_trace(haar_random_pure((2, 2, 3), seed), {0, 1})
-        back = partial_trace(purify(rho), {0, 1})
-        assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
+    def test_qutrit_party_against_oracle(self, seed):
+        # a dimension-3 party in the middle: pure input, then a mixed input traced again
+        state = haar_random_pure((2, 3, 2), seed)
+        for keep in ([0, 1], [1], [1, 2], [0, 2]):
+            red = partial_trace(state, keep)
+            assert red.dims == tuple(state.dims[k] for k in keep)
+            assert np.allclose(red.matrix, oracle_reduce(state.amplitudes, state.dims, keep),
+                               atol=1e-12)
+        mixed = partial_trace(state, {0, 1})
+        for keep in ([0], [1]):  # parties 0 and 1 keep their indices in the reduction
+            again = partial_trace(mixed, keep)
+            assert np.allclose(again.matrix, oracle_reduce(state.amplitudes, state.dims, keep),
+                               atol=1e-12)
 
 
 class TestFamilies:
@@ -218,8 +206,8 @@ class TestHaar:
         purity2 = np.einsum("kab,kba->k", g, g).real
         assert abs(purity2.mean() - 4 / 5) < 0.01
 
-        sampled = partial_trace(haar_random_pure((2, 2, 2), 7), {0}).purity()
-        assert 0.5 <= sampled <= 1.0
+        sampled = partial_trace(haar_random_pure((2, 2, 2), 7), {0}).matrix
+        assert 0.5 <= np.trace(sampled @ sampled).real <= 1.0
 
 
 class TestJson:
