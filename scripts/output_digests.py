@@ -11,10 +11,12 @@ and CSV with and without `--m 1`, both `threshold` kinds (residual-zero also
 on GHZ, which has no root and exits 3; empirical-beta also with `--cap 0`,
 an invalid range that exits 2), and `measure --reduce` under both measures
 on one cut per dispatch branch (a pure state, a 2x2 mixed state, a rank-1
-2x2 and a rank-1 2x4 reduction, two 2x4 cuts restricted to 2x2, a 2x4 roof on
-a Haar 4-qubit state and a 2x8 roof restricted to 2x4 on a Haar 5-qubit
-state). The two Haar states are written as JSON into a temporary working
-directory, so every argv stays the same from run to run. Warnings and timing
+2x2 and a rank-1 2x4 reduction, two 2x4 cuts restricted to 2x2, a 2x2
+reduction of a product |a>|psi_B1B2> with a pure side, which both measures
+read as an exact 0, a 2x4 roof on a Haar 4-qubit state and a 2x8 roof
+restricted to 2x4 on a Haar 5-qubit state). These three states are built
+from fixed seeds and written as JSON into a temporary working directory, so
+every argv stays the same from run to run. Warnings and timing
 notes go to stderr and are not digested.
 
 Usage: python scripts/output_digests.py [outfile]
@@ -28,8 +30,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from entshare.cli import main
-from entshare.states import haar_random_pure, state_to_json
+from entshare.states import PureState, haar_random_pure, state_to_json
 
 FAMILIES = {
     "w4": [],
@@ -50,11 +54,10 @@ MEASURE_CASES = [
     (["--family", "4q-theta", "--params", "0,0"], "A|B1B2"),    # rank-1 2x4
     (["--family", "w4"], "A|B1B2"),                             # compressed to 2x2
     (["--family", "ghz:4"], "A|B1B2"),                          # compressed to 2x2
+    (["--state", "product.json"], "A|B1"),                      # 2x2 with a pure side
     (["--state", "haar4.json"], "A|B1B2"),                      # 2x4 roof, nothing shrinks
     (["--state", "haar5.json"], "A|B1B2B3"),                    # 2x8 compressed to a 2x4 roof
 ]
-# the Haar states the measure cases read, written into the working directory
-HAAR_STATES = {"haar4.json": ((2,) * 4, 4), "haar5.json": ((2,) * 5, 5)}
 # no bound named: all applicable bounds, so verify_hierarchy's checks run too
 HIERARCHY_CHECKS = ("polygamy:concurrence_assistance:1,monogamy:concurrence:2.5,"
                     "polygamy:concurrence:1:weighted")
@@ -108,14 +111,22 @@ def digest_line(argv: list[str]) -> str:
     return f"{code} {digest} {' '.join(argv)}"
 
 
+def state_files() -> dict[str, PureState]:
+    """The states the measure cases read: two Haar states and |a> x |psi_B1B2>, both factors Haar."""
+    a, psi = haar_random_pure((2,), 0), haar_random_pure((2, 2), 1)
+    return {"haar4.json": haar_random_pure((2,) * 4, 4),
+            "haar5.json": haar_random_pure((2,) * 5, 5),
+            "product.json": PureState(np.kron(a.amplitudes, psi.amplitudes), (2, 2, 2))}
+
+
 def digest_lines() -> list[str]:
-    """Every command's digest line, run inside a temporary directory holding the Haar states."""
+    """Every command's digest line, run inside a temporary directory holding the state files."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for name, (dims, seed) in HAAR_STATES.items():
-                Path(name).write_text(state_to_json(haar_random_pure(dims, seed)))
+            for name, state in state_files().items():
+                Path(name).write_text(state_to_json(state))
             return [digest_line(argv) for argv in commands()]
         finally:
             os.chdir(home)

@@ -4,7 +4,8 @@ Built-in measures are the concurrence and the concurrence of assistance,
 registered as concurrence_assistance and under its alias tau_assistance (the
 name the polygamy bounds use). Rank-1 states (by the spectrum each
 DensityMatrix stores) are exact at any dimension; on two qubits both have a
-closed form via the spin-flip spectrum. A mixed cut larger than 2x2 is first
+closed form via the spin-flip spectrum, read as an exact 0 below its rounding
+bound (derived beside _LAMBDA_ROUNDING and _SUM_ROUNDING). A mixed cut larger than 2x2 is first
 restricted to the supports of its two reduced states: both measures are
 invariant under a local isometry, and the ensembles of rho map one-to-one
 onto those of its restriction. A side of rank 1 makes the value 0, a 2x2
@@ -164,7 +165,7 @@ def _spin_flip_spectrum(rho: DensityMatrix) -> np.ndarray:
     if rho.dims != (2, 2):
         raise DimensionError(f"two-qubit operator required, got dims {rho.dims}")
     w, v = rho.eigensystem()
-    keep = w > 1e-15
+    keep = w > _KEEP
     y = v[:, keep] * np.sqrt(w[keep])
     t = y.T @ _YY.real @ y
     lam = np.zeros(4)
@@ -185,18 +186,49 @@ def _spin_flip_spectrum(rho: DensityMatrix) -> np.ndarray:
 # cannot be told from 0; separable states, whose exact value is 0, reach 7.2 eps.
 _LAMBDA_ROUNDING = 174 * np.finfo(float).eps
 
+# Rounding bound on l1 + l2 + l3 + l4, eps tr rho (48 + 80 sqrt(tr rho / w_min))
+# with w_min the smallest eigenvalue kept in Y. The sum is 0 exactly when the
+# range of rho is isotropic for sy x sy (T = 0), that is when rho is a product
+# with a pure side, so a floor is all such states need. Unlike l1 - l2 - l3 - l4
+# in (b), the sum is not Lipschitz in rho (near a product with a pure side it
+# grows like the square root of a perturbation), but it is in Y:
+# (a') the eigendecomposition (residual 7 eps tr rho per pair, as in (a)) and
+#      entries rounded once each (norm at most eps tr rho, as |rho_ij| <=
+#      sqrt(rho_ii rho_jj)) make a perturbation of norm 8 eps tr rho. A kept
+#      column sqrt(w_k) v_k moves by 4 eps tr rho / sqrt(w_k) through w_k, by
+#      8 through the turn of v_k toward the null space (8 eps tr rho / w_k at
+#      most) and by no more than 8 through a turn between kept columns (up to
+#      a unitary Y -> Y U, which leaves every lambda as it is): 20 eps tr rho /
+#      sqrt(w_k), so Y moves by ||D||_F <= 40 eps tr rho / sqrt(w_min);
+# (b') the sum is the trace norm of T, and ||A^T (sy x sy) B||_1 <=
+#      ||A||_F ||B||_F, so it moves by (2 ||Y||_F + ||D||_F) ||D||_F, about
+#      2 sqrt(tr rho) ||D||_F: 80 eps tr rho sqrt(tr rho / w_min);
+# (c') the products and the SVD, as in (c): 48 eps tr rho.
+# Products |a><a| x rho_B with rho_B a mixture of two random pure states reach
+# 121 eps; as rho_B nears a pure state the noise grows as 5 eps / sqrt(w_min).
+_SUM_ROUNDING = 48 * np.finfo(float).eps
+_SUM_FACTOR_ROUNDING = 80 * np.finfo(float).eps
+_KEEP = 1e-15  # eigenvalues of rho at or below this leave Y out of _spin_flip_spectrum
+
+
+def _floored(value: float, rho: DensityMatrix, total: bool) -> MeasureValue:
+    """An exact value, or an exact 0 at or below the rounding bound of the sum or the difference."""
+    w = rho.eigensystem()[0]
+    tr = w.sum()
+    bound = (tr * (_SUM_ROUNDING + _SUM_FACTOR_ROUNDING * math.sqrt(tr / w[w > _KEEP].min()))
+             if total else _LAMBDA_ROUNDING * tr)
+    return MeasureValue(value if value > bound else 0.0, EXACT)
+
 
 def wootters_concurrence(rho: DensityMatrix) -> MeasureValue:
     """Two-qubit mixed-state concurrence, max(0, l1 - l2 - l3 - l4); an exact 0 below rounding."""
     lam = _spin_flip_spectrum(rho)
-    c = float(lam[0] - lam[1] - lam[2] - lam[3])
-    return MeasureValue(c if c > _LAMBDA_ROUNDING * rho.eigensystem()[0].sum() else 0.0, EXACT)
+    return _floored(float(lam[0] - lam[1] - lam[2] - lam[3]), rho, total=False)
 
 
 def assistance_2q(rho: DensityMatrix) -> MeasureValue:
-    """Two-qubit assistance value, l1 + l2 + l3 + l4."""
-    lam = _spin_flip_spectrum(rho)
-    return MeasureValue(float(lam.sum()), EXACT)
+    """Two-qubit assistance value, l1 + l2 + l3 + l4; an exact 0 below rounding."""
+    return _floored(float(_spin_flip_spectrum(rho).sum()), rho, total=True)
 
 
 def _cut_factor(rho: DensityMatrix, order: list[int]) -> np.ndarray:

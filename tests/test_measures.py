@@ -175,6 +175,35 @@ class TestTwoQubitClosedForms:
         rho = (1 - p) * np.diag([1.0, 0, 0, 0]) + p * np.outer(phi, phi)
         assert wootters_concurrence(DensityMatrix(rho, (2, 2))).value == pytest.approx(p, rel=1e-3)
 
+    @pytest.mark.parametrize("closeness", [1.0, 1e-2, 1e-4, 1e-6])
+    def test_products_with_a_pure_side_read_an_exact_zero(self, closeness):
+        # |a><a| x rho_B and rho_B x |a><a|, rho_B = p|b1><b1| + (1 - p)|b2><b2|
+        # with b2 within `closeness` of b1: sy x sy maps the range of rho onto
+        # its orthogonal complement, so every lambda is 0, but the raw sum keeps
+        # rounding noise that grows as rho_B nears a pure state
+        rng = np.random.default_rng(0)
+        raw = []
+        for k in range(2000 if closeness == 1.0 else 200):
+            a, b1 = _unit(rng, 2), _unit(rng, 2)
+            b2 = b1 + closeness * _unit(rng, 2)
+            b2 /= np.linalg.norm(b2)
+            p = rng.uniform(0.1, 0.9)
+            rho_b = p * np.outer(b1, b1.conj()) + (1 - p) * np.outer(b2, b2.conj())
+            pair = (np.outer(a, a.conj()), rho_b)
+            rho = DensityMatrix(np.kron(*pair[::-1 if k % 2 else 1]), (2, 2))
+            raw.append(measures._spin_flip_spectrum(rho).sum())
+            for measure in (CONCURRENCE, CONCURRENCE_ASSISTANCE):
+                assert measure_bipartite(measure, rho, AB) == MeasureValue(0.0, "exact")
+        assert min(raw) > 0
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-12, 1e-13])
+    def test_a_small_assistance_survives_the_rounding_floor(self, p):
+        # (1 - p)|00><00| + p|Phi+><Phi+| has l1 + l2 + l3 + l4 = sqrt(2p (1 - p / 2))
+        phi = np.array([1, 0, 0, 1]) / math.sqrt(2)
+        rho = DensityMatrix((1 - p) * np.diag([1.0, 0, 0, 0]) + p * np.outer(phi, phi), (2, 2))
+        want = math.sqrt(2 * p * (1 - p / 2))
+        assert assistance_2q(rho).value == pytest.approx(want, rel=1e-6)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_against_independent_spectrum_oracle(self, seed):
         rho = random_two_qubit_mixed(100 + seed, 4)
