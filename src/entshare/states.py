@@ -44,7 +44,7 @@ class PureState:
                 f"amplitude length {amps.size} does not match prod(dims) = {math.prod(dims)}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN fails it
             raise InvalidStateError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
         object.__setattr__(self, "dims", dims)
@@ -72,10 +72,11 @@ class DensityMatrix:
         side = math.prod(dims)
         if mat.shape != (side, side):
             raise InvalidStateError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
-            raise InvalidStateError("matrix is not Hermitian within tolerance")
+        # each check is written so that a NaN or infinite entry fails it
+        if not np.max(np.abs(mat - mat.conj().T)) <= HERM_TOL:
+            raise InvalidStateError("matrix is not finite and Hermitian within tolerance")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > HERM_TOL:
+        if not abs(tr - 1.0) <= HERM_TOL:
             raise InvalidStateError(f"trace {tr!r} deviates from 1")
         w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
         if w.min() < -EIG_CLAMP:
@@ -176,9 +177,9 @@ def _family_3q(params) -> PureState:
     if len(params) not in (5, 6):
         raise InvalidParameterError("3q family needs 5 amplitudes l0..l4 plus optional phase")
     lams, phi = params[:5], (params[5] if len(params) == 6 else 0.0)
-    if any(l < 0 for l in lams):
-        raise InvalidParameterError("3q family amplitudes must be non-negative")
-    if abs(sum(l * l for l in lams) - 1.0) > 1e-6:
+    if not all(l >= 0 for l in lams):  # written so that a NaN fails it
+        raise InvalidParameterError("3q family amplitudes must be non-negative numbers")
+    if not abs(sum(l * l for l in lams) - 1.0) <= 1e-6:
         raise InvalidParameterError("3q family amplitudes must have unit sum of squares")
     scale = 1.0 / math.sqrt(sum(l * l for l in lams))
     l0, l1, l2, l3, l4 = (l * scale for l in lams)
@@ -264,6 +265,6 @@ def state_from_json(text: str) -> PureState:
             flat = flat * d + int(i)
         v[flat] = complex(entry.get("re", 0.0), entry.get("im", 0.0))
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN fails it
         raise InvalidStateError(f"state in JSON has norm {norm!r}; refusing to normalize")
     return PureState(v / norm, dims)

@@ -149,6 +149,27 @@ class TestMeasureCommand:
         assert code == 0, err
         assert json.loads(out)["exactness"] == "exact"
 
+    @pytest.mark.parametrize("source, message", [
+        (["--state", "nan.json"], "norm"),
+        (["--family", "3q", "--params", "nan,0.5,0.5,0.5,0.5"], "non-negative"),
+        (["--family", "3q", "--params", ",".join(["0.4472135955"] * 5 + ["nan"])], "norm"),
+    ], ids=["state", "params", "phase"])
+    def test_nan_state_exits_2_before_any_decomposition(self, capsys, tmp_path, monkeypatch,
+                                                        source, message):
+        (tmp_path / "nan.json").write_text(
+            '{"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": NaN}, '
+            '{"index": [1, 1, 1], "re": 1.0}]}')
+        monkeypatch.chdir(tmp_path)
+
+        def decomposition(*args, **kwargs):
+            raise AssertionError("a matrix decomposition ran on a NaN state")
+
+        for name in ("svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, decomposition)
+        code, out, err = run(capsys, "measure", *source, "--cut", "A|B1", "--reduce")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+
     def test_invalid_family_exits_2(self, capsys):
         code, _, err = run(capsys, "measure", "--family", "w9")
         assert code == 2

@@ -56,6 +56,21 @@ class TestInvariants:
         with pytest.raises(InvalidPartitionError):
             Bipartition({0, 1}, {1})
 
+    def test_nan_fails_every_state_check(self):
+        with pytest.raises(InvalidStateError, match="norm"):
+            PureState(np.array([np.nan, 1.0]), (2,))
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]), (2,))
+        # a NaN on the diagonal only: the Hermitian residual is NaN too
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            DensityMatrix(np.diag([0.5, np.nan]), (2,))
+        with pytest.raises(InvalidStateError, match="norm"):
+            state_from_json('{"dims": [2], "amplitudes": [{"index": [0], "re": NaN}]}')
+        with pytest.raises(InvalidParameterError, match="non-negative"):
+            make_family("3q", [math.nan, 0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(InvalidStateError, match="norm"):
+            make_family("3q", [1 / math.sqrt(5)] * 5 + [math.nan])
+
     def test_states_immutable(self, bell):
         with pytest.raises(ValueError):
             bell.amplitudes[0] = 0.0
