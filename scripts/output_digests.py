@@ -7,7 +7,8 @@ every listed command printed the same bytes and exited the same way:
 figures 1-3, three- and four-qubit `fuzz` (one four-qubit run with checks
 that name no bound, so every applicable bound and the hierarchy checks
 run), `sweep` and `bounds` on w4, w5, 3q and 4q-theta for both sides in JSON
-and CSV with and without `--m 1`, both `threshold` kinds (residual-zero also
+and CSV with and without `--m 1` (which exits 2 on 3q: a three-party state
+has no ordering index), both `threshold` kinds (residual-zero also
 on GHZ, which has no root and exits 3; empirical-beta also with `--cap 0`,
 an invalid range that exits 2), and `measure --reduce` under both measures
 on one cut per dispatch branch (a pure state, a 2x2 mixed state, a rank-1

@@ -13,8 +13,9 @@ Every bound is evaluated through a BoundPlan, built once per (table, side,
 bound ids, m). The plan does the exponent-independent work: it fetches and
 validates every component its bounds read, fixes each bound's exact flag, and
 flattens the max and mean residual recursions into one list of subsets,
-children first, each with the indices of its children. bound_reports resolves
-m with ordering_classify and the default bound ids before it builds the plan.
+children first, each with the indices of its children. bound_reports checks a
+given m (1..n_b-2, so none at three parties) or resolves m with
+ordering_classify, and picks the default bound ids, before it builds the plan.
 Per exponent the plan raises each component to the power once with scalar
 `**`, shares the powers across its bounds, and runs flat float arithmetic
 with the same operations in the same order as the recursion it replaces, so
@@ -158,10 +159,18 @@ class ComponentTable:
         return measure_bipartite(self.measure, sub, cut, self.opt)
 
 
-def _weight_powers(n_b: int, m: int) -> tuple[int, ...]:
-    """Integer power of the scalar weight on each of parties 1..n_b (see weight_map)."""
+def _check_m(n_b: int, m: int) -> None:
+    """Raise unless m is an ordering index of n_b B parties: 1..n_b-2, so none at three parties."""
+    if n_b < 3:
+        raise InvalidParameterError("a three-party state has no ordering index m; "
+                                    "m needs four or more parties")
     if not (1 <= m <= n_b - 2):
         raise InvalidParameterError(f"ordering index m={m} outside 1..{n_b - 2}")
+
+
+def _weight_powers(n_b: int, m: int) -> tuple[int, ...]:
+    """Integer power of the scalar weight on each of parties 1..n_b (see weight_map)."""
+    _check_m(n_b, m)
     return tuple(range(m)) + (m + 1,) * (n_b - 1 - m) + (m,)
 
 
@@ -519,9 +528,9 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
                   m: int | None = None) -> list[BoundReport]:
     """Bound reports at each exponent, all from one BoundPlan.
 
-    The side, every exponent and every given bound id are checked before any
-    component is measured. With m None on four or more parties, m comes from
-    ordering_classify; the default bound ids are every applicable bound. The
+    The side, every exponent, every given bound id and a given m (1..n_b-2,
+    so none at three parties) are checked before any component is measured.
+    With m None on four or more parties, m comes from ordering_classify; the default bound ids are every applicable bound. The
     table's measure sets the exponent ranges and its optimizer settings the
     comparison margin.
     """
@@ -534,6 +543,8 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
     n_parties = table.n_b + 1
     for bid in bound_ids or ():
         check_bound(side, bid, n_parties)
+    if m is not None:
+        _check_m(table.n_b, m)
     if m is None and n_parties >= 4:
         m = ordering_classify(table).m
     if bound_ids is None:

@@ -242,6 +242,19 @@ class TestWeightMap:
     def test_m_range_checked(self):
         with pytest.raises(InvalidParameterError):
             weight_map(3, 2, 1.0)
+        with pytest.raises(InvalidParameterError, match="three-party"):
+            weight_map(2, 1, 1.0)
+
+    @pytest.mark.parametrize("state, m, message", [
+        (w_state(4), 0, "outside 1..1"), (w_state(4), 2, "outside 1..1"),
+        (w_state(5), 3, "outside 1..2"), (w_state(3), 1, "three-party"),
+    ], ids=["w4-0", "w4-2", "w5-3", "w3-1"])
+    @pytest.mark.parametrize("side", [POLYGAMY, MONOGAMY])
+    def test_m_out_of_range_rejected_before_any_component(self, state, m, message, side):
+        table = ComponentTable(state, TAU_ASSISTANCE if side == POLYGAMY else CONCURRENCE)
+        with pytest.raises(InvalidParameterError, match=message):
+            bound_reports(table, side, [1.0, 2.0], (BASE,), m)
+        assert table._cache == {}
 
 
 class TestResidualTree:

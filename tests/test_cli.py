@@ -423,6 +423,26 @@ class TestBoundsCommand:
                              "--side", "polygamy", *args[1:])
         assert code == 2 and out == "" and "negative" in err
 
+    @pytest.mark.parametrize("command", [["bounds", "--exponent", "2"],
+                                         ["sweep", "--grid", "2:3:0.5"]], ids=["bounds", "sweep"])
+    @pytest.mark.parametrize("state, m, message", [
+        (["--family", "w4"], "99", "outside 1..1"),
+        (["--family", "w4"], "0", "outside 1..1"),
+        (["--family", "3q", "--params", PARAMS_3Q], "1", "three-party"),
+    ], ids=["w4-99", "w4-0", "3q-1"])
+    def test_m_out_of_range_exits_2_before_any_component(self, capsys, monkeypatch, command,
+                                                         state, m, message):
+        from entshare import bounds
+
+        def measured(*args, **kwargs):
+            raise AssertionError("a component was measured")
+
+        monkeypatch.setattr(bounds, "measure_bipartite", measured)
+        code, out, err = run(capsys, command[0], *state, "--side", "monogamy",
+                             "--bounds", "base", "--m", m, *command[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+
     def test_wrong_side_bound_exits_2_before_any_roof(self, capsys, no_roof):
         code, out, err = run(capsys, "bounds", "--family", "w5", "--measure", "tau_assistance",
                              "--side", "polygamy", "--bounds", "ratio_weighted",
