@@ -113,7 +113,7 @@ def digest_line(argv: list[str]) -> str:
 
 
 def state_files() -> dict[str, PureState]:
-    """The states the measure cases read: two Haar states and |a> x |psi_B1B2>, both factors Haar."""
+    """The states the measure cases read: two Haar states and |a> x |psi_B1B2> of two more."""
     a, psi = haar_random_pure((2,), 0), haar_random_pure((2, 2), 1)
     return {"haar4.json": haar_random_pure((2,) * 4, 4),
             "haar5.json": haar_random_pure((2,) * 5, 5),

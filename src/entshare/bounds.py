@@ -26,8 +26,8 @@ residual_tree build a plan (or its flattened recursion) for one exponent.
 
 Every comparison (verdicts, orderings, hierarchy checks, the empirical-beta
 shift) takes its tolerance from one rule, comparison_tol: EXACT_TOL when every
-compared value is exact, 10 tol + 1e-9 of the optimizer's tol otherwise. Exact values always
-get a satisfied/violated verdict; estimates within the tolerance get None.
+compared value is exact, 10 opt.tol + 1e-9 otherwise. Exact values always get
+a satisfied/violated verdict; estimates within the tolerance get None.
 
 Sides and ids (the BOUNDS table below). `base` applies at any party count,
 `pair_weighted` at three parties only, every other bound at four or more.
@@ -530,9 +530,9 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
 
     The side, every exponent, every given bound id and a given m (1..n_b-2,
     so none at three parties) are checked before any component is measured.
-    With m None on four or more parties, m comes from ordering_classify; the default bound ids are every applicable bound. The
-    table's measure sets the exponent ranges and its optimizer settings the
-    comparison margin.
+    With m None on four or more parties, m comes from ordering_classify; the
+    default bound ids are every applicable bound. The table's measure sets
+    the exponent ranges and its optimizer settings the comparison margin.
     """
     if side not in BOUNDS:
         raise InvalidParameterError(f"side must be polygamy or monogamy, got {side!r}")

@@ -5,12 +5,12 @@ registered as concurrence_assistance and under its alias tau_assistance (the
 name the polygamy bounds use). Rank-1 states (by the spectrum each
 DensityMatrix stores) are exact at any dimension; on two qubits both have a
 closed form via the spin-flip spectrum, read as an exact 0 below its rounding
-bound (derived beside _LAMBDA_ROUNDING and _SUM_ROUNDING). A mixed cut larger than 2x2 is first
-restricted to the supports of its two reduced states: both measures are
-invariant under a local isometry, and the ensembles of rho map one-to-one
-onto those of its restriction. A side of rank 1 makes the value 0, a 2x2
-restriction reaches the closed forms, and only what remains is estimated by
-the convex-roof optimizer, flagged as an estimate.
+bound (derived beside _LAMBDA_ROUNDING and _SUM_ROUNDING). A mixed cut larger
+than 2x2 is first restricted to the supports of its two reduced states: both
+measures are invariant under a local isometry, and the ensembles of rho map
+one-to-one onto those of its restriction. A side of rank 1 makes the value 0,
+a 2x2 restriction reaches the closed forms, and only what remains is
+estimated by the convex-roof optimizer, flagged as an estimate.
 """
 
 from __future__ import annotations
@@ -155,6 +155,9 @@ def concurrence_pure(state: PureState, cut: Bipartition) -> MeasureValue:
     return MeasureValue(float(_pure_value(s2[s2 > RANK_TOL])), EXACT)
 
 
+_KEEP = 1e-15  # eigenvalues of rho at or below this leave Y out of _spin_flip_spectrum
+
+
 def _spin_flip_spectrum(rho: DensityMatrix) -> np.ndarray:
     """Spin-flip lambdas as singular values of Y^T (sy x sy) Y with rho = Y Y^H.
 
@@ -208,11 +211,10 @@ _LAMBDA_ROUNDING = 174 * np.finfo(float).eps
 # 121 eps; as rho_B nears a pure state the noise grows as 5 eps / sqrt(w_min).
 _SUM_ROUNDING = 48 * np.finfo(float).eps
 _SUM_FACTOR_ROUNDING = 80 * np.finfo(float).eps
-_KEEP = 1e-15  # eigenvalues of rho at or below this leave Y out of _spin_flip_spectrum
 
 
 def _floored(value: float, rho: DensityMatrix, total: bool) -> MeasureValue:
-    """An exact value, or an exact 0 at or below the rounding bound of the sum or the difference."""
+    """An exact value, or an exact 0 at or below its rounding bound: the sum's if total."""
     w = rho.eigensystem()[0]
     tr = w.sum()
     bound = (tr * (_SUM_ROUNDING + _SUM_FACTOR_ROUNDING * math.sqrt(tr / w[w > _KEEP].min()))
