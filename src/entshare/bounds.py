@@ -545,7 +545,7 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
         check_bound(side, bid, n_parties)
     if m is not None:
         _check_m(table.n_b, m)
-    if m is None and n_parties >= 4:
+    elif n_parties >= 4:
         m = ordering_classify(table).m
     if bound_ids is None:
         bound_ids = applicable_bounds(n_parties, side, m is not None)
