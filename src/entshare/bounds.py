@@ -9,6 +9,11 @@ dispatch restricts each mixed cut to the supports of its reduced states, so
 the mixed joints of W-class, GHZ and 4q-theta states are exact 2x2 closed
 forms and only cuts still larger than 2x2 after it reach a convex roof.
 
+The table is the one input of every bound and threshold call: it carries
+the state, the measure and the optimizer settings, so evaluate_bounds,
+bound_reports, verify_hierarchy and the threshold scans take a table and
+nothing that could disagree with it.
+
 Every bound is evaluated through a BoundPlan, built once per (table, side,
 bound ids, m). The plan does the exponent-independent work: it fetches and
 validates every component its bounds read, fixes each bound's exact flag, and
@@ -21,8 +26,9 @@ Per exponent the plan raises each component to the power once with scalar
 with the same operations in the same order as the recursion it replaces, so
 every value is bit-identical to a direct evaluation (numpy's vectorized power
 may differ from `**` in the last bit, so it is not used). evaluate_bounds is a
-one-point plan; a sweep is one plan over its grid; bound_value and
-residual_tree build a plan (or its flattened recursion) for one exponent.
+one-point plan; a sweep is one plan over its grid; bound_value is a
+one-bound plan. residual_tree is a read-only view of one residual bound's
+plan (BoundPlan.explain): the terms and levels that values() computed.
 
 Every comparison (verdicts, orderings, hierarchy checks, the empirical-beta
 shift) takes its tolerance from one rule, comparison_tol: EXACT_TOL when every
@@ -32,7 +38,7 @@ a satisfied/violated verdict; estimates within the tolerance get None.
 Sides and ids (the BOUNDS table below). `base` applies at any party count,
 `pair_weighted` at three parties only, every other bound at four or more.
 Weighted bounds other than `pair_weighted` put powers of a scalar weight on
-the marginals, laid out by the ordering index m (weight_map), and need m.
+the marginals, laid out by the ordering index m (_weight_powers), and need m.
   polygamy  (upper bounds on Q^a of the joint cut; weight 2^(a/beta)-1):
     base               power sum of the pairwise marginals
     residual_max       base minus the max-selected residual levels
@@ -52,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegenerateExponentWarning, ExponentRangeWarning, InvalidParameterError
 from .measures import (
@@ -169,33 +175,28 @@ def _check_m(n_b: int, m: int) -> None:
 
 
 def _weight_powers(n_b: int, m: int) -> tuple[int, ...]:
-    """Integer power of the scalar weight on each of parties 1..n_b (see weight_map)."""
-    _check_m(n_b, m)
-    return tuple(range(m)) + (m + 1,) * (n_b - 1 - m) + (m,)
-
-
-def weight_map(n_b: int, m: int, scalar: float) -> dict[int, float]:
-    """Geometric weight vector over parties 1..n_b for an ordering index m.
+    """Integer power of the scalar weight on each of parties 1..n_b for an ordering index m.
 
     Parties 1..m get powers 0..m-1, the middle block gets power m+1, and the
     last party gets power m.
     """
-    return {pos: scalar**k for pos, k in enumerate(_weight_powers(n_b, m), start=1)}
+    _check_m(n_b, m)
+    return tuple(range(m)) + (m + 1,) * (n_b - 1 - m) + (m,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResidualTree:
-    """All residual terms used by one bound evaluation.
+    """All residual terms of one residual bound at one exponent (BoundPlan.explain).
 
     terms maps each ordered party subset to its full residual; level_values
     holds the selected (max or mean) residual per recursion level;
     selection records which party was omitted by each max.
     """
 
-    terms: dict[tuple[int, ...], float] = field(default_factory=dict)
-    level_values: dict[int, float] = field(default_factory=dict)
-    selection: dict[int, int | None] = field(default_factory=dict)
-    exact: bool = True
+    terms: dict[tuple[int, ...], float]
+    level_values: dict[int, float]
+    selection: dict[int, int | None]
+    exact: bool
 
     def level_sum(self) -> float:
         return sum(self.level_values.values())
@@ -252,36 +253,31 @@ def _residual_levels(nodes, top, select, powers, weighted, polygamy):
     return values, [select([values[c] for c in level]) for level in top]
 
 
-def residual_tree(table: ComponentTable, alpha: float, strategy: str = "max",
-                  sign: str = POLYGAMY, weights: dict[int, float] | None = None) -> ResidualTree:
-    """Build the residual recursion bottom-up over the table's B parties.
+def _tree(subsets, top, values, levels, strategy: str, exact: bool) -> ResidualTree:
+    """The ResidualTree view of one _residual_levels result."""
+    # the first largest residual wins; at the top, omitting position i omits party i + 1
+    omitted = [1 + max(range(len(children)), key=lambda i: values[children[i]])
+               if strategy == "max" else None for children in top]
+    first = 2 if strategy == "max" else 3
+    return ResidualTree(dict(zip(subsets, values)), dict(enumerate(levels, first)),
+                        dict(enumerate(omitted, first)), exact)
 
-    strategy "max" selects, at level k, the largest residual among the
+
+def residual_tree(table: ComponentTable, side: str, bound_id: str, exponent: float,
+                  m: int | None = None) -> ResidualTree:
+    """The residual recursion behind one residual bound at `exponent`: its plan's explain().
+
+    Strategy "max" selects, at level k, the largest residual among the
     omit-one subsets of the first k+1 parties (levels 2..n-1); strategy
     "mean" averages the omit-one residuals of the first k parties (levels
-    3..n). Marginal terms are weighted when a weight map is given; joint
-    terms never are.
+    3..n). The terms carry the bound's own weights on the marginals; joint
+    terms never are weighted. A bound without residual levels is rejected
+    before any component is measured.
     """
-    if strategy not in _SELECT:
-        raise InvalidParameterError(f"unknown strategy {strategy!r}")
-    if sign not in (POLYGAMY, MONOGAMY):
-        raise InvalidParameterError(f"unknown sign {sign!r}")
-    subsets, joints, nodes, top = _flatten(table)
-    marginals = [table.marginal(i) for i in range(1, table.n_b + 1)] if subsets else []
-    components = marginals + joints
-    powers = [c.value**alpha for c in components]
-    wmap = weights or {}
-    weighted = [wmap.get(b, 1.0) * p for b, p in enumerate(powers[:len(marginals)], start=1)]
-    values, level_values = _residual_levels(nodes, top, _SELECT[strategy], powers, weighted,
-                                            sign == POLYGAMY)
-    tree = ResidualTree(terms=dict(zip(subsets, values)), exact=all(c.exact for c in components))
-    for level, (children, value) in enumerate(zip(top, level_values),
-                                              start=2 if strategy == "max" else 3):
-        tree.level_values[level] = value
-        # the first largest residual wins; at the top, omitting position i omits party i + 1
-        tree.selection[level] = (1 + max(range(len(children)), key=lambda i: values[children[i]])
-                                 if strategy == "max" else None)
-    return tree
+    check_bound(side, bound_id, table.n_b + 1)
+    if BOUNDS[side][bound_id][1] is None:
+        raise InvalidParameterError(f"bound {bound_id!r} has no residual levels")
+    return BoundPlan(table, side, (bound_id,), m).explain(exponent)[bound_id]
 
 
 @dataclass(frozen=True)
@@ -389,11 +385,12 @@ class BoundPlan:
     each bound's exact flag is fixed (its marginals and, with a residual
     strategy, every component of the recursion), and the residual recursion
     is flattened. values() and report() then evaluate any exponent without
-    another table lookup. Marginal sums are (weighted) power sums; a residual
+    another table lookup, and explain() shows the residual recursion that
+    values() evaluated. Marginal sums are (weighted) power sums; a residual
     strategy subtracts (polygamy) or adds (monogamy) its selected levels. A
     plan holds one weight layout, the scalar weight's power per party: from m
-    (weight_map) or, for pair_weighted (three parties only), (0, 1) down the
-    descending sort of the two marginals.
+    (_weight_powers) or, for pair_weighted (three parties only), (0, 1) down
+    the descending sort of the two marginals.
     """
 
     def __init__(self, table: ComponentTable, side: str, bound_ids, m: int | None = None):
@@ -407,11 +404,9 @@ class BoundPlan:
         values = [c.value for c in marginals]
         self._zero_marginal = 0.0 in values
         self._margin = comparison_tol(table.opt, False)
-        self._specs = []
+        specs = [(bid, *BOUNDS[side][bid]) for bid in self.bound_ids]
         self._ref = self._layout = None
-        for bid in self.bound_ids:
-            weighting, strategy = BOUNDS[side][bid]
-            self._specs.append((bid, weighting, strategy))
+        for bid, weighting, _ in specs:
             if weighting is None:
                 continue
             self._ref = _power_ref(table.measure, side)
@@ -422,39 +417,54 @@ class BoundPlan:
                 raise InvalidParameterError(f"bound {bid!r} needs an ordering index m")
             else:
                 self._layout = _weight_powers(n_b, m)
-        residual = [strategy is not None for _, _, strategy in self._specs]
-        joints, self._nodes, self._top = [], (), ()
-        if any(residual):
-            _, joints, self._nodes, self._top = _flatten(table)
+        joints, self._subsets, self._nodes, self._top = [], (), (), ()
+        if any(strategy for _, _, strategy in specs):
+            self._subsets, joints, self._nodes, self._top = _flatten(table)
         self._components = values + [c.value for c in joints]
         marginals_exact = all(c.exact for c in marginals)
         tree_exact = marginals_exact and all(c.exact for c in joints)
-        self.exact = tuple([tree_exact if r else marginals_exact for r in residual])
+        self.exact = tuple(tree_exact if strategy else marginals_exact for _, _, strategy in specs)
+        # per bound: id, weighting, strategy, its level selection, exact flag
+        self._specs = [(bid, weighting, strategy, _SELECT.get(strategy), exact)
+                       for (bid, weighting, strategy), exact in zip(specs, self.exact)]
 
-    def values(self, exponent: float) -> list[float]:
-        """Each bound's value at `exponent`, in bound_ids order."""
+    def values(self, exponent: float, trees: dict | None = None) -> list[float]:
+        """Each bound's value at `exponent`, in bound_ids order.
+
+        Given a dict, `trees` receives the ResidualTree of each residual
+        bound: the terms and levels this evaluation computed.
+        """
         if exponent < 0 and 0.0 in self._components:
             raise InvalidParameterError(f"exponent {exponent} is negative and a component is 0")
         powers = [c**exponent for c in self._components]
         marginals = powers[:self.table.n_b]
         sums = {}  # weighting -> (weighted marginal powers, their sum)
         out = []
-        for bid, weighting, strategy in self._specs:
-            if weighting is not None:
-                ratio = exponent / self._ref
-                scalar = ratio if weighting == "ratio" else 2.0**ratio - 1.0
+        for bid, weighting, strategy, select, exact in self._specs:
             if weighting not in sums:
-                weighted = marginals if weighting is None else [
-                    scalar**k * p for k, p in zip(self._layout, marginals)]
+                weighted = marginals
+                if weighting is not None:
+                    ratio = exponent / self._ref
+                    scalar = ratio if weighting == "ratio" else 2.0**ratio - 1.0
+                    weighted = [scalar**k * p for k, p in zip(self._layout, marginals)]
                 sums[weighting] = (weighted, sum(weighted))
             weighted, total = sums[weighting]
             if strategy is None:
                 out.append(total)
                 continue
-            level_sum = sum(_residual_levels(self._nodes, self._top, _SELECT[strategy],
-                                             powers, weighted, self._polygamy)[1])
+            terms, levels = _residual_levels(self._nodes, self._top, select, powers, weighted,
+                                             self._polygamy)
+            if trees is not None:
+                trees[bid] = _tree(self._subsets, self._top, terms, levels, strategy, exact)
+            level_sum = sum(levels)
             out.append(total - level_sum if self._polygamy else total + level_sum)
         return out
+
+    def explain(self, exponent: float) -> dict[str, ResidualTree]:
+        """The ResidualTree of each residual bound at `exponent`, as values() computes it."""
+        trees: dict[str, ResidualTree] = {}
+        self.values(exponent, trees)
+        return trees
 
     @functools.cached_property
     def lhs(self) -> MeasureValue:
@@ -553,16 +563,12 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
     return [plan.report(exponent) for exponent in exponents]
 
 
-def evaluate_bounds(state, measure: CorrelationMeasure, exponent: float, side: str,
-                    opt: OptimizerConfig = DEFAULT_OPT, bound_ids=None,
-                    m: int | None = None, table: ComponentTable | None = None) -> BoundReport:
+def evaluate_bounds(table: ComponentTable, exponent: float, side: str, bound_ids=None,
+                    m: int | None = None) -> BoundReport:
     """Full bound report for one exponent: lhs, every requested bound, flags.
 
-    A one-point bound_reports; state, measure and opt build the table when
-    none is given.
+    A one-point bound_reports on the table.
     """
-    if table is None:
-        table = ComponentTable(state, measure, opt)
     return bound_reports(table, side, [exponent], bound_ids, m)[0]
 
 
@@ -589,19 +595,15 @@ def hierarchy_checks(side: str, n_parties: int, measure: CorrelationMeasure):
     return ()
 
 
-def verify_hierarchy(state, measure: CorrelationMeasure, exponents, side: str,
-                     opt: OptimizerConfig = DEFAULT_OPT, bound_ids=None,
-                     table: ComponentTable | None = None):
+def verify_hierarchy(table: ComponentTable, exponents, side: str, bound_ids=None):
     """Evaluate a grid and collect violations of the bound and ordering checks.
 
     Returns (reports, violations, indeterminate_count). A violated bound or a
     tighter/looser ordering broken beyond its comparison_tol becomes a
-    Violation; indeterminate (estimate-backed) verdicts only count.
-    Pass the (state, measure) table to share its components between calls.
+    Violation; indeterminate (estimate-backed) verdicts only count. The
+    party count and the measure that pick the ordering checks are the table's.
     """
-    if table is None:
-        table = ComponentTable(state, measure, opt)
-    checks = hierarchy_checks(side, state.n_parties, measure)
+    checks = hierarchy_checks(side, table.n_b + 1, table.measure)
     reports = bound_reports(table, side, [float(x) for x in exponents], bound_ids)
     violations: list[Violation] = []
     indeterminate = 0

@@ -296,13 +296,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    state = load_state(args)
-    measure = get_measure(args.measure)
-    opt = optimizer_from_args(args)
+    table = bmod.ComponentTable(load_state(args), get_measure(args.measure),
+                                optimizer_from_args(args))
     if args.kind == "residual-zero":
-        table = bmod.ComponentTable(state, measure, opt)
-        result = residual_zero_exponent(state, measure, opt, tol=args.tol,
-                                        scan_steps=args.scan_steps, table=table)
+        result = residual_zero_exponent(table, tol=args.tol, scan_steps=args.scan_steps)
         if result is None:
             if table.marginal(1).value == 0.0 and table.marginal(2).value == 0.0:
                 sys.stderr.write("no root: degenerate state, both pair components vanish\n")
@@ -310,8 +307,8 @@ def cmd_threshold(args) -> int:
                 sys.stderr.write("no root: residual keeps one sign on the range\n")
             return EXIT_NO_ROOT
     else:
-        result = empirical_beta(state, measure, args.bound, opt, tol=args.tol,
-                                scan_steps=args.scan_steps, search_cap=args.cap)
+        result = empirical_beta(table, args.bound, tol=args.tol, scan_steps=args.scan_steps,
+                                search_cap=args.cap)
         if result is None:
             sys.stderr.write("no transition: the bound holds on the whole range\n")
             return EXIT_NO_ROOT
@@ -374,8 +371,7 @@ def cmd_fuzz(args) -> int:
                 skipped += 1
                 continue
             ids = (bound,) if bound else None
-            _, viol, indet = bmod.verify_hierarchy(state, measure, [exponent], side, opt,
-                                                   bound_ids=ids, table=table)
+            _, viol, indet = bmod.verify_hierarchy(table, [exponent], side, bound_ids=ids)
             indeterminate += indet
             for v in viol:
                 violations.append({

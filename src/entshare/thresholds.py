@@ -4,11 +4,14 @@ Scan-then-bisect: a uniform scan locates the first sign change, bisection
 shrinks that bracket. Robust on the smooth but non-monotone residual
 functions this toolkit produces, and deterministic.
 
-Both threshold kinds are one scan (_scan) of bound(a) - lhs^a from a
-single-bound polygamy BoundPlan on [max(tol, SCAN_FLOOR), hi]: residual-zero
-scans the three-party `base` bound (the residual Q_AB^a + Q_AC^a - Q_A|BC^a)
-up to beta_max; empirical-beta scans its bound up to the cap, shifted by the
-bound's bounds.comparison_tol.
+Both threshold kinds take a ComponentTable, which carries the state, the
+measure and the optimizer settings, and are one scan (_scan) of
+bound(a) - lhs^a from a single-bound polygamy BoundPlan on the table, on
+[max(tol, SCAN_FLOOR), hi]: residual-zero scans the three-party `base` bound
+(the residual Q_AB^a + Q_AC^a - Q_A|BC^a) up to beta_max; empirical-beta
+scans its bound up to the cap, shifted by the bound's
+bounds.comparison_tol. Every argument is checked before any component is
+measured.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from .bounds import BASE, POLYGAMY, RESIDUAL_MAX, BoundPlan, ComponentTable
 from .bounds import bound_value  # noqa: F401  (bench/tracing.py wraps thresholds.bound_value)
 from .errors import EvaluationError, InvalidParameterError
-from .measures import DEFAULT_OPT, CorrelationMeasure, OptimizerConfig
 from .reference import MAX_GRID_POINTS
 
 DEFAULT_TOL = 1e-6
@@ -100,13 +102,12 @@ def find_zero(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
     return ThresholdResult(root, (a, b), iterations, f(root), tuple(profile))
 
 
-def _scan(state, measure: CorrelationMeasure, opt: OptimizerConfig, bound_id: str, hi: float,
-          tol: float, scan_steps: int, table: ComponentTable | None = None,
+def _scan(table: ComponentTable, bound_id: str, hi: float, tol: float, scan_steps: int,
           shifted: bool = False) -> ThresholdResult | None:
     """Smallest root of bound(a) - lhs^a (+ its tolerance if shifted) on [lo, hi], or None.
 
-    Arguments are checked before the table is built. A shifted scan violated
-    at lo has no root, nor has a base bound whose marginals all vanish.
+    Arguments are checked before any component is measured. A shifted scan
+    violated at lo has no root, nor has a base bound whose marginals all vanish.
     """
     _check_scan_steps(scan_steps)
     if not 0 < tol < math.inf:
@@ -114,8 +115,6 @@ def _scan(state, measure: CorrelationMeasure, opt: OptimizerConfig, bound_id: st
     lo = max(tol, SCAN_FLOOR)
     if not lo < hi < math.inf:
         raise InvalidParameterError(f"invalid range [{lo}, {hi}]")
-    if table is None:
-        table = ComponentTable(state, measure, opt)
     plan = BoundPlan(table, POLYGAMY, (bound_id,))
     lhs = plan.lhs.value
     if bound_id == BASE and not any(table.marginal(b).value for b in range(1, table.n_b + 1)):
@@ -131,29 +130,25 @@ def _scan(state, measure: CorrelationMeasure, opt: OptimizerConfig, bound_id: st
     return result
 
 
-def residual_zero_exponent(state, measure: CorrelationMeasure,
-                           opt: OptimizerConfig = DEFAULT_OPT, tol: float = DEFAULT_TOL,
-                           scan_steps: int = DEFAULT_SCAN_STEPS,
-                           table: ComponentTable | None = None) -> ThresholdResult | None:
-    """Exponent where the three-party residual changes sign, or None.
+def residual_zero_exponent(table: ComponentTable, tol: float = DEFAULT_TOL,
+                           scan_steps: int = DEFAULT_SCAN_STEPS) -> ThresholdResult | None:
+    """Exponent where the three-party residual of the table changes sign, or None.
 
     None covers both fixed-sign residuals and the degenerate case of states
-    whose pairwise components vanish; pass the (state, measure) table to read
-    its components afterwards without measuring them again.
+    whose pairwise components vanish; the table keeps the components read.
     """
-    if state.n_parties != 3:
+    if table.n_b != 2:
         raise InvalidParameterError("residual-zero threshold is defined for three parties")
-    return _scan(state, measure, opt, BASE, measure.beta_max, tol, scan_steps, table)
+    return _scan(table, BASE, table.measure.beta_max, tol, scan_steps)
 
 
 _BETA_BOUND_IDS = (BASE, RESIDUAL_MAX)
 
 
-def empirical_beta(state, measure: CorrelationMeasure, bound_id: str = RESIDUAL_MAX,
-                   opt: OptimizerConfig = DEFAULT_OPT, tol: float = DEFAULT_TOL,
-                   scan_steps: int = DEFAULT_SCAN_STEPS,
+def empirical_beta(table: ComponentTable, bound_id: str = RESIDUAL_MAX,
+                   tol: float = DEFAULT_TOL, scan_steps: int = DEFAULT_SCAN_STEPS,
                    search_cap: float = DEFAULT_SEARCH_CAP) -> ThresholdResult | None:
-    """Largest exponent at which the chosen upper bound still holds for this state.
+    """Largest exponent at which the chosen upper bound still holds on the table.
 
     Solved as the smallest root of bound(a) - lhs^a + tol, with tol the
     bound's comparison tolerance: states that saturate the bound make the
@@ -163,4 +158,4 @@ def empirical_beta(state, measure: CorrelationMeasure, bound_id: str = RESIDUAL_
     """
     if bound_id not in _BETA_BOUND_IDS:
         raise InvalidParameterError(f"empirical beta supports bounds {_BETA_BOUND_IDS}")
-    return _scan(state, measure, opt, bound_id, search_cap, tol, scan_steps, shifted=True)
+    return _scan(table, bound_id, search_cap, tol, scan_steps, shifted=True)

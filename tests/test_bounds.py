@@ -32,7 +32,6 @@ from entshare.bounds import (
     ordering_classify,
     residual_tree,
     verify_hierarchy,
-    weight_map,
 )
 from entshare.errors import DegenerateExponentWarning, ExponentRangeWarning, InvalidParameterError
 from entshare.measures import (
@@ -110,18 +109,24 @@ def recursive_tree(q, n_b, a, strategy, side, weights):
     return terms, [v for v, _ in top], [o for _, o in top]
 
 
+def bound_weights(bound_id, a, side, n_b, m, ref):
+    """A weighted bound's weight per party from its definition; {} when unweighted."""
+    weighting = BOUNDS[side][bound_id][0]
+    if weighting is None:
+        return {}
+    scalar = a / ref if weighting == "ratio" else 2.0 ** (a / ref) - 1.0
+    if bound_id == PAIR_WEIGHTED:
+        return {1: 1.0, 2: scalar}  # down the descending sort of the pair
+    return {b: scalar**k for b, k in enumerate(bmod._weight_powers(n_b, m), start=1)}
+
+
 def recursive_bound(q, n_b, bound_id, a, side, m, ref):
     """One bound evaluated directly from its definition (the plan's reference)."""
-    weighting, strategy = BOUNDS[side][bound_id]
+    strategy = BOUNDS[side][bound_id][1]
     values = [q[(i,)] for i in range(1, n_b + 1)]
-    weights = {}
-    if weighting is not None:
-        scalar = a / ref if weighting == "ratio" else 2.0 ** (a / ref) - 1.0
-        if bound_id == PAIR_WEIGHTED:
-            values.sort(reverse=True)
-            weights = {1: 1.0, 2: scalar}
-        else:
-            weights = weight_map(n_b, m, scalar)
+    weights = bound_weights(bound_id, a, side, n_b, m, ref)
+    if bound_id == PAIR_WEIGHTED:
+        values.sort(reverse=True)
     value = sum(weights.get(i, 1.0) * v**a for i, v in enumerate(values, start=1))
     if strategy is None:
         return value
@@ -147,13 +152,18 @@ class TestBoundPlan:
         ids = applicable_bounds(n_b + 1, side, m is not None)
         got = BoundPlan(table, side, ids, m).values(a)
         assert got == [recursive_bound(q, n_b, bid, a, side, m, ref) for bid in ids]
-        for strategy in ("max", "mean"):
-            tree = residual_tree(table, a, strategy, side)
-            terms, levels, omitted = recursive_tree(q, n_b, a, strategy, side, {})
+        # every residual bound's tree, weighted ones with that bound's own weights
+        for bid in ids:
+            strategy = BOUNDS[side][bid][1]
+            if strategy is None:
+                continue
+            tree = residual_tree(table, side, bid, a, m)
+            weights = bound_weights(bid, a, side, n_b, m, ref)
+            terms, levels, omitted = recursive_tree(q, n_b, a, strategy, side, weights)
             assert list(tree.terms.items()) == list(terms.items())
             assert list(tree.level_values.values()) == levels
-            if strategy == "max":
-                assert list(tree.selection.values()) == omitted
+            assert list(tree.selection.values()) == (
+                omitted if strategy == "max" else [None] * len(levels))
 
     def test_components_fetched_once_per_plan(self, monkeypatch):
         table = ComponentTable.from_values(
@@ -225,25 +235,23 @@ class TestWeightedPair:
     def test_range_warnings(self):
         for side, exponent in ((POLYGAMY, 3.0), (MONOGAMY, 1.0)):
             with pytest.warns(ExponentRangeWarning):
-                rep = evaluate_bounds(w_state(3), CONCURRENCE, exponent, side,
+                rep = evaluate_bounds(ComponentTable(w_state(3), CONCURRENCE), exponent, side,
                                       bound_ids=(PAIR_WEIGHTED,))
             assert rep.bounds[PAIR_WEIGHTED].range_warning
 
 
-class TestWeightMap:
+class TestWeightPowers:
     def test_layout(self):
-        w = weight_map(4, 2, 0.5)
-        assert w == {1: 1.0, 2: 0.5, 3: 0.5**3, 4: 0.25}
+        assert bmod._weight_powers(4, 2) == (0, 1, 3, 2)
 
     def test_m_one(self):
-        s = 1.8
-        assert weight_map(3, 1, s) == {1: 1.0, 2: s**2, 3: s}
+        assert bmod._weight_powers(3, 1) == (0, 2, 1)
 
     def test_m_range_checked(self):
         with pytest.raises(InvalidParameterError):
-            weight_map(3, 2, 1.0)
+            bmod._weight_powers(3, 2)
         with pytest.raises(InvalidParameterError, match="three-party"):
-            weight_map(2, 1, 1.0)
+            bmod._weight_powers(2, 1)
 
     @pytest.mark.parametrize("state, m, message", [
         (w_state(4), 0, "outside 1..1"), (w_state(4), 2, "outside 1..1"),
@@ -259,7 +267,8 @@ class TestWeightMap:
 
 class TestResidualTree:
     def test_product_state_all_zero(self):
-        tree = residual_tree(ComponentTable(product_state_4q(), CONCURRENCE), 1.5)
+        tree = residual_tree(ComponentTable(product_state_4q(), CONCURRENCE), POLYGAMY,
+                             RESIDUAL_MAX, 1.5)
         assert all(abs(v) < 1e-12 for v in tree.terms.values())
         assert all(abs(v) < 1e-12 for v in tree.level_values.values())
 
@@ -268,27 +277,51 @@ class TestResidualTree:
         # the max-selected weighted pair residual collapses to the closed form
         # (sq2/2)^y - (1/2)^(y/2) because the minimal weight pair is (1, L)
         table = ComponentTable.from_values(W4_TABLE, n_b=3, measure=CONCURRENCE)
-        weights = weight_map(3, 1, 2 ** (y / 2) - 1)
-        tree = residual_tree(table, y, "max", MONOGAMY, weights)
+        tree = residual_tree(table, MONOGAMY, EXP_WEIGHTED, y, m=1)
         assert tree.level_values[2] == pytest.approx((SQ2 / 2) ** y - 0.5 ** (y / 2), abs=1e-12)
         assert tree.exact
 
     def test_exactness_flag_tracks_estimates(self):
         table = ComponentTable(near_w(4), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
-        tree = residual_tree(table, 1.0)
+        tree = residual_tree(table, POLYGAMY, RESIDUAL_MAX, 1.0)
         assert not tree.exact
 
     def test_mean_strategy_levels(self):
         table = ComponentTable.from_values(W4_TABLE, n_b=3, measure=CONCURRENCE)
-        tree = residual_tree(table, 2.0, "mean", POLYGAMY)
+        tree = residual_tree(table, POLYGAMY, RESIDUAL_MEAN, 2.0)
         pair = 2 * 0.25 - 0.5
         assert tree.level_values == {3: pytest.approx(pair)}
         assert tree.selection[3] is None
 
-    def test_invalid_strategy(self):
-        table = ComponentTable.from_values(W4_TABLE, n_b=3)
+    @pytest.mark.parametrize("side, bound_id", [
+        (POLYGAMY, BASE), (POLYGAMY, WEIGHTED), (MONOGAMY, BASE), (POLYGAMY, "median"),
+    ])
+    def test_bound_without_residual_levels_rejected_before_any_component(self, side, bound_id):
+        table = ComponentTable(w_state(4), CONCURRENCE)
         with pytest.raises(InvalidParameterError):
-            residual_tree(table, 1.0, "median", POLYGAMY)
+            residual_tree(table, side, bound_id, 1.0, m=1)
+        assert table._cache == {}
+
+    @pytest.mark.parametrize("side, ids", [
+        (POLYGAMY, (BASE, RESIDUAL_MAX, WEIGHTED, RESIDUAL_MEAN, WEIGHTED_RESIDUAL)),
+        (MONOGAMY, (BASE, RATIO_WEIGHTED, EXP_WEIGHTED)),
+    ])
+    def test_explain_shows_the_levels_values_adds(self, side, ids):
+        table = ComponentTable.from_values(
+            {(1,): 0.5, (2,): 0.3, (3,): 0.6,
+             (1, 2): 0.4, (1, 3): 0.7, (2, 3): 0.5, (1, 2, 3): 0.9},
+            n_b=3, measure=CONCURRENCE)
+        plan = BoundPlan(table, side, ids, 1)
+        values = dict(zip(ids, plan.values(1.7)))
+        trees = plan.explain(1.7)
+        assert set(trees) == {b for b in ids if BOUNDS[side][b][1] is not None}
+        ref = CONCURRENCE.beta_max if side == POLYGAMY else CONCURRENCE.x_min
+        for bid, tree in trees.items():
+            weights = bound_weights(bid, 1.7, side, 3, 1, ref)
+            marginals = sum([weights.get(b, 1.0) * table.marginal(b).value ** 1.7
+                             for b in (1, 2, 3)])
+            sign = -1.0 if side == POLYGAMY else 1.0
+            assert values[bid] == marginals + sign * tree.level_sum()
 
 
 class TestComponentTable:
@@ -312,7 +345,7 @@ class TestComponentTable:
 
     def test_report_lhs_is_the_table_entry(self):
         table = ComponentTable(w_state(4), CONCURRENCE, OptimizerConfig(restarts=2))
-        rep = evaluate_bounds(w_state(4), CONCURRENCE, 2.0, MONOGAMY, table=table)
+        rep = evaluate_bounds(table, 2.0, MONOGAMY)
         assert rep.lhs is table.lhs()
 
     def test_state_backed_memoizes(self):
@@ -410,7 +443,7 @@ class TestKnownFindings:
                                                              exponent, bound_id, value,
                                                              lhs_power):
         table = ComponentTable(self.state_f(), measure)
-        rep = evaluate_bounds(None, measure, exponent, side, table=table)
+        rep = evaluate_bounds(table, exponent, side)
         # Kim-Sanders: C_{AB_i} = 2 |b_0 b_i|, joints sqrt(sum_S C^2), lhs 2 sqrt(det rho_A)
         b = np.array([3, 6, 4, 4]) / math.sqrt(93)
         q = {s: 2 * b[0] * math.sqrt(sum(b[i] ** 2 for i in s)) for s in all_subsets(3)[:-1]}
@@ -575,18 +608,18 @@ class TestEvaluateBounds:
     def test_range_warning_flagged(self):
         state = w_state(3)
         with pytest.warns(ExponentRangeWarning):
-            rep = evaluate_bounds(state, CONCURRENCE_ASSISTANCE, 3.0, POLYGAMY)
+            rep = evaluate_bounds(ComponentTable(state, CONCURRENCE_ASSISTANCE), 3.0, POLYGAMY)
         assert all(e.range_warning for e in rep.bounds.values())
 
     def test_degenerate_zero_exponent(self):
         state = make_family("ghz", [3])
         with pytest.warns(DegenerateExponentWarning):
-            rep = evaluate_bounds(state, CONCURRENCE, 0.0, POLYGAMY)
+            rep = evaluate_bounds(ComponentTable(state, CONCURRENCE), 0.0, POLYGAMY)
         assert rep.degenerate
         assert all(ok is None for ok in rep.satisfied.values())
 
     def test_w4_monogamy_base_saturates_at_two(self):
-        rep = evaluate_bounds(w_state(4), CONCURRENCE, 2.0, MONOGAMY)
+        rep = evaluate_bounds(ComponentTable(w_state(4), CONCURRENCE), 2.0, MONOGAMY)
         assert rep.m is None
         assert set(rep.bounds) == {BASE}
         assert rep.bounds[BASE].value == pytest.approx(0.75, abs=1e-10)
@@ -597,7 +630,7 @@ class TestEvaluateBounds:
         # A = 0.6|0> + 0.8|1> next to |++> on B1B2: every component is an exact 0,
         # so the small exponent cannot blow rounding noise in the lhs up to 0.42
         state = PureState(np.kron([0.6, 0.8], np.full(4, 0.5)), (2, 2, 2))
-        rep = evaluate_bounds(state, measure, 0.05, POLYGAMY)
+        rep = evaluate_bounds(ComponentTable(state, measure), 0.05, POLYGAMY)
         assert rep.lhs == MeasureValue(0.0, "exact") and rep.lhs_power == 0.0
         assert rep.bounds[BASE].value == 0.0
         assert rep.satisfied[BASE] is True
@@ -606,7 +639,7 @@ class TestEvaluateBounds:
         # the perturbed W state misses saturation at the power 2 by about 1e-3,
         # inside the 1e-2 margin of an optimizer with tol 1e-3
         opt = OptimizerConfig(restarts=4, tol=1e-3)
-        rep = evaluate_bounds(near_w(5), TAU_ASSISTANCE, 2.0, POLYGAMY, opt)
+        rep = evaluate_bounds(ComponentTable(near_w(5), TAU_ASSISTANCE, opt), 2.0, POLYGAMY)
         gap = rep.bounds[RESIDUAL_MAX].value - rep.lhs_power
         assert 0 < abs(gap) < bmod.comparison_tol(opt, False)
         assert rep.satisfied[RESIDUAL_MAX] is None
@@ -614,15 +647,14 @@ class TestEvaluateBounds:
 
 class TestHierarchy:
     def test_w5_polygamy_grid_clean(self):
-        reports, violations, _ = verify_hierarchy(
-            w_state(5), TAU_ASSISTANCE, [0.5, 1.0, 1.5, 2.0], POLYGAMY,
-            OptimizerConfig(restarts=6))
+        table = ComponentTable(w_state(5), TAU_ASSISTANCE, OptimizerConfig(restarts=6))
+        reports, violations, _ = verify_hierarchy(table, [0.5, 1.0, 1.5, 2.0], POLYGAMY)
         assert violations == []
         assert len(reports) == 4
 
     def test_w4_monogamy_grid_clean(self):
         _, violations, _ = verify_hierarchy(
-            w_state(4), CONCURRENCE, [2.0, 3.0, 4.0, 6.0], MONOGAMY)
+            ComponentTable(w_state(4), CONCURRENCE), [2.0, 3.0, 4.0, 6.0], MONOGAMY)
         assert violations == []
 
     @pytest.mark.parametrize("measure, side, exponents", [
@@ -634,30 +666,44 @@ class TestHierarchy:
 
         opt = OptimizerConfig(restarts=2)
         shared = ComponentTable(w_state(4), measure, opt)
-        verify_hierarchy(w_state(4), measure, [exponents[0]], side, opt, table=shared)
-        fresh = verify_hierarchy(w_state(4), measure, exponents, side, opt)
+        verify_hierarchy(shared, [exponents[0]], side)
+        fresh = verify_hierarchy(ComponentTable(w_state(4), measure, opt), exponents, side)
 
         def unexpected(*args):
             raise AssertionError("a shared table measured a component again")
 
         monkeypatch.setattr(bounds, "measure_bipartite", unexpected)
-        again = verify_hierarchy(w_state(4), measure, exponents, side, opt, table=shared)
+        again = verify_hierarchy(shared, exponents, side)
         assert again == fresh
 
     def test_product_state_all_zero(self):
         reports, violations, _ = verify_hierarchy(
-            product_state_4q(), CONCURRENCE, [1.0, 2.0], POLYGAMY)
+            ComponentTable(product_state_4q(), CONCURRENCE), [1.0, 2.0], POLYGAMY)
         assert violations == []
         for rep in reports:
             assert rep.lhs_power == 0.0
             assert all(e.value == 0.0 for e in rep.bounds.values())
 
+    @pytest.mark.parametrize("measure, checked", [(TAU_ASSISTANCE, True), (CONCURRENCE, False)])
+    def test_synthetic_table_checks_follow_its_measure(self, measure, checked):
+        # pair joints above their marginal sums, so residual_max exceeds base
+        table = ComponentTable.from_values(
+            {(1,): 0.1, (2,): 0.1, (3,): 0.1, (1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5,
+             (1, 2, 3): 0.9}, n_b=3, measure=measure)
+        reports, violations, _ = verify_hierarchy(table, [1.0], POLYGAMY)
+        assert [rep.m for rep in reports] == [None]
+        assert set(reports[0].bounds) == {BASE, RESIDUAL_MAX, RESIDUAL_MEAN}
+        checks = {v.check for v in violations}
+        assert {BASE, RESIDUAL_MAX} <= checks
+        assert ("residual_max<=base" in checks) is checked
+
     @pytest.mark.parametrize("seed", range(30))
     def test_three_qubit_haar_battery(self, seed):
         state = haar_random_pure((2, 2, 2), 1000 + seed)
-        _, viol_m, _ = verify_hierarchy(state, CONCURRENCE, [2.0, 2.5, 3.0, 4.0], MONOGAMY)
+        _, viol_m, _ = verify_hierarchy(ComponentTable(state, CONCURRENCE),
+                                        [2.0, 2.5, 3.0, 4.0], MONOGAMY)
         assert viol_m == []
-        _, viol_p, _ = verify_hierarchy(state, CONCURRENCE_ASSISTANCE,
+        _, viol_p, _ = verify_hierarchy(ComponentTable(state, CONCURRENCE_ASSISTANCE),
                                         [0.5, 1.0, 1.5, 2.0], POLYGAMY)
         assert viol_p == []
 
@@ -721,8 +767,7 @@ def _rule_ordering(state, table, rule, monkeypatch):
 def _rule_hierarchy(state, table, rule, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExponentRangeWarning)
-        reports, violations, _ = verify_hierarchy(state, TAU_ASSISTANCE, RULE_EXPONENTS,
-                                                  POLYGAMY, table.opt, table=table)
+        reports, violations, _ = verify_hierarchy(table, RULE_EXPONENTS, POLYGAMY)
     want = []
     for rep in reports:
         tight, loose = rep.bounds[RESIDUAL_MAX], rep.bounds[BASE]
@@ -755,7 +800,7 @@ def _rule_beta_shift(state, table, rule, monkeypatch):
         return find_zero(f, lo, hi, **kwargs)
 
     monkeypatch.setattr(thresholds, "find_zero", spy)
-    thresholds.empirical_beta(state, TAU_ASSISTANCE, RESIDUAL_MAX, table.opt)
+    thresholds.empirical_beta(table, RESIDUAL_MAX)
     (f,) = scanned
     lhs = table.lhs()
     # f(x) minus the unshifted difference, to six figures (the subtraction rounds)
@@ -870,7 +915,7 @@ class TestSyntheticProperties:
         table = ComponentTable.from_values(
             {(1,): q1, (2,): q2, (3,): q3, **joints, (1, 2, 3): 0.5}, n_b=3,
             measure=CONCURRENCE)
-        tree = residual_tree(table, alpha, "max", POLYGAMY)
+        tree = residual_tree(table, POLYGAMY, RESIDUAL_MAX, alpha)
         base, _ = bound_value(table, BASE, alpha, POLYGAMY)
         tight, _ = bound_value(table, RESIDUAL_MAX, alpha, POLYGAMY)
         assert tight == pytest.approx(base - tree.level_sum(), abs=1e-10)

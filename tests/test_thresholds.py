@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import all_subsets
-from entshare import thresholds
 from entshare.bounds import BASE, RESIDUAL_MAX, ComponentTable
 from entshare.errors import EvaluationError, InvalidParameterError
 from entshare.measures import CONCURRENCE, TAU_ASSISTANCE, OptimizerConfig
@@ -62,33 +61,35 @@ class TestFindZero:
 class TestResidualZero:
     def test_equal_amplitude_family(self):
         state = make_family("3q", [1 / math.sqrt(5)] * 5)
-        res = residual_zero_exponent(state, CONCURRENCE)
+        res = residual_zero_exponent(ComponentTable(state, CONCURRENCE))
         assert res.root == pytest.approx(1.26185, abs=1e-3)
 
     def test_second_family_point(self):
         state = make_family("3q", [0.5, 1 / math.sqrt(6), 0.5, 1 / math.sqrt(6), 1 / math.sqrt(6)])
-        res = residual_zero_exponent(state, CONCURRENCE)
+        res = residual_zero_exponent(ComponentTable(state, CONCURRENCE))
         assert res.root == pytest.approx(1.33770, abs=1e-3)
 
     def test_ghz_degenerate(self):
-        assert residual_zero_exponent(make_family("ghz", [3]), CONCURRENCE) is None
+        assert residual_zero_exponent(ComponentTable(make_family("ghz", [3]), CONCURRENCE)) is None
 
     def test_party_count_guard(self):
-        with pytest.raises(InvalidParameterError):
-            residual_zero_exponent(w_state(4), CONCURRENCE)
+        table = ComponentTable(w_state(4), CONCURRENCE)
+        with pytest.raises(InvalidParameterError, match="three parties"):
+            residual_zero_exponent(table)
+        assert table._cache == {}
 
     def test_scan_values_are_the_tripartite_residual(self):
         state = make_family("3q", [1 / math.sqrt(5)] * 5)
         table = ComponentTable(state, CONCURRENCE)
         q_ab, q_ac, q_abc = (table.marginal(1).value, table.marginal(2).value,
                              table.lhs().value)
-        res = residual_zero_exponent(state, CONCURRENCE)
+        res = residual_zero_exponent(ComponentTable(state, CONCURRENCE))
         assert all(v == q_ab**x + q_ac**x - q_abc**x for x, v in res.scan_profile)
 
     def test_family_root_is_the_analytic_one(self):
         # Q_AB = Q_AC = 0.4 and Q_A|BC = 2 sqrt(3)/5: the root is 2 ln 2 / ln 3
-        res = residual_zero_exponent(make_family("3q", [1 / math.sqrt(5)] * 5), CONCURRENCE,
-                                     tol=1e-9)
+        res = residual_zero_exponent(
+            ComponentTable(make_family("3q", [1 / math.sqrt(5)] * 5), CONCURRENCE), tol=1e-9)
         assert res.root == pytest.approx(2 * math.log(2) / math.log(3), abs=1e-8)
         x, v = res.scan_profile[-1]
         assert x == pytest.approx(2.0, abs=1e-15)
@@ -96,26 +97,27 @@ class TestResidualZero:
 
     def test_product_state_has_no_root(self):
         # every component vanishes, so the residual is identically zero
-        assert residual_zero_exponent(make_family("3q", [1, 0, 0, 0, 0]), CONCURRENCE) is None
+        table = ComponentTable(make_family("3q", [1, 0, 0, 0, 0]), CONCURRENCE)
+        assert residual_zero_exponent(table) is None
 
     def test_phase_does_not_move_the_root(self):
         lam = [1 / math.sqrt(5)] * 5
-        r0 = residual_zero_exponent(make_family("3q", lam + [0.0]), CONCURRENCE)
-        r1 = residual_zero_exponent(make_family("3q", lam + [2.1]), CONCURRENCE)
+        r0 = residual_zero_exponent(ComponentTable(make_family("3q", lam + [0.0]), CONCURRENCE))
+        r1 = residual_zero_exponent(ComponentTable(make_family("3q", lam + [2.1]), CONCURRENCE))
         assert r0.root == pytest.approx(r1.root, abs=1e-9)
 
 
 class TestEmpiricalBeta:
     def test_theta_state_transition(self, no_roof):
         state = make_family("4q-theta", [math.pi / 4, math.pi / 4])
-        res = empirical_beta(state, CONCURRENCE, RESIDUAL_MAX)
+        table = ComponentTable(state, CONCURRENCE)
+        res = empirical_beta(table, RESIDUAL_MAX)
         assert res is not None
         assert res.root == pytest.approx(1.507126, abs=1e-4)
-        table = ComponentTable(state, CONCURRENCE)
         assert all(table.joint(s).exact for s in all_subsets(3))
 
     def test_w5_base_saturates_at_configured_power(self):
-        res = empirical_beta(w_state(5), TAU_ASSISTANCE, BASE)
+        res = empirical_beta(ComponentTable(w_state(5), TAU_ASSISTANCE), BASE)
         assert res is not None
         assert res.root == pytest.approx(2.0, abs=1e-4)
 
@@ -123,17 +125,19 @@ class TestEmpiricalBeta:
         psi = np.zeros(16)
         psi[0] = 1.0
         state = PureState(psi, (2, 2, 2, 2))
-        assert empirical_beta(state, CONCURRENCE, RESIDUAL_MAX) is None
+        assert empirical_beta(ComponentTable(state, CONCURRENCE), RESIDUAL_MAX) is None
 
     def test_unknown_bound_rejected(self):
+        table = ComponentTable(w_state(4), CONCURRENCE)
         with pytest.raises(InvalidParameterError):
-            empirical_beta(w_state(4), CONCURRENCE, "residual_mean")
+            empirical_beta(table, "residual_mean")
+        assert table._cache == {}
 
     def test_deterministic_with_estimates(self):
         state = make_family("4q-theta", [0.6, 0.8])
         opt = OptimizerConfig(restarts=4, seed=3)
-        a = empirical_beta(state, CONCURRENCE, RESIDUAL_MAX, opt)
-        b = empirical_beta(state, CONCURRENCE, RESIDUAL_MAX, opt)
+        a = empirical_beta(ComponentTable(state, CONCURRENCE, opt), RESIDUAL_MAX)
+        b = empirical_beta(ComponentTable(state, CONCURRENCE, opt), RESIDUAL_MAX)
         assert a.root == b.root
 
 
@@ -142,13 +146,11 @@ class TestEmpiricalBeta:
     (residual_zero_exponent, make_family("3q", [1 / math.sqrt(5)] * 5)),
     (empirical_beta, make_family("4q-theta", [math.pi / 4, math.pi / 4])),
 ], ids=["residual-zero", "empirical-beta"])
-def test_scan_steps_checked_before_the_table(monkeypatch, solver, state, scan_steps):
-    def no_table(*args, **kwargs):
-        raise AssertionError("component table built")
-
-    monkeypatch.setattr(thresholds, "ComponentTable", no_table)
+def test_scan_steps_checked_before_the_table(solver, state, scan_steps):
+    table = ComponentTable(state, CONCURRENCE)
     with pytest.raises(InvalidParameterError, match="scan_steps"):
-        solver(state, CONCURRENCE, scan_steps=scan_steps)
+        solver(table, scan_steps=scan_steps)
+    assert table._cache == {}
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -158,15 +160,13 @@ def test_scan_steps_checked_before_the_table(monkeypatch, solver, state, scan_st
     ({"tol": math.nan}, "tol"), ({"tol": math.inf}, "tol"),
 ], ids=["cap-0", "cap-negative", "cap-nan", "cap-below-floor", "cap-inf", "tol-above-cap",
         "tol-nan", "tol-inf"])
-def test_range_and_tol_checked_before_the_table(monkeypatch, kwargs, match):
-    def no_table(*args, **kwargs):
-        raise AssertionError("component table built")
-
-    monkeypatch.setattr(thresholds, "ComponentTable", no_table)
-    state = make_family("4q-theta", [math.pi / 4, math.pi / 4])
+def test_range_and_tol_checked_before_the_table(kwargs, match):
+    table = ComponentTable(make_family("4q-theta", [math.pi / 4, math.pi / 4]), CONCURRENCE)
     with pytest.raises(InvalidParameterError, match=match):
-        empirical_beta(state, CONCURRENCE, RESIDUAL_MAX, **kwargs)
+        empirical_beta(table, RESIDUAL_MAX, **kwargs)
+    assert table._cache == {}
     if "tol" in kwargs:
+        table = ComponentTable(make_family("3q", [1 / math.sqrt(5)] * 5), CONCURRENCE)
         with pytest.raises(InvalidParameterError, match=match):
-            residual_zero_exponent(make_family("3q", [1 / math.sqrt(5)] * 5), CONCURRENCE,
-                                   **kwargs)
+            residual_zero_exponent(table, **kwargs)
+        assert table._cache == {}
