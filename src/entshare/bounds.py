@@ -116,12 +116,12 @@ class ComponentTable:
     """Cut values Q_{A|S} of one (state, measure) pair, computed once each.
 
     Each value is measure_bipartite on the reduction to A plus S (the state
-    itself for the full cut), across A|S.
+    itself for the full cut), across A|S, under the table's optimizer
+    settings. Bound and threshold calls read all three from the table.
     """
 
-    def __init__(self, state: PureState | DensityMatrix | None,
-                 measure: CorrelationMeasure | None, opt: OptimizerConfig = DEFAULT_OPT,
-                 n_b: int | None = None):
+    def __init__(self, state: PureState | DensityMatrix | None, measure: CorrelationMeasure,
+                 opt: OptimizerConfig = DEFAULT_OPT, n_b: int | None = None):
         """A table measured from `state`, or with state None an empty one over n_b B parties."""
         self.state = state
         self.measure = measure
@@ -133,7 +133,7 @@ class ComponentTable:
 
     @classmethod
     def from_values(cls, joints: dict[tuple[int, ...], float], n_b: int,
-                    measure: CorrelationMeasure | None = None) -> "ComponentTable":
+                    measure: CorrelationMeasure) -> "ComponentTable":
         """Synthetic all-exact table; `joints` maps sorted B-subsets to values."""
         table = cls(None, measure, n_b=n_b)
         table._cache.update({tuple(sorted(k)): MeasureValue(float(v), EXACT)
@@ -350,12 +350,6 @@ def ordering_classify(table: ComponentTable) -> OrderingResult:
     return OrderingResult(None, tuple(comparisons))
 
 
-def _power_ref(measure: CorrelationMeasure | None, side: str) -> float:
-    if measure is None:
-        raise InvalidParameterError("weighted bounds need a measure for the power reference")
-    return measure.beta_max if side == POLYGAMY else measure.x_min
-
-
 def _fits(bound_id: str, n_parties: int) -> bool:
     """pair_weighted at three parties, base at any count, the rest at four or more."""
     if bound_id == PAIR_WEIGHTED:
@@ -409,7 +403,7 @@ class BoundPlan:
         for bid, weighting, _ in specs:
             if weighting is None:
                 continue
-            self._ref = _power_ref(table.measure, side)
+            self._ref = table.measure.beta_max if self._polygamy else table.measure.x_min
             if bid == PAIR_WEIGHTED:
                 order = sorted(range(n_b), key=values.__getitem__, reverse=True)
                 self._layout = tuple(order.index(b) for b in range(n_b))

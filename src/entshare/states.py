@@ -72,8 +72,8 @@ class DensityMatrix:
         side = math.prod(dims)
         if mat.shape != (side, side):
             raise InvalidStateError(f"matrix shape {mat.shape} does not match dims {dims}")
-        # each check is written so that a NaN or infinite entry fails it
-        if not np.max(np.abs(mat - mat.conj().T)) <= HERM_TOL:
+        # finite first, so the Hermitian residual never computes inf - inf
+        if not (np.isfinite(mat).all() and np.max(np.abs(mat - mat.conj().T)) <= HERM_TOL):
             raise InvalidStateError("matrix is not finite and Hermitian within tolerance")
         tr = np.trace(mat).real
         if not abs(tr - 1.0) <= HERM_TOL:
@@ -251,20 +251,48 @@ def state_to_json(state: PureState) -> str:
     return json.dumps({"dims": dims, "amplitudes": entries}, indent=2)
 
 
+def _integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def state_from_json(text: str) -> PureState:
-    """Load a state from the JSON schema; renormalizes only tiny deviations (< 1e-6)."""
+    """Load a state from the JSON schema; renormalizes only tiny deviations (< 1e-6).
+
+    One schema check, each rule an InvalidStateError: the document is an
+    object with `dims` and `amplitudes`; dims are integers of 2 or more;
+    every amplitude is an object whose `index` is a list of in-range integers
+    (not bools, not floats) that no other entry repeats, and whose `re` and
+    `im` (0 when absent) are finite reals.
+    """
     doc = json.loads(text)
-    dims = tuple(int(d) for d in doc["dims"])
+    if not (isinstance(doc, dict) and isinstance(doc.get("dims"), list)
+            and isinstance(doc.get("amplitudes"), list)):
+        raise InvalidStateError("a state document is an object with lists 'dims' and "
+                                "'amplitudes'")
+    dims = tuple(doc["dims"])
+    if not dims or not all(_integer(d) and d >= 2 for d in dims):
+        raise InvalidStateError(f"dims must be integers of 2 or more, got {doc['dims']!r}")
     v = np.zeros(math.prod(dims), dtype=complex)
+    seen = set()
     for entry in doc["amplitudes"]:
-        idx = entry["index"]
-        if len(idx) != len(dims) or any(not (0 <= i < d) for i, d in zip(idx, dims)):
-            raise InvalidStateError(f"amplitude index {idx} out of range for dims {dims}")
-        flat = 0
-        for i, d in zip(idx, dims):
-            flat = flat * d + int(i)
-        v[flat] = complex(entry.get("re", 0.0), entry.get("im", 0.0))
+        idx = entry.get("index") if isinstance(entry, dict) else None
+        if not (isinstance(idx, list) and len(idx) == len(dims)
+                and all(_integer(i) and 0 <= i < d for i, d in zip(idx, dims))):
+            raise InvalidStateError(f"amplitude index {idx!r} is not a list of in-range "
+                                    f"integers for dims {list(dims)}")
+        if tuple(idx) in seen:
+            raise InvalidStateError(f"amplitude index {idx} appears twice")
+        seen.add(tuple(idx))
+        parts = entry.get("re", 0.0), entry.get("im", 0.0)
+        if not all(_finite_real(x) for x in parts):
+            raise InvalidStateError(f"amplitude {idx}: re and im must be finite reals, "
+                                    f"got {parts[0]!r} and {parts[1]!r}")
+        v[np.ravel_multi_index(tuple(idx), dims)] = complex(*parts)
     norm = np.linalg.norm(v)
-    if not abs(norm - 1.0) <= 1e-6:  # written so that a NaN fails it
+    if not abs(norm - 1.0) <= 1e-6:
         raise InvalidStateError(f"state in JSON has norm {norm!r}; refusing to normalize")
     return PureState(v / norm, dims)

@@ -326,14 +326,14 @@ class TestResidualTree:
 
 class TestComponentTable:
     def test_synthetic_lookup_and_missing_key(self):
-        table = ComponentTable.from_values({(1,): 0.5, (2,): 0.25}, n_b=2)
+        table = ComponentTable.from_values({(1,): 0.5, (2,): 0.25}, n_b=2, measure=CONCURRENCE)
         assert table.marginal(1).value == 0.5
         with pytest.raises(InvalidParameterError):
             table.joint((1, 2))
 
     def test_synthetic_negative_value_rejected(self):
         with pytest.raises(InvalidParameterError):
-            ComponentTable.from_values({(1,): 0.5, (2,): -0.25}, n_b=2)
+            ComponentTable.from_values({(1,): 0.5, (2,): -0.25}, n_b=2, measure=CONCURRENCE)
 
     def test_caches_the_dispatched_measure_value(self):
         table = ComponentTable(near_w(4), TAU_ASSISTANCE, OptimizerConfig(restarts=2))
@@ -354,7 +354,7 @@ class TestComponentTable:
         assert table.joint((2, 1)) is first
 
     def test_subset_validation(self):
-        table = ComponentTable.from_values(W4_TABLE, n_b=3)
+        table = ComponentTable.from_values(W4_TABLE, n_b=3, measure=CONCURRENCE)
         with pytest.raises(InvalidParameterError):
             table.joint((0,))
         with pytest.raises(InvalidParameterError):
@@ -551,7 +551,8 @@ class TestBoundValues:
         for n in misfits:
             with pytest.raises(InvalidParameterError):
                 check_bound(POLYGAMY, bound_id, n)
-        pair_table = ComponentTable.from_values({(1,): 0.5, (2,): 0.25}, n_b=2)
+        pair_table = ComponentTable.from_values({(1,): 0.5, (2,): 0.25}, n_b=2,
+                                                measure=CONCURRENCE)
         with pytest.raises(InvalidParameterError, match="four parties"):
             bound_value(pair_table, RESIDUAL_MEAN, 1.0, POLYGAMY)
 

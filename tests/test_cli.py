@@ -150,7 +150,7 @@ class TestMeasureCommand:
         assert json.loads(out)["exactness"] == "exact"
 
     @pytest.mark.parametrize("source, message", [
-        (["--state", "nan.json"], "norm"),
+        (["--state", "nan.json"], "finite"),
         (["--family", "3q", "--params", "nan,0.5,0.5,0.5,0.5"], "non-negative"),
         (["--family", "3q", "--params", ",".join(["0.4472135955"] * 5 + ["nan"])], "norm"),
     ], ids=["state", "params", "phase"])
@@ -169,6 +169,33 @@ class TestMeasureCommand:
         code, out, err = run(capsys, "measure", *source, "--cut", "A|B1", "--reduce")
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("doc", [
+        [{"index": [0, 0, 0], "re": 1.0}],
+        {"amplitudes": [{"index": [0, 0, 0], "re": 1.0}]},
+        {"dims": [2, 2, 2]},
+        {"dims": [2, 2.0, 2], "amplitudes": [{"index": [0, 0, 0], "re": 1.0}]},
+        {"dims": [2, 1, 2], "amplitudes": [{"index": [0, 0, 0], "re": 1.0}]},
+        {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": "x"}]},
+        {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "im": True, "re": 1.0}]},
+        {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": math.inf}]},
+        {"dims": [2, 2, 2], "amplitudes": [{"index": 0, "re": 1.0}]},
+        {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0.5], "re": 1.0}]},
+        {"dims": [2, 2, 2], "amplitudes": [{"index": [0, True, 0], "re": 1.0}]},
+        {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 2], "re": 1.0}]},
+        {"dims": [2, 2, 2], "amplitudes": [1.0]},
+        {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": 1.0},
+                                           {"index": [0, 0, 0], "re": 1.0}]},
+    ], ids=["list", "no-dims", "no-amplitudes", "float-dim", "dim-1", "re-string", "im-bool",
+            "re-inf", "index-int", "index-float", "index-bool", "index-out-of-range",
+            "entry-number", "duplicate-index"])
+    def test_malformed_state_json_exits_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measure", "--state", str(path), "--cut", "A|B1",
+                             "--reduce")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_invalid_family_exits_2(self, capsys):
         code, _, err = run(capsys, "measure", "--family", "w9")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,12 +65,18 @@ class TestInvariants:
         # a NaN on the diagonal only: the Hermitian residual is NaN too
         with pytest.raises(InvalidStateError, match="Hermitian"):
             DensityMatrix(np.diag([0.5, np.nan]), (2,))
-        with pytest.raises(InvalidStateError, match="norm"):
+        with pytest.raises(InvalidStateError, match="finite"):
             state_from_json('{"dims": [2], "amplitudes": [{"index": [0], "re": NaN}]}')
         with pytest.raises(InvalidParameterError, match="non-negative"):
             make_family("3q", [math.nan, 0.5, 0.5, 0.5, 0.5])
         with pytest.raises(InvalidStateError, match="norm"):
             make_family("3q", [1 / math.sqrt(5)] * 5 + [math.nan])
+
+    def test_infinite_entry_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="finite"):
+                DensityMatrix([[0.5, np.inf], [np.inf, 0.5]], (2,))
 
     def test_states_immutable(self, bell):
         with pytest.raises(ValueError):
