@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,23 +257,24 @@ def _integer(x) -> bool:
 
 
 def _finite_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A JSON number, not a bool, that a float holds finitely."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    return _integer(x) and abs(x) <= sys.float_info.max
 
 
 def state_from_json(text: str) -> PureState:
     """Load a state from the JSON schema; renormalizes only tiny deviations (< 1e-6).
 
-    One schema check, each rule an InvalidStateError: the document is an
-    object with `dims` and `amplitudes`; dims are integers of 2 or more;
-    every amplitude is an object whose `index` is a list of in-range integers
-    (not bools, not floats) that no other entry repeats, and whose `re` and
-    `im` (0 when absent) are finite reals.
+    One schema check, each rule an InvalidStateError: an object with lists
+    `dims` (integers of 2 or more) and `amplitudes`, each amplitude an object
+    with a distinct `index` (a list of in-range integers) and finite real
+    `re` and `im` (0 when absent).
     """
     doc = json.loads(text)
     if not (isinstance(doc, dict) and isinstance(doc.get("dims"), list)
             and isinstance(doc.get("amplitudes"), list)):
-        raise InvalidStateError("a state document is an object with lists 'dims' and "
-                                "'amplitudes'")
+        raise InvalidStateError("a state is an object with lists 'dims' and 'amplitudes'")
     dims = tuple(doc["dims"])
     if not dims or not all(_integer(d) and d >= 2 for d in dims):
         raise InvalidStateError(f"dims must be integers of 2 or more, got {doc['dims']!r}")
@@ -290,7 +292,7 @@ def state_from_json(text: str) -> PureState:
         parts = entry.get("re", 0.0), entry.get("im", 0.0)
         if not all(_finite_real(x) for x in parts):
             raise InvalidStateError(f"amplitude {idx}: re and im must be finite reals, "
-                                    f"got {parts[0]!r} and {parts[1]!r}")
+                                    f"got {parts}")
         v[np.ravel_multi_index(tuple(idx), dims)] = complex(*parts)
     norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= 1e-6:

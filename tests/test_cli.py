@@ -179,6 +179,7 @@ class TestMeasureCommand:
         {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": "x"}]},
         {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "im": True, "re": 1.0}]},
         {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": math.inf}]},
+        {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": 10**400}]},
         {"dims": [2, 2, 2], "amplitudes": [{"index": 0, "re": 1.0}]},
         {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0.5], "re": 1.0}]},
         {"dims": [2, 2, 2], "amplitudes": [{"index": [0, True, 0], "re": 1.0}]},
@@ -187,7 +188,7 @@ class TestMeasureCommand:
         {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": 1.0},
                                            {"index": [0, 0, 0], "re": 1.0}]},
     ], ids=["list", "no-dims", "no-amplitudes", "float-dim", "dim-1", "re-string", "im-bool",
-            "re-inf", "index-int", "index-float", "index-bool", "index-out-of-range",
+            "re-inf", "re-huge-int", "index-int", "index-float", "index-bool", "index-out-of-range",
             "entry-number", "duplicate-index"])
     def test_malformed_state_json_exits_2(self, capsys, tmp_path, doc):
         path = tmp_path / "state.json"
