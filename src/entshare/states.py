@@ -293,7 +293,10 @@ def state_from_json(text: str) -> PureState:
         if not all(_finite_real(x) for x in parts):
             raise InvalidStateError(f"amplitude {idx}: re and im must be finite reals, "
                                     f"got {parts}")
-        v[np.ravel_multi_index(tuple(idx), dims)] = complex(*parts)
+        flat = 0
+        for i, d in zip(idx, dims):
+            flat = flat * d + i
+        v[flat] = complex(*parts)
     norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= 1e-6:
         raise InvalidStateError(f"state in JSON has norm {norm!r}; refusing to normalize")
