@@ -15,10 +15,16 @@ on one cut per dispatch branch (a pure state, a 2x2 mixed state, a rank-1
 2x2 and a rank-1 2x4 reduction, two 2x4 cuts restricted to 2x2, a 2x2
 reduction of a product |a>|psi_B1B2> with a pure side, which both measures
 read as an exact 0, a 2x4 roof on a Haar 4-qubit state and a 2x8 roof
-restricted to 2x4 on a Haar 5-qubit state). These three states are built
-from fixed seeds and written as JSON into a temporary working directory, so
-every argv stays the same from run to run. Warnings and timing
-notes go to stderr and are not digested.
+restricted to 2x4 on a Haar 5-qubit state, plus the 2x2 case in CSV).
+`bounds` also runs on two states with violated verdicts: the W-class state
+F with amplitudes (4, 3, 6, 4, 4)/sqrt(93) (m = 1 from ordering_classify,
+exact violations on both sides, in JSON and CSV) and the Haar 4-qubit state
+under polygamy concurrence (estimate-backed violations). The residual-zero
+threshold also runs in CSV, and empirical-beta of `base` on GHZ, violated
+from the first scanned exponent on, has no transition and exits 3. The four
+states are built from fixed amplitudes or seeds and written as JSON into a
+temporary working directory, so every argv stays the same from run to run.
+Warnings and timing notes go to stderr and are not digested.
 
 Usage: python scripts/output_digests.py [outfile]
 """
@@ -62,6 +68,8 @@ MEASURE_CASES = [
 # no bound named: all applicable bounds, so verify_hierarchy's checks run too
 HIERARCHY_CHECKS = ("polygamy:concurrence_assistance:1,monogamy:concurrence:2.5,"
                     "polygamy:concurrence:1:weighted")
+# bounds on state F: (side, measure, exponent), each with an exact violated verdict
+VIOLATED_F = (("monogamy", "concurrence", "5.2"), ("polygamy", "tau_assistance", "0.8"))
 PAIR_CHECKS = ",".join(f"{side}:{measure}:{e}:pair_weighted"
                        for side, measure in (("monogamy", "concurrence"),
                                              ("polygamy", "concurrence_assistance"))
@@ -91,7 +99,10 @@ def commands() -> list[list[str]]:
         cmds.append(["sweep", "--family", "w5", "--measure", measure, "--side", side,
                      "--restarts", "4", "--seed", "11", "--grid", grid, "--m", "2"])
     cmds.append(["threshold", "--family", "3q", *FAMILIES["3q"], "--kind", "residual-zero"])
+    cmds.append(["threshold", "--family", "3q", *FAMILIES["3q"], "--kind", "residual-zero",
+                 "--format", "csv"])
     cmds.append(["threshold", "--family", "ghz", "--params", "3", "--kind", "residual-zero"])
+    cmds.append(["threshold", "--family", "ghz:3", "--kind", "empirical-beta", "--bound", "base"])
     for bound in ("residual_max", "base"):
         cmds.append(["threshold", "--family", "4q-theta", *FAMILIES["4q-theta"],
                      "--kind", "empirical-beta", "--bound", bound, "--restarts", "4"])
@@ -101,6 +112,13 @@ def commands() -> list[list[str]]:
         for measure in ("concurrence", "concurrence_assistance"):
             cmds.append(["measure", *state, "--cut", cut, "--reduce", "--measure", measure,
                          "--restarts", "2"])
+    cmds.append(["measure", "--family", "w4", "--cut", "A|B1", "--reduce", "--format", "csv"])
+    for side, measure, exponent in VIOLATED_F:
+        for fmt in ("json", "csv"):
+            cmds.append(["bounds", "--state", "f.json", "--side", side, "--measure", measure,
+                         "--exponent", exponent, "--format", fmt])
+    cmds.append(["bounds", "--state", "haar4.json", "--side", "polygamy", "--measure",
+                 "concurrence", "--exponent", "1", "--restarts", "2"])
     return cmds
 
 
@@ -113,11 +131,14 @@ def digest_line(argv: list[str]) -> str:
 
 
 def state_files() -> dict[str, PureState]:
-    """The states the measure cases read: two Haar states and |a> x |psi_B1B2> of two more."""
+    """The states the commands read: two Haar states, |a> x |psi_B1B2> of two more, and F."""
     a, psi = haar_random_pure((2,), 0), haar_random_pure((2, 2), 1)
+    f = np.zeros(16)
+    f[[0b0000, 0b1000, 0b0100, 0b0010, 0b0001]] = np.array([4, 3, 6, 4, 4]) / np.sqrt(93)
     return {"haar4.json": haar_random_pure((2,) * 4, 4),
             "haar5.json": haar_random_pure((2,) * 5, 5),
-            "product.json": PureState(np.kron(a.amplitudes, psi.amplitudes), (2, 2, 2))}
+            "product.json": PureState(np.kron(a.amplitudes, psi.amplitudes), (2, 2, 2)),
+            "f.json": PureState(f, (2,) * 4)}
 
 
 def digest_lines() -> list[str]:

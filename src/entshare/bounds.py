@@ -32,8 +32,10 @@ plan (BoundPlan.explain): the terms and levels that values() computed.
 
 Every comparison (verdicts, orderings, hierarchy checks, the empirical-beta
 shift) takes its tolerance from one rule, comparison_tol: EXACT_TOL when every
-compared value is exact, 10 opt.tol + 1e-9 otherwise. Exact values always get
-a satisfied/violated verdict; estimates within the tolerance get None.
+compared value is exact, 10 opt.tol + 1e-9 otherwise. One function, verdict,
+turns a gap and its tolerance into a decision for verdicts, orderings and
+hierarchy checks: exact values always get holds/fails; estimates within the
+tolerance get None.
 
 Sides and ids (the BOUNDS table below). `base` applies at any party count,
 `pair_weighted` at three parties only, every other bound at four or more.
@@ -110,6 +112,17 @@ EXACT_TOL = 1e-9
 def comparison_tol(opt: OptimizerConfig, *exact: bool) -> float:
     """The one comparison rule: EXACT_TOL when every value is exact, else 10 opt.tol + 1e-9."""
     return EXACT_TOL if all(exact) else 10.0 * opt.tol + 1e-9
+
+
+def verdict(gap: float, tol: float, decided: bool) -> bool | None:
+    """Whether `gap` >= 0 holds (True), fails (False) or is undecided (None) at `tol`.
+
+    A decided comparison (exact values) holds from -tol up. Otherwise it holds
+    from +tol up, fails from -tol down, and is undecided in between.
+    """
+    if decided:
+        return bool(gap >= -tol)
+    return True if gap >= tol else False if gap <= -tol else None
 
 
 class ComponentTable:
@@ -311,7 +324,7 @@ class OrderingComparison:
     index: int
     marginal: MeasureValue
     tail: MeasureValue
-    relation: str  # "ge", "le", "both", "neither"
+    relation: str  # "ge", "le", "both"
 
 
 @dataclass(frozen=True)
@@ -335,12 +348,8 @@ def ordering_classify(table: ComponentTable) -> OrderingResult:
         tail = table.joint(tuple(range(i + 1, n_b + 1)))
         tol = comparison_tol(table.opt, marg.exact, tail.exact)
         diff = marg.value - tail.value
-        if diff > tol:
-            rel = "ge"
-        elif diff < -tol:
-            rel = "le"
-        else:
-            rel = "both"
+        ge, le = verdict(diff, tol, True), verdict(-diff, tol, True)
+        rel = "both" if ge and le else "ge" if ge else "le"
         comparisons.append(OrderingComparison(i, marg, tail, rel))
     for m in range(1, n_b - 1):
         head_ok = all(c.relation in ("ge", "both") for c in comparisons[:m])
@@ -426,10 +435,18 @@ class BoundPlan:
         """Each bound's value at `exponent`, in bound_ids order.
 
         Given a dict, `trees` receives the ResidualTree of each residual
-        bound: the terms and levels this evaluation computed.
+        bound: the terms and levels this evaluation computed. An exponent at
+        which a component power or the weight overflows a float is rejected.
         """
         if exponent < 0 and 0.0 in self._components:
             raise InvalidParameterError(f"exponent {exponent} is negative and a component is 0")
+        try:
+            return self._values(exponent, trees)
+        except OverflowError:
+            raise InvalidParameterError(f"exponent {exponent} overflows a component power "
+                                        f"or the weight") from None
+
+    def _values(self, exponent: float, trees: dict | None) -> list[float]:
         powers = [c**exponent for c in self._components]
         marginals = powers[:self.table.n_b]
         sums = {}  # weighting -> (weighted marginal powers, their sum)
@@ -477,6 +494,10 @@ class BoundPlan:
         if exponent < 0 and lhs.value == 0.0:
             raise InvalidParameterError(f"exponent {exponent} is negative and the lhs is 0")
         values = self.values(exponent)
+        try:
+            lhs_power = lhs.value**exponent
+        except OverflowError:
+            raise InvalidParameterError(f"exponent {exponent} overflows the lhs power") from None
         measure = self.table.measure
         range_warning = False
         if self.side == POLYGAMY and not (0 <= exponent <= measure.beta_max + 1e-12):
@@ -488,7 +509,6 @@ class BoundPlan:
                           ExponentRangeWarning, stacklevel=2)
             range_warning = True
 
-        lhs_power = lhs.value**exponent
         degenerate = exponent == 0.0 and (self._zero_marginal or lhs.value == 0.0)
         if degenerate:
             warnings.warn("exponent 0 with a zero component; report flagged degenerate",
@@ -499,18 +519,8 @@ class BoundPlan:
         tols = self.tol
         for bid, val, exact in zip(self.bound_ids, values, self.exact):
             bounds[bid] = BoundEntry(val, exact, range_warning)
-            tol = tols[bid]
             gap = (val - lhs_power) if self._polygamy else (lhs_power - val)
-            if degenerate:
-                satisfied[bid] = None
-            elif exact and lhs.exact:  # exact values always get a verdict
-                satisfied[bid] = bool(gap >= -tol)
-            elif gap >= tol:
-                satisfied[bid] = True
-            elif gap <= -tol:
-                satisfied[bid] = False
-            else:
-                satisfied[bid] = None
+            satisfied[bid] = None if degenerate else verdict(gap, tols[bid], exact and lhs.exact)
         return BoundReport(exponent, self.side, lhs, bounds, satisfied, self.m, degenerate,
                            self._margin, tols)
 
@@ -616,8 +626,7 @@ def verify_hierarchy(table: ComponentTable, exponents, side: str, bound_ids=None
             if tighter in report.bounds and looser in report.bounds:
                 a, b = report.bounds[tighter], report.bounds[looser]
                 gap = (b.value - a.value) if side == POLYGAMY else (a.value - b.value)
-                tol = comparison_tol(table.opt, a.exact, b.exact)
-                if gap < -tol:
+                if verdict(gap, comparison_tol(table.opt, a.exact, b.exact), True) is False:
                     rel = "<=" if side == POLYGAMY else ">="
                     violations.append(Violation(report.exponent, f"{tighter}{rel}{looser}", gap))
     return reports, violations, indeterminate

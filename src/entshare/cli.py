@@ -26,6 +26,7 @@ from .measures import DEFAULT_OPT, OptimizerConfig, get_measure, measure_biparti
 from .states import (
     Bipartition,
     PureState,
+    check_size,
     haar_random_pure,
     make_family,
     partial_trace,
@@ -353,6 +354,7 @@ def cmd_fuzz(args) -> int:
     if len(dims) < 3 or min(dims) < 2:
         raise EntshareError(f"--dims needs three or more parties of dimension 2 or more, "
                             f"got {args.dims}")
+    check_size(dims, "--dims")
     checks = _parse_checks(args.checks, len(dims))
     measures = dict.fromkeys(m for _, _, m, _, _ in checks)
     opt = optimizer_from_args(args)

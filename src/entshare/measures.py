@@ -329,10 +329,15 @@ def measure_bipartite(
 # for the two-loop recursion and its own weak Wolfe line search. Every
 # operation acts row by row, so a restart's path does not depend on which
 # restarts share its batch, and the batch pays numpy's per-call overhead once
-# per step instead of once per restart. A restart converges when a step lowers
-# its objective by at most opt.tol * 1e-4 relative to max(|f|, 1), or when no
-# gradient entry exceeds 1e-10; it then leaves the batch, which ends when no
-# restart is left or after opt.max_iters iterations.
+# per step instead of once per restart. For that the kernel writes p times
+# conj(gam) as np.multiply(p, gam.conj()), not p * gam.conj(): once the
+# temporary gam.conj() reaches 256 KiB (R m^2 > 16,384), numpy's operator
+# reuses it in place as gam.conj() *= p, and a complex product with swapped
+# operands rounds differently, so a large batch would move its rows. A
+# restart converges when a step lowers its objective by at most
+# opt.tol * 1e-4 relative to max(|f|, 1), or when no gradient entry exceeds
+# 1e-10; it then leaves the batch, which ends when no restart is left or
+# after opt.max_iters iterations.
 
 
 @functools.lru_cache(maxsize=None)
@@ -393,7 +398,7 @@ def _roof_objective(theta, vfac, m, r, da, db, sign, eps2):
     gam = np.where(close, ph[..., :, None],
                    (ph[..., :, None] - ph[..., None, :]) / (1j * np.where(close, 1.0, dl)))
     # gradient in the real and imaginary parts of H's entries, pulled back onto theta
-    gh = -1j * (v @ (p * gam.conj()) @ vh)
+    gh = -1j * (v @ np.multiply(p, gam.conj()) @ vh)
     return val, sign * (gh.reshape(*gh.shape[:-2], -1).view(float) @ _generator_layout(m).T)
 
 

@@ -7,6 +7,7 @@ functions and safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -20,6 +21,24 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-10
 EIG_CLAMP = 1e-10
 RANK_TOL = 1e-12  # eigenvalues above this count toward the rank, wherever rank is read
+# The most amplitudes a state may have. partial_trace builds the d x d density
+# matrix of the whole state, 256 MiB of complex entries at d = 4,096, while no
+# state in the tests, the output digests or the benchmark has more than 64.
+MAX_AMPLITUDES = 4096
+
+
+def check_size(dims, source: str) -> None:
+    """Raise InvalidStateError when `dims` multiply past MAX_AMPLITUDES, before any allocation.
+
+    The product stops at the first factor past the limit, so a lazy iterable
+    of any length is checked without building it.
+    """
+    size = 1
+    for d in dims:
+        size *= d
+        if size > MAX_AMPLITUDES:
+            raise InvalidStateError(f"{source}: more than {MAX_AMPLITUDES} amplitudes, "
+                                    f"the most a state may have")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -211,6 +230,7 @@ def _family_4q_theta(params) -> PureState:
 
 
 def w_state(n: int) -> PureState:
+    check_size(itertools.repeat(2, n), f"a {n}-qubit W state")
     v = np.zeros(2**n, dtype=complex)
     for k in range(n):
         v[1 << (n - 1 - k)] = 1.0 / math.sqrt(n)
@@ -218,6 +238,7 @@ def w_state(n: int) -> PureState:
 
 
 def ghz_state(n: int) -> PureState:
+    check_size(itertools.repeat(2, n), f"a {n}-qubit GHZ state")
     v = np.zeros(2**n, dtype=complex)
     v[0] = v[-1] = 1.0 / math.sqrt(2)
     return PureState(v, (2,) * n)
@@ -230,6 +251,7 @@ def haar_random_pure(dims, seed: int) -> PureState:
     identified by `seed`), normalized.
     """
     dims = tuple(int(d) for d in dims)
+    check_size(dims, "a Haar-random state")
     rng = np.random.default_rng(seed)
     d = math.prod(dims)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -278,6 +300,7 @@ def state_from_json(text: str) -> PureState:
     dims = tuple(doc["dims"])
     if not dims or not all(_integer(d) and d >= 2 for d in dims):
         raise InvalidStateError(f"dims must be integers of 2 or more, got {doc['dims']!r}")
+    check_size(dims, "the JSON dims")
     v = np.zeros(math.prod(dims), dtype=complex)
     seen = set()
     for entry in doc["amplitudes"]:

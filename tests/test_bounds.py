@@ -195,6 +195,21 @@ class TestBoundPlan:
                 bound_reports(table, side, [2.0, -1.0])
         assert bound_value(table, BASE, 2.0, side) == (0.25, True)
 
+    @pytest.mark.parametrize("joints, side, bound_id, exponent, m", [
+        ({(1,): 0.5, (2,): 0.5, (1, 2): 0.5}, POLYGAMY, BASE, -3000.0, None),
+        ({(1,): 0.5, (2,): 0.5, (1, 2): 0.5}, POLYGAMY, PAIR_WEIGHTED, 3000.0, None),
+        ({(1,): 0.5, (2,): 0.5, (1, 2): 0.5}, MONOGAMY, PAIR_WEIGHTED, 3000.0, None),
+        ({s: 0.5 for s in all_subsets(3)}, POLYGAMY, WEIGHTED, 1500.0, 1),
+        ({(1,): 0.5, (2,): 0.5, (1, 2): 1e-3}, POLYGAMY, BASE, -200.0, None),
+    ], ids=["component", "poly-weight", "mono-weight", "weight-power", "lhs"])
+    def test_overflowing_power_rejected(self, joints, side, bound_id, exponent, m):
+        n_b = max(max(k) for k in joints)
+        table = ComponentTable.from_values(joints, n_b=n_b, measure=CONCURRENCE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="overflows"):
+                bound_reports(table, side, [exponent], (bound_id,), m)
+
     def test_negative_exponent_on_a_zero_lhs_rejected_before_any_warning(self):
         table = ComponentTable.from_values({(1,): 0.5, (2,): 0.5, (1, 2): 0.0}, n_b=2,
                                            measure=CONCURRENCE)
@@ -742,43 +757,45 @@ def _rule_reports(table):
         return bound_reports(table, POLYGAMY, RULE_EXPONENTS)
 
 
-def _rule_verdicts(state, table, rule, monkeypatch):
-    def expect(gap, tol, exact):
-        if exact:
-            return gap >= -tol
-        return True if gap >= tol else (False if gap <= -tol else None)
+def _inverted_verdict(gap, tol, decided):
+    """A stand-in decision: holds from -tol down, fails from +tol up, else undecided."""
+    return True if gap <= -tol else False if gap >= tol else None
 
+
+def _rule_verdicts(state, table, rule, verdict, monkeypatch):
     reports = _rule_reports(table)
-    want = [{b: expect(e.value - rep.lhs_power, rule(table.opt, e.exact, rep.lhs.exact),
-                       e.exact and rep.lhs.exact) for b, e in rep.bounds.items()}
+    want = [{b: verdict(e.value - rep.lhs_power, rule(table.opt, e.exact, rep.lhs.exact),
+                        e.exact and rep.lhs.exact) for b, e in rep.bounds.items()}
             for rep in reports]
     return [rep.satisfied for rep in reports], want
 
 
-def _rule_ordering(state, table, rule, monkeypatch):
+def _rule_ordering(state, table, rule, verdict, monkeypatch):
     comparisons = ordering_classify(table).comparisons
     want = []
     for c in comparisons:
         tol = rule(table.opt, c.marginal.exact, c.tail.exact)
         diff = c.marginal.value - c.tail.value
-        want.append("ge" if diff > tol else ("le" if diff < -tol else "both"))
+        ge, le = verdict(diff, tol, True), verdict(-diff, tol, True)
+        want.append("both" if ge and le else ("ge" if ge else "le"))
     return [c.relation for c in comparisons], want
 
 
-def _rule_hierarchy(state, table, rule, monkeypatch):
+def _rule_hierarchy(state, table, rule, verdict, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExponentRangeWarning)
         reports, violations, _ = verify_hierarchy(table, RULE_EXPONENTS, POLYGAMY)
     want = []
     for rep in reports:
         tight, loose = rep.bounds[RESIDUAL_MAX], rep.bounds[BASE]
-        if loose.value - tight.value < -rule(table.opt, tight.exact, loose.exact):
-            want.append((rep.exponent, loose.value - tight.value))
+        gap = loose.value - tight.value
+        if verdict(gap, rule(table.opt, tight.exact, loose.exact), True) is False:
+            want.append((rep.exponent, gap))
     got = [(v.exponent, v.gap) for v in violations if v.check == "residual_max<=base"]
     return got, want
 
 
-def _rule_csv_tol(state, table, rule, monkeypatch):
+def _rule_csv_tol(state, table, rule, verdict, monkeypatch):
     reports = _rule_reports(table)
     ids = list(reports[0].bounds)
     _, rows = cli._report_rows(reports, ids)
@@ -786,13 +803,13 @@ def _rule_csv_tol(state, table, rule, monkeypatch):
     return [row[2 + len(ids):2 + 2 * len(ids)] for row in rows], want
 
 
-def _rule_json_margin(state, table, rule, monkeypatch):
+def _rule_json_margin(state, table, rule, verdict, monkeypatch):
     reports = _rule_reports(table)
     return ([cli._report_doc(rep)["margin"] for rep in reports],
             [rule(table.opt, False)] * len(reports))
 
 
-def _rule_beta_shift(state, table, rule, monkeypatch):
+def _rule_beta_shift(state, table, rule, verdict, monkeypatch):
     scanned = []
     find_zero = thresholds.find_zero
 
@@ -812,6 +829,8 @@ def _rule_beta_shift(state, table, rule, monkeypatch):
     return [float(f"{v:.6g}") for v in shifts], [float(f"{want:.6g}")] * 2
 
 
+# the consumers whose decisions come from bounds.verdict
+VERDICT_CONSUMERS = ("report-verdict", "ordering", "hierarchy-check")
 RULE_CONSUMERS = {
     "report-verdict": _rule_verdicts,
     "ordering": _rule_ordering,
@@ -830,6 +849,15 @@ def test_comparison_tol_values(tol):
         assert bmod.comparison_tol(opt, *flags) == 10.0 * tol + 1e-9
 
 
+@pytest.mark.parametrize("gap, tol, decided, want", [
+    (0.5, 0.1, True, True), (-0.1, 0.1, True, True), (-0.2, 0.1, True, False),
+    (0.1, 0.1, False, True), (0.05, 0.1, False, None), (-0.05, 0.1, False, None),
+    (-0.1, 0.1, False, False), (np.float64(-0.2), 0.1, True, False),
+])
+def test_verdict_values(gap, tol, decided, want):
+    assert bmod.verdict(gap, tol, decided) is want
+
+
 @pytest.fixture(scope="module")
 def rule_tables():
     """An all-exact table (w4) and a table with roof estimates (near_w(4), 2 restarts)."""
@@ -843,10 +871,16 @@ def rule_tables():
 def test_every_consumer_uses_the_one_comparison_rule(rule_tables, monkeypatch, case, consumer):
     state, table = rule_tables[case]
     observe = RULE_CONSUMERS[consumer]
-    got, want = observe(state, table, bmod.comparison_tol, monkeypatch)
+    got, want = observe(state, table, bmod.comparison_tol, bmod.verdict, monkeypatch)
     assert got == want
+    if consumer in VERDICT_CONSUMERS:
+        # the stand-in decision moves what the consumer reports, so it decides with verdict
+        with monkeypatch.context() as patch:
+            patch.setattr(bmod, "verdict", _inverted_verdict)
+            got, inverted = observe(state, table, bmod.comparison_tol, _inverted_verdict, patch)
+        assert got == inverted and inverted != want
     monkeypatch.setattr(bmod, "comparison_tol", _wide_rule)
-    got, wide = observe(state, table, _wide_rule, monkeypatch)
+    got, wide = observe(state, table, _wide_rule, bmod.verdict, monkeypatch)
     assert got == wide
     # the stand-in rule moves what the consumer reports, so the consumer reads the rule
     assert wide != want

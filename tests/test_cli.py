@@ -187,9 +187,10 @@ class TestMeasureCommand:
         {"dims": [2, 2, 2], "amplitudes": [1.0]},
         {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": 1.0},
                                            {"index": [0, 0, 0], "re": 1.0}]},
+        {"dims": [2] * 50, "amplitudes": [{"index": [0] * 50, "re": 1.0}]},
     ], ids=["list", "no-dims", "no-amplitudes", "float-dim", "dim-1", "re-string", "im-bool",
             "re-inf", "re-huge-int", "index-int", "index-float", "index-bool", "index-out-of-range",
-            "entry-number", "duplicate-index"])
+            "entry-number", "duplicate-index", "too-large"])
     def test_malformed_state_json_exits_2(self, capsys, tmp_path, doc):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
@@ -202,6 +203,11 @@ class TestMeasureCommand:
         code, _, err = run(capsys, "measure", "--family", "w9")
         assert code == 2
         assert "error" in err
+
+    def test_oversize_family_exits_2(self, capsys):
+        code, out, err = run(capsys, "measure", "--family", "ghz:40")
+        assert code == 2 and out == ""
+        assert "4096 amplitudes" in err and "Traceback" not in err
 
 
 class TestThresholdCommand:
@@ -451,6 +457,14 @@ class TestBoundsCommand:
                              "--side", "polygamy", *args[1:])
         assert code == 2 and out == "" and "negative" in err
 
+    @pytest.mark.parametrize("side, exponent", [("monogamy", "3000"), ("polygamy", "3000"),
+                                                ("monogamy", "-3000")])
+    def test_overflowing_exponent_exits_2(self, capsys, side, exponent):
+        code, out, err = run(capsys, "bounds", "--family", "3q", "--params", PARAMS_3Q,
+                             "--side", side, "--exponent", exponent)
+        assert code == 2 and out == ""
+        assert "overflows" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", [["bounds", "--exponent", "2"],
                                          ["sweep", "--grid", "2:3:0.5"]], ids=["bounds", "sweep"])
     @pytest.mark.parametrize("state, m, message", [
@@ -569,7 +583,8 @@ class TestFuzzCommand:
         assert code == 2 and out == ""
 
     @pytest.mark.parametrize("samples", ["0", "1"])
-    @pytest.mark.parametrize("dims", ["2,2", "1,2,2", "2,2,1"])
+    @pytest.mark.parametrize("dims", ["2,2", "1,2,2", "2,2,1", ",".join(["2"] * 40),
+                                      "2,2,1000000000000"])
     def test_too_few_parties_or_a_small_dimension_exits_2(self, capsys, monkeypatch,
                                                           samples, dims):
         from entshare import cli

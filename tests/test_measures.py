@@ -468,6 +468,15 @@ class TestBatchMinimize:
         assert two.iterations.tolist() == four.iterations[:2].tolist()
         assert two.success.tolist() == four.success[:2].tolist()
         assert four.nfev > four.nit >= four.iterations.max() > 1
+        # past R m^2 = 16,384 numpy reuses 256 KiB temporaries in place, which
+        # must not reorder a complex product in the kernel
+        rows = 16384 // (m * m) + 1
+        wide_x0 = np.vstack([x0, 0.7 * np.random.default_rng(4).standard_normal((rows - 4, m * m))])
+        short = {**settings, "max_iters": 25}
+        wide = measures.minimize(_roof_objective, wide_x0, args, **short)
+        narrow = measures.minimize(_roof_objective, x0[:2], args, **short)
+        assert wide_x0.shape[0] * m * m > 16384
+        assert np.array_equal(narrow.x, wide.x[:2])
 
 
 class TestOptimizerConfig:

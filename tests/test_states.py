@@ -13,6 +13,7 @@ from entshare.states import (
     Bipartition,
     DensityMatrix,
     PureState,
+    check_size,
     haar_random_pure,
     make_family,
     partial_trace,
@@ -171,6 +172,16 @@ class TestFamilies:
         assert s.amplitudes[7] == pytest.approx(1 / math.sqrt(2))
         with pytest.raises(InvalidParameterError):
             make_family("ghz", [2])
+
+    @pytest.mark.parametrize("build", [lambda: make_family("ghz", [40]), lambda: w_state(40),
+                                       lambda: haar_random_pure((2,) * 40, 0)],
+                             ids=["ghz", "w", "haar"])
+    def test_states_past_the_size_limit_rejected(self, build):
+        with pytest.raises(InvalidStateError, match="4096 amplitudes"):
+            build()
+        check_size((2,) * 12, "twelve qubits")
+        with pytest.raises(InvalidStateError):
+            check_size((2,) * 12 + (2,), "thirteen qubits")
 
     def test_4q_theta_range_checked(self):
         with pytest.raises(InvalidParameterError):
