@@ -4,7 +4,8 @@ The bound arithmetic is split from measurement: a ComponentTable memoizes the
 bipartite cut values Q_{A|S} of one (state, measure) pair, each as the
 MeasureValue (value plus exactness flag) that measure_bipartite returns, so
 each expensive optimizer call runs once however many exponents are read.
-Every component is one measure_bipartite call on a partial trace; the
+Every component is one measure_bipartite call on a reduction built once per
+(state, kept parties) and shared by every table on that state; the
 dispatch restricts each mixed cut to the supports of its reduced states, so
 the mixed joints of W-class, GHZ and 4q-theta states are exact 2x2 closed
 forms and only cuts still larger than 2x2 after it reach a convex roof.
@@ -60,6 +61,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 from .errors import DegenerateExponentWarning, ExponentRangeWarning, InvalidParameterError
@@ -107,6 +109,8 @@ BOUNDS = {
 }
 
 EXACT_TOL = 1e-9
+
+_REDUCTIONS = weakref.WeakKeyDictionary()  # state -> {keep: reduction}; freed with the state
 
 
 def comparison_tol(opt: OptimizerConfig, *exact: bool) -> float:
@@ -173,7 +177,10 @@ class ComponentTable:
 
     def _measure_cut(self, key: tuple[int, ...]) -> MeasureValue:
         keep = (0,) + key
-        sub = self.state if len(keep) == self.state.n_parties else partial_trace(self.state, keep)
+        sub = self.state
+        if len(keep) < sub.n_parties:  # states hash by identity: one memo per state object
+            memo = _REDUCTIONS.setdefault(sub, {})
+            sub = memo[keep] if keep in memo else memo.setdefault(keep, partial_trace(sub, keep))
         cut = Bipartition({0}, set(range(1, len(keep))))
         return measure_bipartite(self.measure, sub, cut, self.opt)
 

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 fuzz violations, 2 invalid input, 3 no root found.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -36,6 +37,7 @@ from .thresholds import (
     DEFAULT_SCAN_STEPS,
     DEFAULT_SEARCH_CAP,
     DEFAULT_TOL,
+    SCAN_FLOOR,
     empirical_beta,
     residual_zero_exponent,
 )
@@ -148,6 +150,7 @@ def _add_out_args(p, default_format="json"):
     p.add_argument("--format", choices=("csv", "json"), default=default_format)
 
 
+@functools.lru_cache(maxsize=None)  # once per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entshare",
@@ -311,7 +314,11 @@ def cmd_threshold(args) -> int:
         result = empirical_beta(table, args.bound, tol=args.tol, scan_steps=args.scan_steps,
                                 search_cap=args.cap)
         if result is None:
-            sys.stderr.write("no transition: the bound holds on the whole range\n")
+            plan = bmod.BoundPlan(table, bmod.POLYGAMY, (args.bound,))  # reads what the scan read
+            violated = plan.report(max(args.tol, SCAN_FLOOR)).satisfied[args.bound] is False
+            why = ("is violated from the first scanned exponent" if violated
+                   else "holds on the whole range")
+            sys.stderr.write(f"no transition: the bound {why}\n")
             return EXIT_NO_ROOT
     doc = result.to_dict()
     if args.format == "json":

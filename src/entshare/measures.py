@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,17 +157,20 @@ def concurrence_pure(state: PureState, cut: Bipartition) -> MeasureValue:
 
 
 _KEEP = 1e-15  # eigenvalues of rho at or below this leave Y out of _spin_flip_spectrum
+_SPECTRA = weakref.WeakKeyDictionary()  # DensityMatrix -> its lambdas; freed with it
 
 
 def _spin_flip_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Spin-flip lambdas as singular values of Y^T (sy x sy) Y with rho = Y Y^H.
+    """Spin-flip lambdas as singular values of Y^T (sy x sy) Y with rho = Y Y^H; read-only.
 
     Equivalent to the square roots of the eigenvalues of rho rho~, but exact
     for rank-deficient states where the non-Hermitian eigenvalue route loses
-    half the working precision.
+    half the working precision. Computed once per DensityMatrix.
     """
     if rho.dims != (2, 2):
         raise DimensionError(f"two-qubit operator required, got dims {rho.dims}")
+    if rho in _SPECTRA:  # both closed forms read one spectrum per matrix
+        return _SPECTRA[rho]
     w, v = rho.eigensystem()
     keep = w > _KEEP
     y = v[:, keep] * np.sqrt(w[keep])
@@ -174,6 +178,8 @@ def _spin_flip_spectrum(rho: DensityMatrix) -> np.ndarray:
     lam = np.zeros(4)
     sv = np.linalg.svd(t, compute_uv=False)
     lam[: sv.size] = sv
+    lam.setflags(write=False)
+    _SPECTRA[rho] = lam
     return lam
 
 

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import all_subsets, near_w, oracle_lambda_sum, oracle_wootters
 from entshare import bounds as bmod
-from entshare import cli, thresholds
+from entshare import cli, measures, thresholds
 from entshare.bounds import (
     BASE,
     BOUNDS,
@@ -381,6 +383,73 @@ class TestComponentTable:
             comp = table.marginal(i)
             assert comp.exact
             assert comp.value == pytest.approx(0.5, abs=1e-10)
+
+
+class TestSharedReductions:
+    """Tables on one state share each reduction and its spin-flip spectrum."""
+
+    def test_one_partial_trace_per_sample_and_subset(self, capsys, monkeypatch):
+        keeps = []
+        trace = bmod.partial_trace
+
+        def counting(state, keep):
+            keeps.append(tuple(keep))
+            return trace(state, keep)
+
+        monkeypatch.setattr(bmod, "partial_trace", counting)
+        assert cli.main(["fuzz", "--samples", "1", "--dims", "2,2,2"]) == 0
+        capsys.readouterr()
+        # two tables (concurrence, assistance) on one sample: each pair is reduced once
+        assert sorted(keeps) == [(0, 1), (0, 2)]
+
+    def test_one_spin_flip_svd_per_reduction(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        state = haar_random_pure((2, 2, 2), 3)
+        rho = partial_trace(state, (0, 1))
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        measures.wootters_concurrence(rho)
+        measures.assistance_2q(rho)
+        assert len(shapes) == 1
+        lam = measures._spin_flip_spectrum(rho)
+        assert len(shapes) == 1 and not lam.flags.writeable
+        shapes.clear()
+        for measure in (CONCURRENCE, TAU_ASSISTANCE):
+            ComponentTable(state, measure).lhs()
+            for i in (1, 2):
+                ComponentTable(state, measure).marginal(i)
+        # one square Y^T (sy x sy) Y per pair reduction; the 2x4 ones are the pure joint cut
+        assert sum(a == b for a, b in shapes) == 2
+
+    @pytest.mark.parametrize("dims, seed", [((2, 2, 2), 3), ((2, 3, 2), 0)],
+                             ids=["haar-3q", "qutrit"])
+    def test_shared_values_equal_lone_tables(self, dims, seed):
+        state = haar_random_pure(dims, seed)
+        shared = [ComponentTable(state, m) for m in (CONCURRENCE, TAU_ASSISTANCE)]
+        for measure, table in zip((CONCURRENCE, TAU_ASSISTANCE), shared):
+            alone = ComponentTable(PureState(state.amplitudes.copy(), state.dims), measure)
+            for subset in all_subsets(2):
+                got, want = table.joint(subset), alone.joint(subset)
+                assert got == want and got.exactness == want.exactness
+                assert got.value.hex() == want.value.hex()
+
+    def test_memo_entries_free_with_their_state(self):
+        state = haar_random_pure((2, 2, 2), 4)
+        for measure in (CONCURRENCE, TAU_ASSISTANCE):
+            ComponentTable(state, measure).marginal(1)
+        rho = bmod._REDUCTIONS[state][(0, 1)]
+        assert rho in measures._SPECTRA
+        gone = [weakref.ref(state), weakref.ref(rho)]
+        reductions, spectra = len(bmod._REDUCTIONS), len(measures._SPECTRA)
+        del state, rho
+        gc.collect()
+        assert [ref() for ref in gone] == [None, None]
+        assert len(bmod._REDUCTIONS) < reductions and len(measures._SPECTRA) < spectra
 
 
 class TestWClassTable:

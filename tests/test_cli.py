@@ -245,6 +245,33 @@ class TestThresholdCommand:
         assert err == "no root: degenerate state, both pair components vanish\n"
         assert calls == {"partial_trace": 2, "measure_bipartite": 3}
 
+    @pytest.mark.parametrize("argv, message, components", [
+        (["--family", "ghz:3", "--measure", "concurrence"],
+         "the bound is violated from the first scanned exponent", 3),
+        (["--family", "w4", "--measure", "tau_assistance", "--cap", "1.5"],
+         "the bound holds on the whole range", 4),
+    ], ids=["ghz3-violated", "w4-holds"])
+    def test_no_transition_says_why(self, capsys, monkeypatch, table_inits, argv, message,
+                                    components):
+        from entshare import bounds
+
+        measured = []
+        measure = bounds.measure_bipartite
+        monkeypatch.setattr(bounds, "measure_bipartite",
+                            lambda *args: measured.append(1) or measure(*args))
+        code, out, err = run(capsys, "threshold", *argv, "--kind", "empirical-beta",
+                             "--bound", "base")
+        assert (code, out) == (3, "")
+        assert err == f"no transition: {message}\n"
+        # the message reads the scan's table: no second table, no component measured twice
+        assert (len(table_inits), len(measured)) == (1, components)
+
+    def test_ghz3_base_verdict_matches_bounds(self, capsys):
+        # GHZ marginals vanish and its lhs is 1: base fails at every exponent
+        code, out, _ = run(capsys, "bounds", "--family", "ghz:3", "--side", "polygamy",
+                           "--exponent", "1", "--bounds", "base")
+        assert code == 0 and json.loads(out)["satisfied"] == {"base": False}
+
     @pytest.mark.parametrize("steps", ["4", "1000000"])
     @pytest.mark.parametrize("state, kind", [
         (["--family", "3q", "--params", PARAMS_3Q], "residual-zero"),
@@ -613,8 +640,8 @@ class TestFuzzCommand:
             monkeypatch.setattr(np.linalg, name, counted)
         code, _, _ = run(capsys, "fuzz", "--samples", "1", "--dims", "2,2,2")
         assert code == 0
-        # two measures, each reducing to the two pairs A,B1 and A,B2: four density matrices
-        assert (calls["eigh"], calls["eigvalsh"]) == (4, 0)
+        # the pairs A,B1 and A,B2 are reduced once, for both measures: one eigh per reduction
+        assert (calls["eigh"], calls["eigvalsh"]) == (2, 0)
 
     def test_one_table_per_sample_and_measure(self, capsys, table_inits):
         code, _, _ = run(capsys, "fuzz", "--samples", "3", "--dims", "2,2,2")
@@ -724,6 +751,15 @@ class TestOptimizerFlags:
             DEFAULT_OPT.restarts, DEFAULT_OPT.max_iters, DEFAULT_OPT.tol)
         assert args.seed is None and _default_seed() == DEFAULT_OPT.seed
 
+
+    def test_shared_parser_keeps_no_seed_between_calls(self, capsys, monkeypatch):
+        assert build_parser() is build_parser()
+        monkeypatch.delenv("ENTSHARE_SEED", raising=False)
+        seeds = [json.loads(run(capsys, "fuzz", "--samples", "1", *argv)[1])["seed"]
+                 for argv in (["--seed", "5"], [])]
+        monkeypatch.setenv("ENTSHARE_SEED", "123")
+        seeds.append(json.loads(run(capsys, "fuzz", "--samples", "1")[1])["seed"])
+        assert seeds == [5, DEFAULT_OPT.seed, 123]
 
 SCIPY_PROBE = """
 import contextlib, io, sys
