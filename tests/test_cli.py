@@ -751,7 +751,6 @@ class TestOptimizerFlags:
             DEFAULT_OPT.restarts, DEFAULT_OPT.max_iters, DEFAULT_OPT.tol)
         assert args.seed is None and _default_seed() == DEFAULT_OPT.seed
 
-
     def test_shared_parser_keeps_no_seed_between_calls(self, capsys, monkeypatch):
         assert build_parser() is build_parser()
         monkeypatch.delenv("ENTSHARE_SEED", raising=False)
@@ -760,6 +759,7 @@ class TestOptimizerFlags:
         monkeypatch.setenv("ENTSHARE_SEED", "123")
         seeds.append(json.loads(run(capsys, "fuzz", "--samples", "1")[1])["seed"])
         assert seeds == [5, DEFAULT_OPT.seed, 123]
+
 
 SCIPY_PROBE = """
 import contextlib, io, sys
