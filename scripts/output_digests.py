@@ -9,7 +9,8 @@ that name no bound, so every applicable bound and the hierarchy checks
 run), `sweep` and `bounds` on w4, w5, 3q and 4q-theta for both sides in JSON
 and CSV with and without `--m 1` (which exits 2 on 3q: a three-party state
 has no ordering index), both `threshold` kinds (residual-zero also
-on GHZ, which has no root and exits 3; empirical-beta also with `--cap 0`,
+on GHZ, which has no root and exits 3, and on a 3q state whose residual
+keeps one sign, which exits 3 too; empirical-beta also with `--cap 0`,
 an invalid range that exits 2), and `measure --reduce` under both measures
 on one cut per dispatch branch (a pure state, a 2x2 mixed state, a rank-1
 2x2 and a rank-1 2x4 reduction, two 2x4 cuts restricted to 2x2, a 2x2
@@ -102,6 +103,8 @@ def commands() -> list[list[str]]:
     cmds.append(["threshold", "--family", "3q", *FAMILIES["3q"], "--kind", "residual-zero",
                  "--format", "csv"])
     cmds.append(["threshold", "--family", "ghz", "--params", "3", "--kind", "residual-zero"])
+    cmds.append(["threshold", "--family", "3q", "--params", "0.6,0,0.6,0,0.5291502622129181",
+                 "--kind", "residual-zero"])
     cmds.append(["threshold", "--family", "ghz:3", "--kind", "empirical-beta", "--bound", "base"])
     for bound in ("residual_max", "base"):
         cmds.append(["threshold", "--family", "4q-theta", *FAMILIES["4q-theta"],

@@ -300,14 +300,14 @@ def residual_tree(table: ComponentTable, side: str, bound_id: str, exponent: flo
     return BoundPlan(table, side, (bound_id,), m).explain(exponent)[bound_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundEntry:
     value: float
     exact: bool
     range_warning: bool = False
 
 
-@dataclass
+@dataclass(slots=True)  # slots: a sweep holds one per grid point
 class BoundReport:
     """One exponent's left-hand side, bound values, and satisfaction flags."""
 
@@ -320,10 +320,8 @@ class BoundReport:
     degenerate: bool
     margin: float  # the comparison_tol of an estimate
     tol: dict[str, float]  # each bound's comparison_tol against the lhs
-
-    @property
-    def lhs_power(self) -> float:
-        return self.lhs.value**self.exponent
+    lhs_power: float  # lhs.value ** exponent
+    gap: dict[str, float]  # per bound: bound - lhs_power (polygamy), lhs_power - bound
 
 
 @dataclass(frozen=True)
@@ -495,16 +493,20 @@ class BoundPlan:
         return {bid: comparison_tol(self.table.opt, exact, self.lhs.exact)
                 for bid, exact in zip(self.bound_ids, self.exact)}
 
+    def lhs_power(self, exponent: float) -> float:
+        """The lhs raised to `exponent`; an exponent at which it overflows is rejected."""
+        try:
+            return self.lhs.value**exponent
+        except OverflowError:
+            raise InvalidParameterError(f"exponent {exponent} overflows the lhs power") from None
+
     def report(self, exponent: float) -> BoundReport:
         """The bound report at one finite exponent: lhs, every bound, the flags."""
         lhs = self.lhs
         if exponent < 0 and lhs.value == 0.0:
             raise InvalidParameterError(f"exponent {exponent} is negative and the lhs is 0")
         values = self.values(exponent)
-        try:
-            lhs_power = lhs.value**exponent
-        except OverflowError:
-            raise InvalidParameterError(f"exponent {exponent} overflows the lhs power") from None
+        lhs_power = self.lhs_power(exponent)
         measure = self.table.measure
         range_warning = False
         if self.side == POLYGAMY and not (0 <= exponent <= measure.beta_max + 1e-12):
@@ -523,13 +525,14 @@ class BoundPlan:
 
         bounds: dict[str, BoundEntry] = {}
         satisfied: dict[str, bool | None] = {}
+        gaps: dict[str, float] = {}
         tols = self.tol
         for bid, val, exact in zip(self.bound_ids, values, self.exact):
             bounds[bid] = BoundEntry(val, exact, range_warning)
-            gap = (val - lhs_power) if self._polygamy else (lhs_power - val)
+            gap = gaps[bid] = (val - lhs_power) if self._polygamy else (lhs_power - val)
             satisfied[bid] = None if degenerate else verdict(gap, tols[bid], exact and lhs.exact)
         return BoundReport(exponent, self.side, lhs, bounds, satisfied, self.m, degenerate,
-                           self._margin, tols)
+                           self._margin, tols, lhs_power, gaps)
 
 
 def bound_value(table: ComponentTable, bound_id: str, exponent: float, side: str,
@@ -623,10 +626,7 @@ def verify_hierarchy(table: ComponentTable, exponents, side: str, bound_ids=None
             continue
         for bid, ok in report.satisfied.items():
             if ok is False:
-                entry = report.bounds[bid]
-                gap = ((entry.value - report.lhs_power) if side == POLYGAMY
-                       else (report.lhs_power - entry.value))
-                violations.append(Violation(report.exponent, bid, gap))
+                violations.append(Violation(report.exponent, bid, report.gap[bid]))
             elif ok is None:
                 indeterminate += 1
         for tighter, looser in checks:

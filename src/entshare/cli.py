@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -209,8 +210,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -326,7 +325,7 @@ def cmd_threshold(args) -> int:
     else:
         _emit(_csv(["root", "bracket_lo", "bracket_hi", "iterations", "residual_at_root"],
                    [[doc["root"], doc["bracket"][0], doc["bracket"][1],
-                     float(doc["iterations"]), doc["residual_at_root"]]]), args.out)
+                     doc["iterations"], doc["residual_at_root"]]]), args.out)
     return EXIT_OK
 
 
@@ -334,8 +333,8 @@ def _parse_checks(raw: str | None, n_parties: int):
     """(side, measure name as written, measure, exponent, bound) per check.
 
     A default check runs only where its bound applies at this party count; an
-    explicit check whose bound does not fit its side or the party count is
-    rejected up front.
+    explicit check whose bound does not fit its side or the party count, or
+    whose exponent is not finite, is rejected up front.
     """
     specs = []
     for chunk in raw.split(",") if raw else DEFAULT_FUZZ_CHECKS:
@@ -343,6 +342,8 @@ def _parse_checks(raw: str | None, n_parties: int):
         if len(parts) not in (3, 4):
             raise EntshareError(f"check {chunk!r} must be side:measure:exponent[:bound]")
         side, name, exponent = parts[0], parts[1], float(parts[2])
+        if not math.isfinite(exponent):
+            raise EntshareError(f"check {chunk!r} needs a finite exponent")
         if side not in bmod.BOUNDS:
             raise EntshareError(f"unknown side {side!r} in check {chunk!r}")
         bound = parts[3] if len(parts) == 4 else None

@@ -22,7 +22,7 @@ class DimensionError(EntshareError):
 
 
 class OptimizerConfigError(EntshareError):
-    """Optimizer configuration is inconsistent (e.g. ensemble smaller than rank)."""
+    """Optimizer settings out of range: restarts or max_iters below 1, or tol not in (0, inf)."""
 
 
 class EvaluationError(EntshareError):

@@ -5,10 +5,10 @@ the A|B1B2B3B4 cut on the polygamy side; figure 3 traces the concurrence of
 the four-qubit W state on the monogamy side. The columns are the analytic
 curves these states are known to produce, so the presets are exact and
 byte-stable. First-principles evaluation of the same bounds (measured
-components, optimizer estimates where needed) lives in the sweep command;
-the two are intentionally kept separate because the residual components
-behind figure 2's weighted curve are not reproducible from the two-party
-marginal values alone.
+components, all exact on W states) lives in the sweep command; the two are
+kept separate because the presets do not match it: figure 1's residual terms
+use w4 values for w5, and the ordering behind the weighted curves of figures
+2 and 3 does not hold from first principles (ROADMAP item 5).
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ bound(a) - lhs^a from a single-bound polygamy BoundPlan on the table, on
 (the residual Q_AB^a + Q_AC^a - Q_A|BC^a) up to beta_max; empirical-beta
 scans its bound up to the cap, shifted by the bound's
 bounds.comparison_tol. Every argument is checked before any component is
-measured.
+measured. A scan point at which the lhs power (BoundPlan.lhs_power), a component
+power or the weight overflows a float raises InvalidParameterError (exit 2).
 """
 
 from __future__ import annotations
@@ -53,53 +54,47 @@ def _check_scan_steps(scan_steps: int) -> None:
         raise InvalidParameterError(f"scan_steps must be in 8..{MAX_GRID_POINTS - 1}")
 
 
+def _finite(f, x: float) -> float:
+    """f(x), raising EvaluationError when it is not finite."""
+    v = f(x)
+    if not math.isfinite(v):
+        raise EvaluationError(f"function returned non-finite value at {x}", at=x)
+    return v
+
+
 def find_zero(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
               scan_steps: int = DEFAULT_SCAN_STEPS) -> ThresholdResult | None:
-    """Smallest root of f in [lo, hi], or None when the scan sees no sign change."""
+    """Smallest root of f in [lo, hi], or None when the scan sees no sign change.
+
+    Bisection stops when the bracket is within tol, at an exact zero, or after 201 steps.
+    """
     _check_scan_steps(scan_steps)
     if not lo < hi:
         raise InvalidParameterError(f"invalid range [{lo}, {hi}]")
     xs = [lo + (hi - lo) * i / scan_steps for i in range(scan_steps + 1)]
-    profile = []
-    for x in xs:
-        v = f(x)
-        if not math.isfinite(v):
-            raise EvaluationError(f"function returned non-finite value at {x}", at=x)
-        profile.append((x, v))
-
-    bracket = None
-    for (x0, v0), (x1, v1) in zip(profile, profile[1:]):
-        if v0 == 0.0:
-            return ThresholdResult(x0, (x0, x0), 0, 0.0, tuple(profile))
-        if v0 * v1 < 0:
-            bracket = (x0, v0, x1, v1)
+    profile = tuple((x, _finite(f, x)) for x in xs)
+    for i, (a, fa) in enumerate(profile):
+        if fa == 0.0:
+            return ThresholdResult(a, (a, a), 0, 0.0, profile)
+        if i < scan_steps and fa * profile[i + 1][1] < 0:
             break
     else:
-        if profile[-1][1] == 0.0:
-            x = profile[-1][0]
-            return ThresholdResult(x, (x, x), 0, 0.0, tuple(profile))
         return None
-
-    a, fa, b, fb = bracket
+    b = profile[i + 1][0]
     iterations = 0
-    while b - a > tol:
+    while b - a > tol and iterations <= 200:
         mid = 0.5 * (a + b)
-        fm = f(mid)
-        if not math.isfinite(fm):
-            raise EvaluationError(f"function returned non-finite value at {mid}", at=mid)
+        fm = _finite(f, mid)
         iterations += 1
         if fm == 0.0:
             a = b = mid
-            fa = fb = fm
             break
         if fa * fm < 0:
-            b, fb = mid, fm
+            b = mid
         else:
             a, fa = mid, fm
-        if iterations > 200:
-            break
     root = 0.5 * (a + b)
-    return ThresholdResult(root, (a, b), iterations, f(root), tuple(profile))
+    return ThresholdResult(root, (a, b), iterations, f(root), profile)
 
 
 def _scan(table: ComponentTable, bound_id: str, hi: float, tol: float, scan_steps: int,
@@ -116,13 +111,12 @@ def _scan(table: ComponentTable, bound_id: str, hi: float, tol: float, scan_step
     if not lo < hi < math.inf:
         raise InvalidParameterError(f"invalid range [{lo}, {hi}]")
     plan = BoundPlan(table, POLYGAMY, (bound_id,))
-    lhs = plan.lhs.value
     if bound_id == BASE and not any(table.marginal(b).value for b in range(1, table.n_b + 1)):
         return None
     shift = plan.tol[bound_id] if shifted else 0.0
 
     def f(alpha):
-        return plan.values(alpha)[0] - lhs**alpha + shift
+        return plan.values(alpha)[0] - plan.lhs_power(alpha) + shift
 
     result = find_zero(f, lo, hi, tol=tol, scan_steps=scan_steps)
     if result is not None and shifted and result.scan_profile[0][1] < 0:

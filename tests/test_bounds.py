@@ -769,6 +769,15 @@ class TestHierarchy:
             assert rep.lhs_power == 0.0
             assert all(e.value == 0.0 for e in rep.bounds.values())
 
+    def test_degenerate_report_is_skipped(self):
+        # at exponent 0 a zero marginal makes the report degenerate: no verdict to count
+        table = ComponentTable.from_values({(1,): 0.5, (2,): 0.0, (1, 2): 0.6}, n_b=2,
+                                           measure=CONCURRENCE)
+        with pytest.warns(DegenerateExponentWarning):
+            reports, violations, indeterminate = verify_hierarchy(table, [0.0], POLYGAMY)
+        assert [rep.degenerate for rep in reports] == [True]
+        assert (violations, indeterminate) == ([], 0)
+
     @pytest.mark.parametrize("measure, checked", [(TAU_ASSISTANCE, True), (CONCURRENCE, False)])
     def test_synthetic_table_checks_follow_its_measure(self, measure, checked):
         # pair joints above their marginal sums, so residual_max exceeds base

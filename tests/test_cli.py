@@ -243,7 +243,27 @@ class TestThresholdCommand:
                              "--kind", "residual-zero")
         assert (code, out) == (3, "")
         assert err == "no root: degenerate state, both pair components vanish\n"
-        assert calls == {"partial_trace": 2, "measure_bipartite": 3}
+        # the two marginals only: a degenerate scan never reads the lhs
+        assert calls == {"partial_trace": 2, "measure_bipartite": 2}
+
+    def test_one_signed_residual_exits_3(self, capsys):
+        # Q_AB = Q_AC, and the residual keeps one sign from the floor to beta_max
+        code, out, err = run(capsys, "threshold", "--family", "3q", "--params",
+                             "0.6,0,0.6,0,0.5291502622129181", "--kind", "residual-zero")
+        assert (code, out, err) == (3, "", "no root: residual keeps one sign on the range\n")
+
+    def test_lhs_power_overflow_exits_2(self, capsys, tmp_path):
+        # a (3,3,3) state whose lhs is 1.1524: its power overflows a float below the cap
+        psi = np.zeros(27)
+        psi[[0, 13, 26]] = 0.9
+        psi[[9, 3, 1]] += 0.1
+        path = tmp_path / "qutrits.json"
+        path.write_text(state_to_json(PureState(psi / np.linalg.norm(psi), (3, 3, 3))))
+        code, out, err = run(capsys, "threshold", "--state", str(path), "--kind",
+                             "empirical-beta", "--bound", "base", "--cap", "10000",
+                             "--restarts", "1")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: exponent \S+ overflows the lhs power\n", err)
 
     @pytest.mark.parametrize("argv, message, components", [
         (["--family", "ghz:3", "--measure", "concurrence"],
@@ -627,6 +647,22 @@ class TestFuzzCommand:
         code, out, err = run(capsys, "fuzz", "--samples", "1",
                              "--checks", "monogamy:concurrence:inf")
         assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--samples", "0", "--checks", "monogamy:concurrence:nan"],
+        ["--samples", "1", "--dims", "2,2,2,2", "--checks", "polygamy:concurrence:inf:weighted",
+         "--restarts", "2"],
+    ], ids=["nan-no-samples", "inf-m-keyed"])
+    def test_non_finite_check_exponent_exits_2_before_measuring(self, capsys, monkeypatch,
+                                                                 argv):
+        from entshare import bounds
+
+        def no_measure(*args, **kwargs):
+            raise AssertionError("component measured")
+
+        monkeypatch.setattr(bounds, "measure_bipartite", no_measure)
+        code, out, err = run(capsys, "fuzz", *argv)
+        assert (code, out) == (2, "") and "finite" in err
 
     def test_one_spectrum_per_density_matrix(self, capsys, monkeypatch):
         import numpy as np

@@ -57,6 +57,33 @@ class TestFindZero:
         assert len(res.scan_profile) == 17
         assert res.bracket[0] <= res.root <= res.bracket[1]
 
+    def test_exact_zero_at_the_last_scan_point(self):
+        res = find_zero(lambda x: x - 1.0, 0.0, 1.0)
+        assert (res.root, res.bracket, res.iterations, res.residual_at_root) == (
+            1.0, (1.0, 1.0), 0, 0.0)
+        assert len(res.scan_profile) == 257 and res.scan_profile[-1] == (1.0, 0.0)
+
+    def test_exact_zero_at_a_bisection_midpoint(self):
+        # 0.5625 is no scan point of 8 steps but the first midpoint of [0.5, 0.625]
+        res = find_zero(lambda x: x - 0.5625, 0.0, 1.0, scan_steps=8)
+        assert (res.root, res.bracket, res.iterations, res.residual_at_root) == (
+            0.5625, (0.5625, 0.5625), 1, 0.0)
+
+    def test_bisection_capped_at_201_steps(self):
+        # with tol 0 the bracket never gets narrower than two adjacent floats
+        res = find_zero(lambda x: x * x - 2.0, 1.0, 2.0, tol=0.0, scan_steps=8)
+        assert res.iterations == 201
+        assert res.bracket[0] <= math.sqrt(2.0) <= res.bracket[1]
+        assert res.bracket[1] - res.bracket[0] <= 2 * math.ulp(math.sqrt(2.0))
+
+    def test_nan_at_a_midpoint_raises_evaluation_error(self):
+        def f(x):
+            return math.nan if x == 0.5625 else x - 0.5625
+
+        with pytest.raises(EvaluationError) as info:
+            find_zero(f, 0.0, 1.0, scan_steps=8)
+        assert info.value.at == 0.5625
+
 
 class TestResidualZero:
     def test_equal_amplitude_family(self):
@@ -126,6 +153,19 @@ class TestEmpiricalBeta:
         psi[0] = 1.0
         state = PureState(psi, (2, 2, 2, 2))
         assert empirical_beta(ComponentTable(state, CONCURRENCE), RESIDUAL_MAX) is None
+
+    def test_violated_at_the_first_point_has_no_transition(self):
+        # base fails at the floor and the shifted gap turns positive near 3.0
+        table = ComponentTable.from_values({(1,): 1e-4, (2,): 0.0, (1, 2): 1e-3}, 2, CONCURRENCE)
+        assert empirical_beta(table, BASE) is None
+        assert find_zero(lambda a: 1e-4**a - 1e-3**a + 1e-9, 1e-4, 4.0).root == pytest.approx(
+            3.0, abs=1e-3)
+
+    def test_lhs_power_overflow_is_invalid_input(self):
+        # 1.15**a overflows a float from a = 5079 on, inside the scan up to the cap
+        table = ComponentTable.from_values({(1,): 0.5, (2,): 0.5, (1, 2): 1.15}, 2, CONCURRENCE)
+        with pytest.raises(InvalidParameterError, match="overflows the lhs power"):
+            empirical_beta(table, BASE, search_cap=10000.0)
 
     def test_unknown_bound_rejected(self):
         table = ComponentTable(w_state(4), CONCURRENCE)
