@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -43,8 +42,6 @@ from .thresholds import (
     residual_zero_exponent,
 )
 
-SEED_ENV_VAR = "ENTSHARE_SEED"
-
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INVALID = 2
@@ -60,16 +57,6 @@ DEFAULT_FUZZ_CHECKS = (
 
 def fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_OPT.seed
-    try:
-        return int(raw)
-    except ValueError:
-        raise EntshareError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
 def parse_cut(text: str, n_parties: int) -> Bipartition:
@@ -111,9 +98,10 @@ def load_state(args) -> PureState:
     if not args.family:
         raise EntshareError("a state source is required (--family or --state)")
     family = args.family
-    params = [float(p) for p in args.params.split(",")] if args.params else []
-    if family.startswith("ghz:"):
-        family, params = "ghz", [int(family.split(":", 1)[1])]
+    params = args.params.split(",") if args.params else []
+    if family.startswith("ghz:"):  # the count and any --params, for make_family to check
+        family, count = family.split(":", 1)
+        params = [count, *params]
     return make_family(family, params)
 
 
@@ -129,8 +117,8 @@ def _add_state_args(p):
 
 
 def _add_opt_args(p):
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"PRNG seed (default: ${SEED_ENV_VAR} or {DEFAULT_OPT.seed})")
+    p.add_argument("--seed", type=int, default=DEFAULT_OPT.seed,
+                   help=f"PRNG seed (default: {DEFAULT_OPT.seed})")
     p.add_argument("--restarts", type=int, default=DEFAULT_OPT.restarts)
     p.add_argument("--max-iters", type=int, default=DEFAULT_OPT.max_iters)
     p.add_argument("--opt-tol", type=float, default=DEFAULT_OPT.tol)
@@ -436,17 +424,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        try:
-            args.seed = _default_seed()
-        except EntshareError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_INVALID
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (EntshareError, OSError, ValueError, KeyError) as exc:
+    except (EntshareError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 

@@ -59,6 +59,11 @@ class MeasureValue:
         object.__setattr__(self, "exact", self.exactness == EXACT)
 
 
+# The most restarts one roof may run: 64 times the default. The restarts run as
+# one batch, so a typo such as 1e9 would otherwise try to allocate over 100 GiB.
+MAX_RESTARTS = 1024
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Convex-roof optimizer settings."""
@@ -72,6 +77,9 @@ class OptimizerConfig:
         for name, value in (("restarts", self.restarts), ("max_iters", self.max_iters)):
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise OptimizerConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.restarts > MAX_RESTARTS:
+            raise OptimizerConfigError(f"restarts must be at most {MAX_RESTARTS}, "
+                                       f"got {self.restarts}")
         if not isinstance(self.tol, numbers.Real) or not 0 < self.tol < math.inf:
             raise OptimizerConfigError(f"tol must be a positive finite number, got {self.tol!r}")
 

@@ -58,8 +58,6 @@ def _fig3_exp_weighted(y: float) -> float:
 
 @dataclass(frozen=True)
 class FigurePreset:
-    name: str
-    side: str
     exponent_lo: float
     exponent_hi: float
     step: float
@@ -69,8 +67,6 @@ class FigurePreset:
 
 FIGURES: dict[int, FigurePreset] = {
     1: FigurePreset(
-        name="w5 assistance, power-sum vs residual-tightened upper bounds",
-        side="polygamy",
         exponent_lo=0.0,
         exponent_hi=2.0,
         step=0.01,
@@ -78,8 +74,6 @@ FIGURES: dict[int, FigurePreset] = {
         bounds=(("base", _fig1_base), ("residual_max", _fig1_residual_max)),
     ),
     2: FigurePreset(
-        name="w5 assistance, residual-tightened vs weighted-residual upper bounds",
-        side="polygamy",
         exponent_lo=0.0,
         exponent_hi=2.0,
         step=0.01,
@@ -88,8 +82,6 @@ FIGURES: dict[int, FigurePreset] = {
                 ("weighted_residual", _fig2_weighted_residual)),
     ),
     3: FigurePreset(
-        name="w4 concurrence, ratio-weighted vs exponential-weighted lower bounds",
-        side="monogamy",
         exponent_lo=2.0,
         exponent_hi=6.0,
         step=0.01,

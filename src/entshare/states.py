@@ -7,7 +7,6 @@ functions and safe to call concurrently.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -65,7 +64,8 @@ class PureState:
             )
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:  # written so that a NaN fails it
-            raise InvalidStateError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
+            raise InvalidStateError(f"state norm {float(norm)} deviates from 1 "
+                                    f"by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
         object.__setattr__(self, "dims", dims)
 
@@ -182,12 +182,12 @@ def make_family(name: str, params=()) -> PureState:
         return _family_3q(params)
     if name == "4q-theta":
         return _family_4q_theta(params)
-    if name == "w4":
-        return w_state(4)
-    if name == "w5":
-        return w_state(5)
+    if name in ("w4", "w5"):
+        if params:
+            raise InvalidParameterError(f"{name} family takes no params")
+        return w_state(int(name[1]))
     if name == "ghz":
-        if len(params) != 1 or params[0] != int(params[0]) or int(params[0]) < 3:
+        if len(params) != 1 or not params[0].is_integer() or params[0] < 3:
             raise InvalidParameterError("ghz family needs a single integer party count n >= 3")
         return ghz_state(int(params[0]))
     raise InvalidParameterError(f"unknown family {name!r}; known: {_FAMILY_IDS}")
@@ -197,6 +197,8 @@ def _family_3q(params) -> PureState:
     if len(params) not in (5, 6):
         raise InvalidParameterError("3q family needs 5 amplitudes l0..l4 plus optional phase")
     lams, phi = params[:5], (params[5] if len(params) == 6 else 0.0)
+    if not math.isfinite(phi):
+        raise InvalidParameterError(f"3q family phase must be finite, got {phi}")
     if not all(l >= 0 for l in lams):  # written so that a NaN fails it
         raise InvalidParameterError("3q family amplitudes must be non-negative numbers")
     if not abs(sum(l * l for l in lams) - 1.0) <= 1e-6:
@@ -217,6 +219,8 @@ def _family_4q_theta(params) -> PureState:
         raise InvalidParameterError("4q-theta family needs (theta0, theta1) plus optional phase")
     t0, t1 = params[0], params[1]
     phi = params[2] if len(params) == 3 else 0.0
+    if not math.isfinite(phi):
+        raise InvalidParameterError(f"4q-theta family phase must be finite, got {phi}")
     if not (0.0 <= t0 <= math.pi / 2 + 1e-12 and 0.0 <= t1 <= math.pi / 2 + 1e-12):
         raise InvalidParameterError("theta parameters must lie in [0, pi/2]")
     s = math.sin(t0) * math.sin(t1)
@@ -230,7 +234,7 @@ def _family_4q_theta(params) -> PureState:
 
 
 def w_state(n: int) -> PureState:
-    check_size(itertools.repeat(2, n), f"a {n}-qubit W state")
+    check_size((2 for _ in range(n)), f"a {n}-qubit W state")
     v = np.zeros(2**n, dtype=complex)
     for k in range(n):
         v[1 << (n - 1 - k)] = 1.0 / math.sqrt(n)
@@ -238,7 +242,7 @@ def w_state(n: int) -> PureState:
 
 
 def ghz_state(n: int) -> PureState:
-    check_size(itertools.repeat(2, n), f"a {n}-qubit GHZ state")
+    check_size((2 for _ in range(n)), f"a {n}-qubit GHZ state")
     v = np.zeros(2**n, dtype=complex)
     v[0] = v[-1] = 1.0 / math.sqrt(2)
     return PureState(v, (2,) * n)

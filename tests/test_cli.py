@@ -6,6 +6,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -14,12 +15,13 @@ import pytest
 
 import entshare
 from conftest import all_subsets
-from entshare.cli import _default_seed, build_parser, main, parse_cut, parse_grid
+from entshare import cli, measures
+from entshare.cli import build_parser, main, parse_cut, parse_grid
 from entshare.errors import EntshareError, InvalidParameterError
-from entshare.measures import DEFAULT_OPT
+from entshare.measures import DEFAULT_OPT, MAX_RESTARTS
 from entshare.reference import inclusive_grid
 from entshare.thresholds import find_zero
-from entshare.states import PureState, make_family, state_to_json
+from entshare.states import PureState, haar_random_pure, make_family, state_to_json
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,6 +99,14 @@ class TestParsing:
             with pytest.raises(EntshareError):
                 parse_grid(bad)
 
+    def test_a_key_error_is_a_bug_not_an_input_error(self, monkeypatch):
+        def buggy(args):
+            raise KeyError("missing")
+
+        monkeypatch.setitem(cli._COMMANDS, "figure", buggy)
+        with pytest.raises(KeyError):
+            main(["figure", "1"])
+
 
 class TestMeasureCommand:
     def test_w5_assistance_joint(self, capsys):
@@ -152,7 +162,7 @@ class TestMeasureCommand:
     @pytest.mark.parametrize("source, message", [
         (["--state", "nan.json"], "finite"),
         (["--family", "3q", "--params", "nan,0.5,0.5,0.5,0.5"], "non-negative"),
-        (["--family", "3q", "--params", ",".join(["0.4472135955"] * 5 + ["nan"])], "norm"),
+        (["--family", "3q", "--params", ",".join(["0.4472135955"] * 5 + ["nan"])], "phase"),
     ], ids=["state", "params", "phase"])
     def test_nan_state_exits_2_before_any_decomposition(self, capsys, tmp_path, monkeypatch,
                                                         source, message):
@@ -167,6 +177,25 @@ class TestMeasureCommand:
         for name in ("svd", "eigh"):
             monkeypatch.setattr(np.linalg, name, decomposition)
         code, out, err = run(capsys, "measure", *source, "--cut", "A|B1", "--reduce")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["measure", "--family", "3q", "--params", "1,0,0,0,0,inf"], "phase"),
+        (["measure", "--family", "4q-theta", "--params", "0.5,0.5,nan"], "phase"),
+        (["measure", "--family", "w4", "--params", "1"], "no params"),
+        (["bounds", "--family", "w5", "--params", "0.3", "--side", "polygamy",
+          "--exponent", "1"], "no params"),
+        (["measure", "--family", "ghz:3", "--params", "5"], "integer party count"),
+        (["measure", "--family", "ghz:3.5"], "integer party count"),
+        (["measure", "--family", "ghz:inf"], "integer party count"),
+        (["measure", "--family", "ghz:" + "1" * 22], "4096 amplitudes"),
+    ], ids=["3q-phase", "4q-theta-phase", "w4-params", "w5-params", "ghz-extra-param",
+            "ghz-fraction", "ghz-inf", "ghz-huge"])
+    def test_bad_family_params_exit_2(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err
 
@@ -746,22 +775,17 @@ class TestFuzzCommand:
         code, _, _ = run(capsys, "fuzz", "--samples", "1", "--checks", "sideways:concurrence:2")
         assert code == 2
 
-    def test_env_seed_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("ENTSHARE_SEED", "123")
-        code, out, _ = run(capsys, "fuzz", "--samples", "1")
-        assert code == 0
-        assert json.loads(out)["seed"] == 123
-
-    def test_explicit_seed_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ENTSHARE_SEED", "123")
-        code, out, _ = run(capsys, "fuzz", "--samples", "1", "--seed", "77")
-        assert code == 0
-        assert json.loads(out)["seed"] == 77
-
-    def test_non_integer_env_seed_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("ENTSHARE_SEED", "abc")
-        code, _, err = run(capsys, "fuzz", "--samples", "1")
-        assert code == 2
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--samples", "1"],
+        ["measure", "--family", "w4", "--cut", "A|B1", "--reduce"],
+    ], ids=lambda argv: argv[0])
+    def test_environment_never_changes_the_output(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("ENTSHARE_SEED", raising=False)
+        expected = run(capsys, *argv)[:2]
+        assert expected[0] == 0
+        for value in ("123", "", "abc"):
+            monkeypatch.setenv("ENTSHARE_SEED", value)
+            assert run(capsys, *argv)[:2] == expected, value
 
 
 class TestOptimizerFlags:
@@ -775,26 +799,34 @@ class TestOptimizerFlags:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    def test_restarts_past_the_cap_exit_2_before_any_roof(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "haar4.json").write_text(state_to_json(haar_random_pure((2,) * 4, 0)))
+        monkeypatch.chdir(tmp_path)
+
+        def raising(*args, **kwargs):
+            raise AssertionError("a roof ran")
+
+        monkeypatch.setattr(measures, "minimize", raising)
+        code, out, err = run(capsys, "measure", "--state", "haar4.json", "--cut", "A|B1B2",
+                             "--reduce", "--restarts", str(MAX_RESTARTS + 1))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"at most {MAX_RESTARTS}" in err
+
     @pytest.mark.parametrize("argv", [
         ["measure"], ["bounds", "--side", "polygamy", "--exponent", "1"],
         ["sweep", "--side", "polygamy", "--grid", "0:1:1"],
         ["threshold", "--kind", "residual-zero"], ["fuzz", "--samples", "1"],
     ], ids=lambda argv: argv[0])
-    def test_defaults_are_the_library_defaults(self, argv, monkeypatch):
-        monkeypatch.delenv("ENTSHARE_SEED", raising=False)
+    def test_defaults_are_the_library_defaults(self, argv):
         args = build_parser().parse_args(argv)
-        assert (args.restarts, args.max_iters, args.opt_tol) == (
-            DEFAULT_OPT.restarts, DEFAULT_OPT.max_iters, DEFAULT_OPT.tol)
-        assert args.seed is None and _default_seed() == DEFAULT_OPT.seed
+        assert (args.restarts, args.max_iters, args.opt_tol, args.seed) == (
+            DEFAULT_OPT.restarts, DEFAULT_OPT.max_iters, DEFAULT_OPT.tol, DEFAULT_OPT.seed)
 
-    def test_shared_parser_keeps_no_seed_between_calls(self, capsys, monkeypatch):
+    def test_shared_parser_keeps_no_seed_between_calls(self, capsys):
         assert build_parser() is build_parser()
-        monkeypatch.delenv("ENTSHARE_SEED", raising=False)
         seeds = [json.loads(run(capsys, "fuzz", "--samples", "1", *argv)[1])["seed"]
                  for argv in (["--seed", "5"], [])]
-        monkeypatch.setenv("ENTSHARE_SEED", "123")
-        seeds.append(json.loads(run(capsys, "fuzz", "--samples", "1")[1])["seed"])
-        assert seeds == [5, DEFAULT_OPT.seed, 123]
+        assert seeds == [5, DEFAULT_OPT.seed]
 
 
 SCIPY_PROBE = """

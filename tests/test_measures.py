@@ -482,7 +482,7 @@ class TestBatchMinimize:
 class TestOptimizerConfig:
     @pytest.mark.parametrize("bad", [
         {"restarts": 0}, {"restarts": 2.5}, {"max_iters": 0}, {"tol": 0.0}, {"tol": -1e-8},
-        {"tol": float("nan")}, {"tol": float("inf")},
+        {"tol": float("nan")}, {"tol": float("inf")}, {"restarts": measures.MAX_RESTARTS + 1},
     ])
     def test_invalid_settings_rejected(self, bad):
         with pytest.raises(OptimizerConfigError):
@@ -491,6 +491,9 @@ class TestOptimizerConfig:
     def test_smallest_valid_settings(self):
         opt = OptimizerConfig(restarts=1, max_iters=1, tol=1e-12)
         assert (opt.restarts, opt.max_iters, opt.tol) == (1, 1, 1e-12)
+
+    def test_most_restarts_accepted(self):
+        assert OptimizerConfig(restarts=measures.MAX_RESTARTS).restarts == measures.MAX_RESTARTS
 
 
 KERNEL_CASES = pytest.mark.parametrize("shape, at_zero", [

@@ -70,8 +70,12 @@ class TestInvariants:
             state_from_json('{"dims": [2], "amplitudes": [{"index": [0], "re": NaN}]}')
         with pytest.raises(InvalidParameterError, match="non-negative"):
             make_family("3q", [math.nan, 0.5, 0.5, 0.5, 0.5])
-        with pytest.raises(InvalidStateError, match="norm"):
+        with pytest.raises(InvalidParameterError, match="phase"):
             make_family("3q", [1 / math.sqrt(5)] * 5 + [math.nan])
+
+    def test_norm_error_prints_a_plain_number(self):
+        with pytest.raises(InvalidStateError, match=r"state norm 2\.0 deviates"):
+            PureState(np.array([2.0, 0.0]), (2,))
 
     def test_infinite_entry_raises_without_a_warning(self):
         with warnings.catch_warnings():
@@ -182,6 +186,17 @@ class TestFamilies:
         check_size((2,) * 12, "twelve qubits")
         with pytest.raises(InvalidStateError):
             check_size((2,) * 12 + (2,), "thirteen qubits")
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("3q", [1, 0, 0, 0, 0, math.inf], "phase"), ("4q-theta", [0.5, 0.5, math.nan], "phase"),
+        ("w4", [1], "no params"), ("w5", [0.3], "no params"),
+        ("ghz", [math.inf], "integer"),
+    ])
+    def test_bad_params_rejected_by_name(self, name, params, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=message):
+                make_family(name, params)
 
     def test_4q_theta_range_checked(self):
         with pytest.raises(InvalidParameterError):
