@@ -17,14 +17,18 @@ on one cut per dispatch branch (a pure state, a 2x2 mixed state, a rank-1
 reduction of a product |a>|psi_B1B2> with a pure side, which both measures
 read as an exact 0, a 2x4 roof on a Haar 4-qubit state and a 2x8 roof
 restricted to 2x4 on a Haar 5-qubit state, plus the 2x2 case in CSV).
+A 6-qubit W-class state (real amplitudes (0.3, 0.25, 0.35, 0.4, 0.45, 0.5,
+0.3)/norm on |000000> and the six single excitations, A first) runs `sweep`
+on 0:2:0.01 with `--m 1` under both sides in JSON and CSV: its tables are
+exact, and every weighted bound evaluates its five-party recursion.
 `bounds` also runs on two states with violated verdicts: the W-class state
 F with amplitudes (4, 3, 6, 4, 4)/sqrt(93) (m = 1 from ordering_classify,
 exact violations on both sides, in JSON and CSV) and the Haar 4-qubit state
 under polygamy concurrence (estimate-backed violations). The residual-zero
 threshold also runs in CSV, and empirical-beta of `base` on GHZ, violated
-from the first scanned exponent on, has no transition and exits 3. The four
-states are built from fixed amplitudes or seeds and written as JSON into a
-temporary working directory, so every argv stays the same from run to run.
+from the first scanned exponent on, has no transition and exits 3. The five
+state files are built from fixed amplitudes or seeds and written as JSON into
+a temporary working directory, so every argv stays the same from run to run.
 Warnings and timing notes go to stderr and are not digested.
 
 Usage: python scripts/output_digests.py [outfile]
@@ -99,6 +103,9 @@ def commands() -> list[list[str]]:
     for side, (measure, grid, _) in SIDES.items():
         cmds.append(["sweep", "--family", "w5", "--measure", measure, "--side", side,
                      "--restarts", "4", "--seed", "11", "--grid", grid, "--m", "2"])
+        for fmt in ("json", "csv"):
+            cmds.append(["sweep", "--state", "w6.json", "--measure", measure, "--side", side,
+                         "--grid", "0:2:0.01", "--m", "1", "--format", fmt])
     cmds.append(["threshold", "--family", "3q", *FAMILIES["3q"], "--kind", "residual-zero"])
     cmds.append(["threshold", "--family", "3q", *FAMILIES["3q"], "--kind", "residual-zero",
                  "--format", "csv"])
@@ -134,14 +141,17 @@ def digest_line(argv: list[str]) -> str:
 
 
 def state_files() -> dict[str, PureState]:
-    """The states the commands read: two Haar states, |a> x |psi_B1B2> of two more, and F."""
+    """The states the commands read: two Haar states, |a> x |psi_B1B2> of two more, F and W6."""
     a, psi = haar_random_pure((2,), 0), haar_random_pure((2, 2), 1)
     f = np.zeros(16)
     f[[0b0000, 0b1000, 0b0100, 0b0010, 0b0001]] = np.array([4, 3, 6, 4, 4]) / np.sqrt(93)
+    w6 = np.zeros(64)
+    w6[[0] + [1 << k for k in range(5, -1, -1)]] = [0.3, 0.25, 0.35, 0.4, 0.45, 0.5, 0.3]
     return {"haar4.json": haar_random_pure((2,) * 4, 4),
             "haar5.json": haar_random_pure((2,) * 5, 5),
             "product.json": PureState(np.kron(a.amplitudes, psi.amplitudes), (2, 2, 2)),
-            "f.json": PureState(f, (2,) * 4)}
+            "f.json": PureState(f, (2,) * 4),
+            "w6.json": PureState(w6 / np.linalg.norm(w6), (2,) * 6)}
 
 
 def digest_lines() -> list[str]:

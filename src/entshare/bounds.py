@@ -17,19 +17,26 @@ nothing that could disagree with it.
 
 Every bound is evaluated through a BoundPlan, built once per (table, side,
 bound ids, m). The plan does the exponent-independent work: it fetches and
-validates every component its bounds read, fixes each bound's exact flag, and
-flattens the max and mean residual recursions into one list of subsets,
-children first, each with the indices of its children. bound_reports checks a
-given m (1..n_b-2, so none at three parties) or resolves m with
-ordering_classify, and picks the default bound ids, before it builds the plan.
-Per exponent the plan raises each component to the power once with scalar
-`**`, shares the powers across its bounds, and runs flat float arithmetic
-with the same operations in the same order as the recursion it replaces, so
-every value is bit-identical to a direct evaluation (numpy's vectorized power
-may differ from `**` in the last bit, so it is not used). evaluate_bounds is a
-one-point plan; a sweep is one plan over its grid; bound_value is a
-one-bound plan. residual_tree is a read-only view of one residual bound's
-plan (BoundPlan.explain): the terms and levels that values() computed.
+validates every component its bounds read, fixes each bound's exact flag and
+its weight layout. bound_reports checks a given m (1..n_b-2, so none at three
+parties) or resolves m with ordering_classify, and picks the default bound
+ids, before it builds the plan. The float pass is one generated Python
+function per plan structure (_program): straight-line code over the residual
+recursion flattened children-first (_recursion). Its cache key is the
+structure only, the party count, the side, each bound's (weighting,
+strategy) and the weight layout; the components and the weight reference are
+arguments, so every plan of one structure shares the code, compiled on first
+use and never at import. The code raises each component with scalar `**`,
+weights a marginal as s**k * p, writes every sum as a left fold from 0 (what
+sum() of floats does on Python 3.11), takes max() with the first of equal
+maxima winning and divides each mean's fold by its count: the operations and
+order of the recursion, so every value is bit-identical to a direct
+evaluation (numpy's vectorized power may differ from `**` in the last bit, so
+it is not used). Its names come from indices only. evaluate_bounds is a
+one-point plan; a sweep is one plan over its grid; bound_value is a one-bound
+plan. residual_tree is a read-only view of one residual bound's plan
+(BoundPlan.explain): the same generated code, whose return statement also
+hands back the node residuals and levels.
 
 Every comparison (verdicts, orderings, hierarchy checks, the empirical-beta
 shift) takes its tolerance from one rule, comparison_tol: EXACT_TOL when every
@@ -60,6 +67,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -219,26 +227,23 @@ class ResidualTree:
     exact: bool
 
     def level_sum(self) -> float:
-        return sum(self.level_values.values())
+        """The levels added as a left fold from 0, as values() adds them."""
+        return functools.reduce(operator.add, self.level_values.values(), 0)
 
 
-# residual strategy -> how one level selects among its omit-one residuals
-_SELECT = {"max": max, "mean": lambda values: sum(values) / len(values)}
-
-
-def _flatten(table: ComponentTable):
-    """The residual recursion over the table's B parties, flattened children-first.
+@functools.lru_cache(maxsize=None)
+def _recursion(n_b: int):
+    """The residual recursion over B parties 1..n_b, flattened children-first.
 
     Level k of a subset selects among the omit-one subsets of its first k
-    parties (k = 3..size). Returns (subsets, joints, nodes, top): nodes[j] is
-    (marginal positions of the parties of subsets[j], component position of
-    its joint, its levels as tuples of node indices), and top holds the levels
-    of the full party set. Components are numbered marginals first (party b at
-    b - 1), then joints[j] at n_b + j.
+    parties (k = 3..size). Returns (subsets, nodes, top): subsets in the order
+    the recursion first reaches them, which is the order a plan reads their
+    joints; nodes[j] is (subset, position of its joint in subsets, its levels
+    as tuples of node indices), children before parents; top holds the levels
+    of the full party set.
     """
-    n_b = table.n_b
     index: dict[tuple[int, ...], int] = {}
-    subsets, joints, nodes = [], [], []
+    subsets, nodes = [], []
 
     def levels(sub):
         prefixes = [sub[:k] for k in range(3, len(sub) + 1)]
@@ -246,35 +251,91 @@ def _flatten(table: ComponentTable):
 
     def visit(sub):
         if sub not in index:
-            joint = table.joint(sub)
-            children = levels(sub)
-            index[sub] = len(subsets)
-            nodes.append((tuple(b - 1 for b in sub), n_b + len(subsets), children))
             subsets.append(sub)
-            joints.append(joint)
+            joint = len(subsets) - 1
+            children = levels(sub)
+            index[sub] = len(nodes)
+            nodes.append((sub, joint, children))
         return index[sub]
 
     top = levels(tuple(range(1, n_b + 1)))
-    return subsets, joints, nodes, top
+    return tuple(subsets), tuple(nodes), top
 
 
-def _residual_levels(nodes, top, select, powers, weighted, polygamy):
-    """Each node's full residual and the selected residual of each top level.
+def _source(n_b: int, polygamy: bool, kinds: tuple, layout: tuple | None, explain: bool) -> str:
+    """Python source of the float pass of one plan structure (see _program).
 
-    powers holds every component raised to the exponent; weighted holds the
-    (weighted) marginal powers, which the marginal sums read.
+    `program(x, r, c)` takes the exponent, the weight reference and the
+    components (marginals of parties 1..n_b, then the joints of
+    _recursion(n_b)) and returns each bound's value; with `explain` it also
+    returns, per bound, None or the node residuals and top levels of its
+    recursion. Names come from indices only. Every sum is a left fold from 0,
+    as sum() of floats is on Python 3.11, so the values match the recursion
+    bit for bit.
     """
-    values = []
-    for parties, joint, levels in nodes:
-        inner = sum([select([values[c] for c in level]) for level in levels])
-        parts = sum([weighted[b] for b in parties])
-        values.append(parts - powers[joint] - inner if polygamy
-                      else powers[joint] - parts - inner)
-    return values, [select([values[c] for c in level]) for level in top]
+    _, nodes, top = _recursion(n_b) if any(strategy for _, strategy in kinds) else ((), (), ())
+
+    def fold(names):
+        return "(" + " + ".join(["0", *names]) + ")"
+
+    def select(strategy, names):
+        return f"max({', '.join(names)})" if strategy == "max" else f"{fold(names)} / {len(names)}"
+
+    n_c = n_b + len(nodes)
+    lines = ["def program(x, r, c):", "    " + "".join(f"c{i}, " for i in range(n_c)) + "= c"]
+    lines += [f"    p{i} = c{i} ** x" for i in range(n_c)]
+    weighted = {}  # weighting -> (names of its marginal terms, name of their sum)
+    out, explained = [], []
+    for i, (weighting, strategy) in enumerate(kinds):
+        if weighting not in weighted:
+            g = len(weighted)
+            marginals = [f"p{b}" for b in range(n_b)]
+            if weighting is not None:
+                scalar = "x / r" if weighting == "ratio" else "2.0 ** (x / r) - 1.0"
+                lines.append(f"    s{g} = {scalar}")
+                lines += [f"    m{g}_{b} = s{g} ** {int(k)} * p{b}" for b, k in enumerate(layout)]
+                marginals = [f"m{g}_{b}" for b in range(n_b)]
+            lines.append(f"    t{g} = {fold(marginals)}")
+            weighted[weighting] = (marginals, f"t{g}")
+        marginals, total = weighted[weighting]
+        if strategy is None:
+            out.append(total)
+            explained.append("None")
+            continue
+        node_names = [f"r{i}_{j}" for j in range(len(nodes))]
+        for name, (sub, joint, levels) in zip(node_names, nodes):
+            parts = fold([marginals[b - 1] for b in sub])
+            inner = fold([select(strategy, [node_names[c] for c in level]) for level in levels])
+            terms = (parts, f"p{n_b + joint}") if polygamy else (f"p{n_b + joint}", parts)
+            lines.append(f"    {name} = {terms[0]} - {terms[1]} - {inner}")
+        level_names = [f"l{i}_{k}" for k in range(len(top))]
+        lines += [f"    {name} = {select(strategy, [node_names[c] for c in level])}"
+                  for name, level in zip(level_names, top)]
+        lines.append(f"    b{i} = {total} {'-' if polygamy else '+'} {fold(level_names)}")
+        out.append(f"b{i}")
+        explained.append(f"([{', '.join(node_names)}], [{', '.join(level_names)}])")
+    values = f"[{', '.join(out)}]"
+    lines.append(f"    return {values}, [{', '.join(explained)}]" if explain
+                 else f"    return {values}")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=64)
+def _program(n_b: int, polygamy: bool, kinds: tuple, layout: tuple | None, explain: bool):
+    """The float pass of one plan structure, compiled on first use and shared by every plan.
+
+    The key is the structure only: the party count, the side, each bound's
+    (weighting, strategy) and the weight layout. Component values and the
+    weight reference are arguments, so plans on different tables share code.
+    """
+    namespace: dict = {}
+    exec(compile(_source(n_b, polygamy, kinds, layout, explain), "<bound plan>", "exec"),
+         namespace)
+    return namespace["program"]
 
 
 def _tree(subsets, top, values, levels, strategy: str, exact: bool) -> ResidualTree:
-    """The ResidualTree view of one _residual_levels result."""
+    """The ResidualTree view of one recursion's node residuals and top levels."""
     # the first largest residual wins; at the top, omitting position i omits party i + 1
     omitted = [1 + max(range(len(children)), key=lambda i: values[children[i]])
                if strategy == "max" else None for children in top]
@@ -391,14 +452,15 @@ class BoundPlan:
 
     Built once: every component the bounds read is fetched and validated,
     each bound's exact flag is fixed (its marginals and, with a residual
-    strategy, every component of the recursion), and the residual recursion
-    is flattened. values() and report() then evaluate any exponent without
-    another table lookup, and explain() shows the residual recursion that
-    values() evaluated. Marginal sums are (weighted) power sums; a residual
-    strategy subtracts (polygamy) or adds (monogamy) its selected levels. A
-    plan holds one weight layout, the scalar weight's power per party: from m
-    (_weight_powers) or, for pair_weighted (three parties only), (0, 1) down
-    the descending sort of the two marginals.
+    strategy, every component of the recursion), and the compiled float pass
+    of the plan's structure is looked up. values() and report() then
+    evaluate any exponent without another table lookup, and explain() shows
+    the residual recursion that values() evaluated. Marginal sums are
+    (weighted) power sums; a residual strategy subtracts (polygamy) or adds
+    (monogamy) its selected levels. A plan holds one weight layout, the
+    scalar weight's power per party: from m (_weight_powers) or, for
+    pair_weighted (three parties only), (0, 1) down the descending sort of
+    the two marginals.
     """
 
     def __init__(self, table: ComponentTable, side: str, bound_ids, m: int | None = None):
@@ -412,75 +474,56 @@ class BoundPlan:
         values = [c.value for c in marginals]
         self._zero_marginal = 0.0 in values
         self._margin = comparison_tol(table.opt, False)
-        specs = [(bid, *BOUNDS[side][bid]) for bid in self.bound_ids]
-        self._ref = self._layout = None
-        for bid, weighting, _ in specs:
+        kinds = tuple(BOUNDS[side][bid] for bid in self.bound_ids)
+        self._ref = layout = None
+        for bid, (weighting, _) in zip(self.bound_ids, kinds):
             if weighting is None:
                 continue
             self._ref = table.measure.beta_max if self._polygamy else table.measure.x_min
             if bid == PAIR_WEIGHTED:
                 order = sorted(range(n_b), key=values.__getitem__, reverse=True)
-                self._layout = tuple(order.index(b) for b in range(n_b))
+                layout = tuple(order.index(b) for b in range(n_b))
             elif m is None:
                 raise InvalidParameterError(f"bound {bid!r} needs an ordering index m")
             else:
-                self._layout = _weight_powers(n_b, m)
-        joints, self._subsets, self._nodes, self._top = [], (), (), ()
-        if any(strategy for _, _, strategy in specs):
-            self._subsets, joints, self._nodes, self._top = _flatten(table)
-        self._components = values + [c.value for c in joints]
+                layout = _weight_powers(n_b, m)
+        joints, self._subsets, self._top = [], (), ()
+        if any(strategy for _, strategy in kinds):
+            subsets, nodes, self._top = _recursion(n_b)
+            joints = [table.joint(sub) for sub in subsets]
+            self._subsets = tuple(sub for sub, _, _ in nodes)
+        self._components = tuple(values + [c.value for c in joints])
+        self._zero_component = 0.0 in self._components
         marginals_exact = all(c.exact for c in marginals)
         tree_exact = marginals_exact and all(c.exact for c in joints)
-        self.exact = tuple(tree_exact if strategy else marginals_exact for _, _, strategy in specs)
-        # per bound: id, weighting, strategy, its level selection, exact flag
-        self._specs = [(bid, weighting, strategy, _SELECT.get(strategy), exact)
-                       for (bid, weighting, strategy), exact in zip(specs, self.exact)]
+        self.exact = tuple(tree_exact if strategy else marginals_exact for _, strategy in kinds)
+        self._key = (n_b, self._polygamy, kinds, layout)
+        self._program = _program(*self._key, False)
 
-    def values(self, exponent: float, trees: dict | None = None) -> list[float]:
+    def values(self, exponent: float) -> list[float]:
         """Each bound's value at `exponent`, in bound_ids order.
 
-        Given a dict, `trees` receives the ResidualTree of each residual
-        bound: the terms and levels this evaluation computed. An exponent at
-        which a component power or the weight overflows a float is rejected.
+        A negative exponent when a component is 0, and an exponent at which a
+        component power or the weight overflows a float, are rejected.
         """
-        if exponent < 0 and 0.0 in self._components:
+        return self._run(self._program, exponent)
+
+    def _run(self, program, exponent: float):
+        if exponent < 0 and self._zero_component:
             raise InvalidParameterError(f"exponent {exponent} is negative and a component is 0")
         try:
-            return self._values(exponent, trees)
+            return program(exponent, self._ref, self._components)
         except OverflowError:
             raise InvalidParameterError(f"exponent {exponent} overflows a component power "
                                         f"or the weight") from None
 
-    def _values(self, exponent: float, trees: dict | None) -> list[float]:
-        powers = [c**exponent for c in self._components]
-        marginals = powers[:self.table.n_b]
-        sums = {}  # weighting -> (weighted marginal powers, their sum)
-        out = []
-        for bid, weighting, strategy, select, exact in self._specs:
-            if weighting not in sums:
-                weighted = marginals
-                if weighting is not None:
-                    ratio = exponent / self._ref
-                    scalar = ratio if weighting == "ratio" else 2.0**ratio - 1.0
-                    weighted = [scalar**k * p for k, p in zip(self._layout, marginals)]
-                sums[weighting] = (weighted, sum(weighted))
-            weighted, total = sums[weighting]
-            if strategy is None:
-                out.append(total)
-                continue
-            terms, levels = _residual_levels(self._nodes, self._top, select, powers, weighted,
-                                             self._polygamy)
-            if trees is not None:
-                trees[bid] = _tree(self._subsets, self._top, terms, levels, strategy, exact)
-            level_sum = sum(levels)
-            out.append(total - level_sum if self._polygamy else total + level_sum)
-        return out
-
     def explain(self, exponent: float) -> dict[str, ResidualTree]:
         """The ResidualTree of each residual bound at `exponent`, as values() computes it."""
-        trees: dict[str, ResidualTree] = {}
-        self.values(exponent, trees)
-        return trees
+        _, recursions = self._run(_program(*self._key, True), exponent)
+        return {bid: _tree(self._subsets, self._top, *recursion, BOUNDS[self.side][bid][1],
+                           exact)
+                for bid, exact, recursion in zip(self.bound_ids, self.exact, recursions)
+                if recursion is not None}
 
     @functools.cached_property
     def lhs(self) -> MeasureValue:

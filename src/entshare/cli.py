@@ -200,11 +200,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], rows) -> str:
+    """CSV text of a header and an iterable of rows of formatted cells."""
+    return "\n".join([",".join(header), *[",".join(row) for row in rows]]) + "\n"
 
 
 def _json_text(doc) -> str:
@@ -227,22 +225,20 @@ def cmd_measure(args) -> int:
     if args.format == "json":
         _emit(_json_text(doc), args.out)
     else:
-        _emit(_csv(["value", "exactness"], [[mv.value, mv.exactness]]), args.out)
+        _emit(_csv(["value", "exactness"], [[fmt(mv.value), mv.exactness]]), args.out)
     return EXIT_OK
 
 
+_OK_CELLS = {True: "1", False: "0", None: "na"}
+
+
 def _report_rows(reports, bound_ids):
+    """CSV header and the formatted rows of the reports of one plan, made one at a time."""
     header = ["exponent", "lhs"] + list(bound_ids)
     header += [f"tol_{b}" for b in bound_ids] + [f"ok_{b}" for b in bound_ids]
-    rows = []
-    for rep in reports:
-        row = [rep.exponent, rep.lhs_power]
-        row += [rep.bounds[b].value for b in bound_ids]
-        row += [rep.tol[b] for b in bound_ids]
-        for b in bound_ids:
-            ok = rep.satisfied[b]
-            row.append("na" if ok is None else ("1" if ok else "0"))
-        rows.append(row)
+    tols = [fmt(reports[0].tol[b]) for b in bound_ids]  # one plan: every report shares its tol
+    rows = ([fmt(rep.exponent), fmt(rep.lhs_power), *[fmt(rep.bounds[b].value) for b in bound_ids],
+             *tols, *[_OK_CELLS[rep.satisfied[b]] for b in bound_ids]] for rep in reports)
     return header, rows
 
 
@@ -311,9 +307,9 @@ def cmd_threshold(args) -> int:
     if args.format == "json":
         _emit(_json_text(doc), args.out)
     else:
+        cells = (doc["root"], *doc["bracket"], doc["iterations"], doc["residual_at_root"])
         _emit(_csv(["root", "bracket_lo", "bracket_hi", "iterations", "residual_at_root"],
-                   [[doc["root"], doc["bracket"][0], doc["bracket"][1],
-                     doc["iterations"], doc["residual_at_root"]]]), args.out)
+                   [[fmt(cell) for cell in cells]]), args.out)
     return EXIT_OK
 
 
@@ -398,7 +394,7 @@ def cmd_fuzz(args) -> int:
     else:
         header = ["seed", "state_digest", "side", "measure", "bound", "exponent", "gap"]
         rows = [[str(v["seed"]), v["state_digest"], v["side"], v["measure"], v["bound"],
-                 v["exponent"], v["gap"]] for v in violations]
+                 fmt(v["exponent"]), fmt(v["gap"])] for v in violations]
         _emit(_csv(header, rows), args.out)
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
@@ -409,7 +405,7 @@ def cmd_figure(args) -> int:
         doc = [dict(zip(header, row)) for row in rows]
         _emit(_json_text(doc), args.out)
     else:
-        _emit(_csv(header, rows), args.out)
+        _emit(_csv(header, [[fmt(cell) for cell in row] for row in rows]), args.out)
     return EXIT_OK
 
 

@@ -1,8 +1,15 @@
 import gc
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 import weakref
+from functools import reduce
 from itertools import combinations
+from operator import add
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +62,8 @@ from entshare.states import (
 )
 
 SQ2, SQ3 = math.sqrt(2), math.sqrt(3)
+SRC = os.pathsep.join(p for p in (str(Path(bmod.__file__).resolve().parents[1]),
+                                     os.environ.get("PYTHONPATH")) if p)
 
 
 def general_w(n: int) -> PureState:
@@ -79,6 +88,14 @@ def product_state_4q() -> PureState:
     return PureState(psi, (2, 2, 2, 2))
 
 
+def left_sum(values):
+    """0 + v1 + v2 + ...: the plan's addition order on every Python.
+
+    sum() of floats is this fold up to Python 3.11 and compensated from 3.12 on.
+    """
+    return reduce(add, values, 0)
+
+
 def recursive_tree(q, n_b, a, strategy, side, weights):
     """The residual recursion evaluated directly, as the plan flattens it.
 
@@ -90,9 +107,9 @@ def recursive_tree(q, n_b, a, strategy, side, weights):
 
     def full(sub):
         if sub not in terms:
-            parts = sum(weights.get(b, 1.0) * q[(b,)] ** a for b in sub)
+            parts = left_sum(weights.get(b, 1.0) * q[(b,)] ** a for b in sub)
             joint = q[sub] ** a
-            inner = sum(val for val, _ in levels(sub))
+            inner = left_sum(val for val, _ in levels(sub))
             terms[sub] = (parts - joint - inner) if side == POLYGAMY else (joint - parts - inner)
         return terms[sub]
 
@@ -104,7 +121,7 @@ def recursive_tree(q, n_b, a, strategy, side, weights):
             if strategy == "max":
                 out.append(max(cands, key=lambda t: t[0]))
             else:
-                out.append((sum(v for v, _ in cands) / len(cands), None))
+                out.append((left_sum(v for v, _ in cands) / len(cands), None))
         return out
 
     top = levels(tuple(range(1, n_b + 1)))
@@ -129,10 +146,10 @@ def recursive_bound(q, n_b, bound_id, a, side, m, ref):
     weights = bound_weights(bound_id, a, side, n_b, m, ref)
     if bound_id == PAIR_WEIGHTED:
         values.sort(reverse=True)
-    value = sum(weights.get(i, 1.0) * v**a for i, v in enumerate(values, start=1))
+    value = left_sum(weights.get(i, 1.0) * v**a for i, v in enumerate(values, start=1))
     if strategy is None:
         return value
-    level_sum = sum(recursive_tree(q, n_b, a, strategy, side, weights)[1])
+    level_sum = left_sum(recursive_tree(q, n_b, a, strategy, side, weights)[1])
     return value - level_sum if side == POLYGAMY else value + level_sum
 
 
@@ -227,6 +244,88 @@ class TestBoundPlan:
         with pytest.warns(ExponentRangeWarning):
             (report,) = bound_reports(table, POLYGAMY, [-1.0])
         assert report.bounds[BASE].value == 4.0 and report.lhs_power == 2.0
+
+
+IMPORT_PROBE = """
+from entshare import bounds
+from entshare.cli import build_parser
+build_parser()
+print(bounds._program.cache_info().currsize, bounds._recursion.cache_info().currsize)
+"""
+
+
+class TestCompiledPlan:
+    """The generated float pass: one function per plan structure, built from indices only."""
+
+    @staticmethod
+    def full_table(n_b, value):
+        return ComponentTable.from_values(
+            {sub: value for k in range(1, n_b + 1) for sub in combinations(range(1, n_b + 1), k)},
+            n_b=n_b, measure=CONCURRENCE)
+
+    def test_plans_of_one_structure_share_one_function(self):
+        ids = applicable_bounds(5, POLYGAMY, True)
+        first = BoundPlan(self.full_table(4, 0.5), POLYGAMY, ids, 1)
+        second = BoundPlan(self.full_table(4, 0.3), POLYGAMY, ids, 1)
+        assert first._program is second._program
+        assert first.values(1.3) != second.values(1.3)
+        assert BoundPlan(self.full_table(4, 0.5), POLYGAMY, ids, 2)._program is not first._program
+        assert BoundPlan(self.full_table(4, 0.5), MONOGAMY, (BASE,))._program is not (
+            BoundPlan(self.full_table(4, 0.5), POLYGAMY, (BASE,))._program)
+
+    @pytest.mark.parametrize("side", [POLYGAMY, MONOGAMY])
+    def test_pair_sorted_the_other_way_gets_its_own_layout(self, side):
+        plans = [BoundPlan(ComponentTable.from_values({(1,): q1, (2,): q2}, n_b=2,
+                                                      measure=CONCURRENCE), side, (PAIR_WEIGHTED,))
+                 for q1, q2 in ((0.5, 0.25), (0.25, 0.5))]
+        assert plans[0]._key[3] == (0, 1) and plans[1]._key[3] == (1, 0)
+        assert plans[0]._program is not plans[1]._program
+        assert plans[0].values(1.3) == plans[1].values(1.3)
+
+    @pytest.mark.parametrize("components, exponent", [
+        (0.5, -3000.0), (1.5, 3000.0),
+    ], ids=["small-base", "large-base"])
+    def test_overflowing_component_power_keeps_its_message(self, components, exponent):
+        plan = BoundPlan(self.full_table(3, components), POLYGAMY, (BASE, RESIDUAL_MAX))
+        message = f"exponent {exponent} overflows a component power or the weight"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            plan.values(exponent)
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            plan.explain(exponent)
+
+    def test_negative_exponent_on_a_zero_component_rejected_before_evaluation(self):
+        table = self.full_table(3, 0.5)
+        table._cache[(1, 3)] = MeasureValue(0.0, "exact")  # a joint only residual bounds read
+        plan = BoundPlan(table, MONOGAMY, (BASE, RATIO_WEIGHTED), 1)
+
+        def never(*args):
+            raise AssertionError("the compiled pass ran")
+
+        plan._program = never
+        with pytest.raises(InvalidParameterError, match="negative and a component is 0"):
+            plan.values(-1.0)
+        assert BoundPlan(table, MONOGAMY, (BASE,), 1).values(-1.0) == [6.0]
+
+    @pytest.mark.parametrize("n_b", [2, 3, 4, 5])
+    @pytest.mark.parametrize("explain", [False, True])
+    def test_source_names_come_from_indices_only(self, n_b, explain):
+        sources = []
+        for side in (POLYGAMY, MONOGAMY):
+            for m in ([None] + list(range(1, n_b - 1))):
+                ids = applicable_bounds(n_b + 1, side, m is not None)
+                plan = BoundPlan(self.full_table(n_b, 0.5), side, ids, m)
+                sources.append(bmod._source(*plan._key, explain))
+        names = {tok for src in sources for tok in re.findall(r"[A-Za-z_]\w*", src)}
+        allowed = {"def", "program", "x", "r", "c", "max", "return", "None"}
+        assert {n for n in names if not re.fullmatch(r"[cpsmtrlb]\d+(_\d+)?", n)} <= allowed
+        for bid in {b for side in BOUNDS.values() for b in side}:
+            assert all(bid not in src for src in sources)
+
+    def test_nothing_compiled_at_import(self):
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
 
 class TestWeightedPair:
@@ -335,8 +434,8 @@ class TestResidualTree:
         ref = CONCURRENCE.beta_max if side == POLYGAMY else CONCURRENCE.x_min
         for bid, tree in trees.items():
             weights = bound_weights(bid, 1.7, side, 3, 1, ref)
-            marginals = sum([weights.get(b, 1.0) * table.marginal(b).value ** 1.7
-                             for b in (1, 2, 3)])
+            marginals = left_sum([weights.get(b, 1.0) * table.marginal(b).value ** 1.7
+                                  for b in (1, 2, 3)])
             sign = -1.0 if side == POLYGAMY else 1.0
             assert values[bid] == marginals + sign * tree.level_sum()
 
@@ -877,7 +976,8 @@ def _rule_csv_tol(state, table, rule, verdict, monkeypatch):
     reports = _rule_reports(table)
     ids = list(reports[0].bounds)
     _, rows = cli._report_rows(reports, ids)
-    want = [[rule(table.opt, rep.bounds[b].exact, rep.lhs.exact) for b in ids] for rep in reports]
+    want = [[cli.fmt(rule(table.opt, rep.bounds[b].exact, rep.lhs.exact)) for b in ids]
+            for rep in reports]
     return [row[2 + len(ids):2 + 2 * len(ids)] for row in rows], want
 
 
