@@ -35,8 +35,10 @@ evaluation (numpy's vectorized power may differ from `**` in the last bit, so
 it is not used). Its names come from indices only. evaluate_bounds is a
 one-point plan; a sweep is one plan over its grid; bound_value is a one-bound
 plan. residual_tree is a read-only view of one residual bound's plan
-(BoundPlan.explain): the same generated code, whose return statement also
-hands back the node residuals and levels.
+(BoundPlan.explain): the same compiled function called with its explain flag
+set, which then also returns each node's residual, the numbered levels and
+the party each top-level max omitted, read off the names the max() chose
+from, so the one function is the only walk of the recursion.
 
 Every comparison (verdicts, orderings, hierarchy checks, the empirical-beta
 shift) takes its tolerance from one rule, comparison_tol: EXACT_TOL when every
@@ -72,7 +74,12 @@ import warnings
 import weakref
 from dataclasses import dataclass
 
-from .errors import DegenerateExponentWarning, ExponentRangeWarning, InvalidParameterError
+from .errors import (
+    DegenerateExponentWarning,
+    ExponentRangeWarning,
+    InvalidParameterError,
+    OrderingHypothesisWarning,
+)
 from .measures import (
     DEFAULT_OPT,
     EXACT,
@@ -236,14 +243,13 @@ def _recursion(n_b: int):
     """The residual recursion over B parties 1..n_b, flattened children-first.
 
     Level k of a subset selects among the omit-one subsets of its first k
-    parties (k = 3..size). Returns (subsets, nodes, top): subsets in the order
-    the recursion first reaches them, which is the order a plan reads their
-    joints; nodes[j] is (subset, position of its joint in subsets, its levels
-    as tuples of node indices), children before parents; top holds the levels
-    of the full party set.
+    parties (k = 3..size). Returns (nodes, top): nodes[j] is (subset, its
+    levels as tuples of node indices), children before parents, which is also
+    the order a plan reads their joints in; top holds the levels of the full
+    party set.
     """
     index: dict[tuple[int, ...], int] = {}
-    subsets, nodes = [], []
+    nodes = []
 
     def levels(sub):
         prefixes = [sub[:k] for k in range(3, len(sub) + 1)]
@@ -251,29 +257,29 @@ def _recursion(n_b: int):
 
     def visit(sub):
         if sub not in index:
-            subsets.append(sub)
-            joint = len(subsets) - 1
             children = levels(sub)
             index[sub] = len(nodes)
-            nodes.append((sub, joint, children))
+            nodes.append((sub, children))
         return index[sub]
 
     top = levels(tuple(range(1, n_b + 1)))
-    return tuple(subsets), tuple(nodes), top
+    return tuple(nodes), top
 
 
-def _source(n_b: int, polygamy: bool, kinds: tuple, layout: tuple | None, explain: bool) -> str:
+def _source(n_b: int, polygamy: bool, kinds: tuple, layout: tuple | None) -> str:
     """Python source of the float pass of one plan structure (see _program).
 
-    `program(x, r, c)` takes the exponent, the weight reference and the
-    components (marginals of parties 1..n_b, then the joints of
-    _recursion(n_b)) and returns each bound's value; with `explain` it also
-    returns, per bound, None or the node residuals and top levels of its
-    recursion. Names come from indices only. Every sum is a left fold from 0,
-    as sum() of floats is on Python 3.11, so the values match the recursion
-    bit for bit.
+    `program(x, r, c, explain)` takes the exponent, the weight reference, the
+    components (marginals of parties 1..n_b, then the joints of the nodes of
+    _recursion(n_b)) and a flag, and returns each bound's value. With
+    `explain` true it also returns, per bound, None or the fields of its
+    ResidualTree: each node subset's residual, the numbered top levels and
+    the party each top-level max omitted, the first position holding the
+    selected value, as max() keeps the first of equal maxima. Names come from
+    indices only. Every sum is a left fold from 0, as sum() of floats is on
+    Python 3.11, so the values match the recursion bit for bit.
     """
-    _, nodes, top = _recursion(n_b) if any(strategy for _, strategy in kinds) else ((), (), ())
+    nodes, top = _recursion(n_b) if any(strategy for _, strategy in kinds) else ((), ())
 
     def fold(names):
         return "(" + " + ".join(["0", *names]) + ")"
@@ -282,7 +288,8 @@ def _source(n_b: int, polygamy: bool, kinds: tuple, layout: tuple | None, explai
         return f"max({', '.join(names)})" if strategy == "max" else f"{fold(names)} / {len(names)}"
 
     n_c = n_b + len(nodes)
-    lines = ["def program(x, r, c):", "    " + "".join(f"c{i}, " for i in range(n_c)) + "= c"]
+    lines = ["def program(x, r, c, explain):",
+             "    " + "".join(f"c{i}, " for i in range(n_c)) + "= c"]
     lines += [f"    p{i} = c{i} ** x" for i in range(n_c)]
     weighted = {}  # weighting -> (names of its marginal terms, name of their sum)
     out, explained = [], []
@@ -303,45 +310,41 @@ def _source(n_b: int, polygamy: bool, kinds: tuple, layout: tuple | None, explai
             explained.append("None")
             continue
         node_names = [f"r{i}_{j}" for j in range(len(nodes))]
-        for name, (sub, joint, levels) in zip(node_names, nodes):
+        for j, (sub, levels) in enumerate(nodes):
             parts = fold([marginals[b - 1] for b in sub])
             inner = fold([select(strategy, [node_names[c] for c in level]) for level in levels])
-            terms = (parts, f"p{n_b + joint}") if polygamy else (f"p{n_b + joint}", parts)
-            lines.append(f"    {name} = {terms[0]} - {terms[1]} - {inner}")
+            terms = (parts, f"p{n_b + j}") if polygamy else (f"p{n_b + j}", parts)
+            lines.append(f"    {node_names[j]} = {terms[0]} - {terms[1]} - {inner}")
         level_names = [f"l{i}_{k}" for k in range(len(top))]
         lines += [f"    {name} = {select(strategy, [node_names[c] for c in level])}"
                   for name, level in zip(level_names, top)]
         lines.append(f"    b{i} = {total} {'-' if polygamy else '+'} {fold(level_names)}")
         out.append(f"b{i}")
-        explained.append(f"([{', '.join(node_names)}], [{', '.join(level_names)}])")
+        # levels count from 2 (max) or 3 (mean); omitting top position k omits party k + 1
+        first = 2 if strategy == "max" else 3
+        chosen = [f"({', '.join(node_names[c] for c in level)}).index({name}) + 1"
+                  if strategy == "max" else "None" for name, level in zip(level_names, top)]
+        explained.append("({%s}, {%s}, {%s})" % (
+            ", ".join(f"{sub}: {name}" for (sub, _), name in zip(nodes, node_names)),
+            ", ".join(f"{k}: {name}" for k, name in enumerate(level_names, first)),
+            ", ".join(f"{k}: {pick}" for k, pick in enumerate(chosen, first))))
     values = f"[{', '.join(out)}]"
-    lines.append(f"    return {values}, [{', '.join(explained)}]" if explain
-                 else f"    return {values}")
+    lines.append(f"    return ({values}, [{', '.join(explained)}]) if explain else {values}")
     return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=64)
-def _program(n_b: int, polygamy: bool, kinds: tuple, layout: tuple | None, explain: bool):
+def _program(n_b: int, polygamy: bool, kinds: tuple, layout: tuple | None):
     """The float pass of one plan structure, compiled on first use and shared by every plan.
 
     The key is the structure only: the party count, the side, each bound's
     (weighting, strategy) and the weight layout. Component values and the
-    weight reference are arguments, so plans on different tables share code.
+    weight reference are arguments, so plans on different tables share code,
+    and one function serves both values() and explain().
     """
     namespace: dict = {}
-    exec(compile(_source(n_b, polygamy, kinds, layout, explain), "<bound plan>", "exec"),
-         namespace)
+    exec(compile(_source(n_b, polygamy, kinds, layout), "<bound plan>", "exec"), namespace)
     return namespace["program"]
-
-
-def _tree(subsets, top, values, levels, strategy: str, exact: bool) -> ResidualTree:
-    """The ResidualTree view of one recursion's node residuals and top levels."""
-    # the first largest residual wins; at the top, omitting position i omits party i + 1
-    omitted = [1 + max(range(len(children)), key=lambda i: values[children[i]])
-               if strategy == "max" else None for children in top]
-    first = 2 if strategy == "max" else 3
-    return ResidualTree(dict(zip(subsets, values)), dict(enumerate(levels, first)),
-                        dict(enumerate(omitted, first)), exact)
 
 
 def residual_tree(table: ComponentTable, side: str, bound_id: str, exponent: float,
@@ -398,12 +401,18 @@ class OrderingResult:
     m: int | None
     comparisons: tuple[OrderingComparison, ...]
 
+    def holds_at(self, m: int) -> bool:
+        """Whether marginals 1..m are at or above their tail cuts and the rest at or below."""
+        return (all(c.relation in ("ge", "both") for c in self.comparisons[:m])
+                and all(c.relation in ("le", "both") for c in self.comparisons[m:]))
+
 
 def ordering_classify(table: ComponentTable) -> OrderingResult:
     """Find the ordering index m splitting marginals above/below their tail cuts.
 
     Comparison i checks Q_{AB_i} against Q_{A|B_{i+1}...}; ties within the
-    comparison_tol of the pair count for whichever direction is needed.
+    comparison_tol of the pair count for whichever direction is needed. m is
+    the first index at which OrderingResult.holds_at holds, else None.
     """
     n_b = table.n_b
     if n_b < 3:
@@ -417,12 +426,9 @@ def ordering_classify(table: ComponentTable) -> OrderingResult:
         ge, le = verdict(diff, tol, True), verdict(-diff, tol, True)
         rel = "both" if ge and le else "ge" if ge else "le"
         comparisons.append(OrderingComparison(i, marg, tail, rel))
-    for m in range(1, n_b - 1):
-        head_ok = all(c.relation in ("ge", "both") for c in comparisons[:m])
-        tail_ok = all(c.relation in ("le", "both") for c in comparisons[m:])
-        if head_ok and tail_ok:
-            return OrderingResult(m, tuple(comparisons))
-    return OrderingResult(None, tuple(comparisons))
+    result = OrderingResult(None, tuple(comparisons))
+    m = next((m for m in range(1, n_b - 1) if result.holds_at(m)), None)
+    return OrderingResult(m, result.comparisons)
 
 
 def _fits(bound_id: str, n_parties: int) -> bool:
@@ -487,18 +493,16 @@ class BoundPlan:
                 raise InvalidParameterError(f"bound {bid!r} needs an ordering index m")
             else:
                 layout = _weight_powers(n_b, m)
-        joints, self._subsets, self._top = [], (), ()
+        joints = []
         if any(strategy for _, strategy in kinds):
-            subsets, nodes, self._top = _recursion(n_b)
-            joints = [table.joint(sub) for sub in subsets]
-            self._subsets = tuple(sub for sub, _, _ in nodes)
+            joints = [table.joint(sub) for sub, _ in _recursion(n_b)[0]]
         self._components = tuple(values + [c.value for c in joints])
         self._zero_component = 0.0 in self._components
         marginals_exact = all(c.exact for c in marginals)
         tree_exact = marginals_exact and all(c.exact for c in joints)
         self.exact = tuple(tree_exact if strategy else marginals_exact for _, strategy in kinds)
         self._key = (n_b, self._polygamy, kinds, layout)
-        self._program = _program(*self._key, False)
+        self._program = _program(*self._key)
 
     def values(self, exponent: float) -> list[float]:
         """Each bound's value at `exponent`, in bound_ids order.
@@ -506,22 +510,21 @@ class BoundPlan:
         A negative exponent when a component is 0, and an exponent at which a
         component power or the weight overflows a float, are rejected.
         """
-        return self._run(self._program, exponent)
+        return self._run(exponent, False)
 
-    def _run(self, program, exponent: float):
+    def _run(self, exponent: float, explain: bool):
         if exponent < 0 and self._zero_component:
             raise InvalidParameterError(f"exponent {exponent} is negative and a component is 0")
         try:
-            return program(exponent, self._ref, self._components)
+            return self._program(exponent, self._ref, self._components, explain)
         except OverflowError:
             raise InvalidParameterError(f"exponent {exponent} overflows a component power "
                                         f"or the weight") from None
 
     def explain(self, exponent: float) -> dict[str, ResidualTree]:
         """The ResidualTree of each residual bound at `exponent`, as values() computes it."""
-        _, recursions = self._run(_program(*self._key, True), exponent)
-        return {bid: _tree(self._subsets, self._top, *recursion, BOUNDS[self.side][bid][1],
-                           exact)
+        _, recursions = self._run(exponent, True)
+        return {bid: ResidualTree(*recursion, exact)
                 for bid, exact, recursion in zip(self.bound_ids, self.exact, recursions)
                 if recursion is not None}
 
@@ -598,7 +601,9 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
     The side, every exponent, every given bound id and a given m (1..n_b-2,
     so none at three parties) are checked before any component is measured.
     With m None on four or more parties, m comes from ordering_classify; the
-    default bound ids are every applicable bound. The table's measure sets
+    default bound ids are every applicable bound. A given m at which the
+    ordering hypothesis fails (OrderingResult.holds_at) is used anyway, with an
+    OrderingHypothesisWarning, when a bound needs m. The table's measure sets
     the exponent ranges and its optimizer settings the comparison margin.
     """
     if side not in BOUNDS:
@@ -610,12 +615,20 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
     n_parties = table.n_b + 1
     for bid in bound_ids or ():
         check_bound(side, bid, n_parties)
-    if m is not None:
+    given = m is not None
+    if given:
         _check_m(table.n_b, m)
     elif n_parties >= 4:
         m = ordering_classify(table).m
     if bound_ids is None:
         bound_ids = applicable_bounds(n_parties, side, m is not None)
+    if given and any(needs_m(side, bid) for bid in bound_ids):
+        ordering = ordering_classify(table)
+        if not ordering.holds_at(m):
+            relations = ", ".join(c.relation for c in ordering.comparisons)
+            warnings.warn(f"ordering index m={m} breaks the ordering hypothesis (marginal "
+                          f"against tail cut: {relations}); the weighted bounds need not hold",
+                          OrderingHypothesisWarning, stacklevel=2)
     plan = BoundPlan(table, side, bound_ids, m)
     return [plan.report(exponent) for exponent in exponents]
 

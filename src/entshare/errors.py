@@ -37,5 +37,9 @@ class ExponentRangeWarning(UserWarning):
     """Exponent outside the configured validity range; value computed anyway."""
 
 
+class OrderingHypothesisWarning(UserWarning):
+    """A given ordering index m breaks the ordering hypothesis; weighted bounds computed anyway."""
+
+
 class DegenerateExponentWarning(UserWarning):
     """0**0 encountered; the enclosing report is flagged degenerate."""

@@ -42,7 +42,12 @@ from entshare.bounds import (
     residual_tree,
     verify_hierarchy,
 )
-from entshare.errors import DegenerateExponentWarning, ExponentRangeWarning, InvalidParameterError
+from entshare.errors import (
+    DegenerateExponentWarning,
+    ExponentRangeWarning,
+    InvalidParameterError,
+    OrderingHypothesisWarning,
+)
 from entshare.measures import (
     CONCURRENCE,
     CONCURRENCE_ASSISTANCE,
@@ -73,6 +78,13 @@ def general_w(n: int) -> PureState:
     for k in range(n):
         amps[1 << (n - 1 - k)] = (0.2 + 0.15 * k) * np.exp(0.7j * k)
     return PureState(amps / np.linalg.norm(amps), (2,) * n)
+
+
+def w6_state() -> PureState:
+    """The 6-qubit W-class digest state: (0.3, 0.25, 0.35, 0.4, 0.45, 0.5, 0.3)/norm, A first."""
+    amps = np.zeros(64)
+    amps[[0] + [1 << k for k in range(5, -1, -1)]] = [0.3, 0.25, 0.35, 0.4, 0.45, 0.5, 0.3]
+    return PureState(amps / np.linalg.norm(amps), (2,) * 6)
 
 
 W4_TABLE = {
@@ -307,19 +319,28 @@ class TestCompiledPlan:
         assert BoundPlan(table, MONOGAMY, (BASE,), 1).values(-1.0) == [6.0]
 
     @pytest.mark.parametrize("n_b", [2, 3, 4, 5])
-    @pytest.mark.parametrize("explain", [False, True])
-    def test_source_names_come_from_indices_only(self, n_b, explain):
+    def test_source_names_come_from_indices_only(self, n_b):
         sources = []
         for side in (POLYGAMY, MONOGAMY):
             for m in ([None] + list(range(1, n_b - 1))):
                 ids = applicable_bounds(n_b + 1, side, m is not None)
                 plan = BoundPlan(self.full_table(n_b, 0.5), side, ids, m)
-                sources.append(bmod._source(*plan._key, explain))
+                sources.append(bmod._source(*plan._key))
         names = {tok for src in sources for tok in re.findall(r"[A-Za-z_]\w*", src)}
-        allowed = {"def", "program", "x", "r", "c", "max", "return", "None"}
+        allowed = {"def", "program", "x", "r", "c", "explain", "max", "index", "return", "if",
+                   "else", "None"}
         assert {n for n in names if not re.fullmatch(r"[cpsmtrlb]\d+(_\d+)?", n)} <= allowed
         for bid in {b for side in BOUNDS.values() for b in side}:
             assert all(bid not in src for src in sources)
+
+    def test_explain_compiles_nothing_more(self):
+        ids = applicable_bounds(5, MONOGAMY, True)
+        plan = BoundPlan(self.full_table(4, 0.4), MONOGAMY, ids, 1)
+        before = bmod._program.cache_info()
+        trees = plan.explain(2.5)
+        assert set(trees) == {RATIO_WEIGHTED, EXP_WEIGHTED}
+        after = bmod._program.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
     def test_nothing_compiled_at_import(self):
         proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
@@ -408,6 +429,20 @@ class TestResidualTree:
         pair = 2 * 0.25 - 0.5
         assert tree.level_values == {3: pytest.approx(pair)}
         assert tree.selection[3] is None
+
+    def test_tied_residuals_select_the_first_omitted_party(self):
+        # parties 2, 3 and 4 are symmetric, so the residuals of (1, 3) and (1, 2), and of
+        # (1, 3, 4), (1, 2, 4) and (1, 2, 3), are equal floats; each max keeps the first
+        q = {(1,): 0.3, (2,): 0.5, (3,): 0.5, (4,): 0.5, (1, 2, 3, 4): 0.9}
+        q.update({s: 0.5 if 1 in s else 0.9 for s in combinations(range(1, 5), 2)})
+        q.update({s: 0.6 if 1 in s else 1.0 for s in combinations(range(1, 5), 3)})
+        table = ComponentTable.from_values(q, n_b=4, measure=CONCURRENCE)
+        tree = residual_tree(table, POLYGAMY, RESIDUAL_MAX, 2.0)
+        assert tree.terms[(1, 3)] == tree.terms[(1, 2)] > tree.terms[(2, 3)]
+        assert tree.terms[(1, 3, 4)] == tree.terms[(1, 2, 3)] > tree.terms[(2, 3, 4)]
+        terms, levels, omitted = recursive_tree(q, 4, 2.0, "max", POLYGAMY, {})
+        assert tree.selection == {2: 2, 3: 2} == dict(enumerate(omitted, 2))
+        assert list(tree.level_values.values()) == levels and tree.terms == terms
 
     @pytest.mark.parametrize("side, bound_id", [
         (POLYGAMY, BASE), (POLYGAMY, WEIGHTED), (MONOGAMY, BASE), (POLYGAMY, "median"),
@@ -779,6 +814,38 @@ class TestOrdering:
     def test_three_party_has_no_ordering(self):
         result = ordering_classify(ComponentTable(w_state(3), CONCURRENCE))
         assert result.m is None and result.comparisons == ()
+
+    @pytest.mark.parametrize("side, measure", [(POLYGAMY, TAU_ASSISTANCE),
+                                               (MONOGAMY, CONCURRENCE)])
+    @pytest.mark.parametrize("state, relations", [
+        (w_state(4), ("le", "both")), (w_state(5), ("le", "le", "both")),
+        (w6_state(), ("le", "le", "le", "ge")),
+    ], ids=["w4", "w5", "w6"])
+    def test_forced_m_breaking_the_hypothesis_warns(self, no_roof, state, relations, side,
+                                                    measure):
+        table = ComponentTable(state, measure)
+        ordering = ordering_classify(table)
+        assert tuple(c.relation for c in ordering.comparisons) == relations
+        assert ordering.m is None and not ordering.holds_at(1)
+        with pytest.warns(OrderingHypothesisWarning, match="m=1 breaks"):
+            (report,) = bound_reports(table, side, [2.0], m=1)
+        assert report.m == 1
+
+    @pytest.mark.parametrize("side, measure", [(POLYGAMY, TAU_ASSISTANCE),
+                                               (MONOGAMY, CONCURRENCE)])
+    def test_forced_m_keeping_the_hypothesis_is_silent(self, no_roof, side, measure):
+        table = ComponentTable(TestKnownFindings.state_f(), measure)
+        assert ordering_classify(table).m == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound_reports(table, side, [2.0], m=1)
+
+    def test_forced_m_without_a_weighted_bound_is_not_checked(self, no_roof):
+        table = ComponentTable(w_state(4), CONCURRENCE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound_reports(table, MONOGAMY, [2.0], (BASE,), m=1)
+        assert (2, 3) not in table._cache  # the tail cut only the ordering check reads
 
 
 class TestEvaluateBounds:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entshare
 from conftest import all_subsets
@@ -106,6 +110,64 @@ class TestParsing:
         monkeypatch.setitem(cli._COMMANDS, "figure", buggy)
         with pytest.raises(KeyError):
             main(["figure", "1"])
+
+
+# pieces of malformed and valid CLI values; every valid combination is light work: grids
+# of a few thousand points at most (so no free text there), cuts of a pure state, fuzz
+# runs of at most one three-qubit sample
+NUMBERS = ("0", "1", "2", "-1", "0.5", "0.001", "1e-300", "1e309", "-1e309", "nan", "inf",
+           "-0", "3", "12", "13", "0.785", "0.4472135955", "1_0", " 1", "x", "")
+CUT_SIDES = ("A", "B1", "B2", "B3", "B4", "B0", "B-1", "B" + "9" * 30, "rest", "REST", "A,B1",
+             "B1 B2", "B1B2B3", "AB1", "a", "", "|")
+# side:measure:exponent[:bound], cut to one to five parts
+CHECK = st.tuples(st.tuples(
+    st.sampled_from(("polygamy", "monogamy", "x", "")),
+    st.sampled_from(("concurrence", "tau_assistance", "concurrence_assistance", "x")),
+    st.sampled_from(NUMBERS),
+    st.sampled_from(("base", "pair_weighted", "weighted", "residual_max", "x", "")),
+    st.just("x")), st.integers(1, 5)).map(lambda t: ":".join(t[0][:t[1]]))
+
+
+def _joined(sep, pieces, max_size):
+    """`pieces` joined by `sep`, or free text."""
+    return st.lists(st.sampled_from(pieces), max_size=max_size).map(sep.join) | st.text(
+        max_size=12)
+
+
+CLI_VALUES = st.one_of(
+    st.lists(st.sampled_from(NUMBERS), max_size=4).map(lambda grid: [
+        "sweep", "--family", "3q", "--params", PARAMS_3Q, "--measure", "tau_assistance",
+        "--side", "polygamy", f"--grid={':'.join(grid)}"]),
+    _joined("|", CUT_SIDES, 3).map(lambda cut: ["measure", "--family", "w4", f"--cut={cut}"]),
+    _joined(",", ("2", "3", "1", "0", "-2", "2.5", "64", "4096", "1e3", "x", ""), 13).map(
+        lambda dims: ["fuzz", "--samples", "0", f"--dims={dims}"]),
+    (st.lists(CHECK, max_size=3).map(",".join) | st.text(max_size=12)).map(
+        lambda checks: ["fuzz", "--samples", "1", f"--checks={checks}"]),
+    st.tuples(st.sampled_from(("3q", "4q-theta", "ghz", "w4", "x")),
+              _joined(",", NUMBERS, 7)).map(lambda fp: ["measure", "--family", fp[0],
+                                                        f"--params={fp[1]}"]),
+)
+
+
+@given(argv=CLI_VALUES)
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_malformed_values_exit_cleanly(argv):
+    """Any --grid, --cut, --dims, --checks or --params string ends in exit 0 or 2 (fuzz: 1
+    with violations), never in a traceback, and an input error prints nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert code in ((0, 1, 2) if argv[0] == "fuzz" else (0, 2)), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().strip()
+    if code == 1:
+        assert json.loads(out.getvalue())["violations"]
 
 
 class TestMeasureCommand:
@@ -520,6 +582,15 @@ class TestBoundsCommand:
         assert doc["bounds"]["base"]["value"] == pytest.approx(0.75, abs=1e-10)
         assert doc["satisfied"]["base"] is True
         assert doc["m"] is None
+
+    def test_forced_m_against_the_ordering_warns_on_stderr_only(self):
+        argv = ["-m", "entshare.cli", "bounds", "--family", "w4", "--side", "monogamy",
+                "--exponent", "2.5", "--m", "1"]
+        warned, quiet = run_python(*argv), run_python("-W", "ignore", *argv)
+        assert warned.returncode == quiet.returncode == 0
+        assert "OrderingHypothesisWarning: ordering index m=1" in warned.stderr
+        assert quiet.stderr == "" and warned.stdout == quiet.stdout
+        assert json.loads(warned.stdout)["m"] == 1
 
     def test_nan_exponent_exits_2(self, capsys):
         code, out, err = run(capsys, "bounds", "--family", "w4", "--measure", "concurrence",
