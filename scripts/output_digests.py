@@ -25,8 +25,10 @@ exact, and every weighted bound evaluates its five-party recursion.
 F with amplitudes (4, 3, 6, 4, 4)/sqrt(93) (m = 1 from ordering_classify,
 exact violations on both sides, in JSON and CSV) and the Haar 4-qubit state
 under polygamy concurrence (estimate-backed violations). The residual-zero
-threshold also runs in CSV, and empirical-beta of `base` on GHZ, violated
-from the first scanned exponent on, has no transition and exits 3. The five
+threshold also runs in CSV. Empirical-beta of `base` has no transition and
+exits 3 twice: on GHZ, where the bound is violated from the first scanned
+exponent on, and on the product state 3q 1,0,0,0,0, where it holds on the
+whole range. So each of the four no-root reasons has a line. The five
 state files are built from fixed amplitudes or seeds and written as JSON into
 a temporary working directory, so every argv stays the same from run to run.
 Warnings and timing notes go to stderr and are not digested.
@@ -113,6 +115,8 @@ def commands() -> list[list[str]]:
     cmds.append(["threshold", "--family", "3q", "--params", "0.6,0,0.6,0,0.5291502622129181",
                  "--kind", "residual-zero"])
     cmds.append(["threshold", "--family", "ghz:3", "--kind", "empirical-beta", "--bound", "base"])
+    cmds.append(["threshold", "--family", "3q", "--params", "1,0,0,0,0",
+                 "--kind", "empirical-beta", "--bound", "base"])
     for bound in ("residual_max", "base"):
         cmds.append(["threshold", "--family", "4q-theta", *FAMILIES["4q-theta"],
                      "--kind", "empirical-beta", "--bound", bound, "--restarts", "4"])

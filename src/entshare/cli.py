@@ -17,12 +17,13 @@ import math
 import re
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 from . import bounds as bmod
 from . import reference
-from .errors import EntshareError
+from .errors import EntshareError, NoRootError
 from .measures import DEFAULT_OPT, OptimizerConfig, get_measure, measure_bipartite
 from .states import (
     Bipartition,
@@ -37,7 +38,6 @@ from .thresholds import (
     DEFAULT_SCAN_STEPS,
     DEFAULT_SEARCH_CAP,
     DEFAULT_TOL,
-    SCAN_FLOOR,
     empirical_beta,
     residual_zero_exponent,
 )
@@ -287,22 +287,9 @@ def cmd_threshold(args) -> int:
                                 optimizer_from_args(args))
     if args.kind == "residual-zero":
         result = residual_zero_exponent(table, tol=args.tol, scan_steps=args.scan_steps)
-        if result is None:
-            if table.marginal(1).value == 0.0 and table.marginal(2).value == 0.0:
-                sys.stderr.write("no root: degenerate state, both pair components vanish\n")
-            else:
-                sys.stderr.write("no root: residual keeps one sign on the range\n")
-            return EXIT_NO_ROOT
     else:
         result = empirical_beta(table, args.bound, tol=args.tol, scan_steps=args.scan_steps,
                                 search_cap=args.cap)
-        if result is None:
-            plan = bmod.BoundPlan(table, bmod.POLYGAMY, (args.bound,))  # reads what the scan read
-            violated = plan.report(max(args.tol, SCAN_FLOOR)).satisfied[args.bound] is False
-            why = ("is violated from the first scanned exponent" if violated
-                   else "holds on the whole range")
-            sys.stderr.write(f"no transition: the bound {why}\n")
-            return EXIT_NO_ROOT
     doc = result.to_dict()
     if args.format == "json":
         _emit(_json_text(doc), args.out)
@@ -422,7 +409,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():  # each call shows its own warnings, under the -W filters
+            return _COMMANDS[args.command](args)
+    except NoRootError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_NO_ROOT
     except (EntshareError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

@@ -33,6 +33,10 @@ class EvaluationError(EntshareError):
         self.at = at
 
 
+class NoRootError(EntshareError):
+    """A threshold scan found no root on its range; the message says why."""
+
+
 class ExponentRangeWarning(UserWarning):
     """Exponent outside the configured validity range; value computed anyway."""
 

@@ -89,20 +89,16 @@ DEFAULT_OPT = OptimizerConfig()
 
 @dataclass(frozen=True)
 class CorrelationMeasure:
-    """A named bipartite measure with its configured exponent powers.
+    """A named bipartite measure with its fixed exponent powers.
 
     beta_max is the largest exponent for which the power-sum lower-bound
     relation is taken to hold, x_min the smallest exponent for the power-sum
-    upper-bound relation. Both are per-measure configuration.
+    upper-bound relation; both are 2 for every measure.
     """
 
     name: str
-    beta_max: float = 2.0
-    x_min: float = 2.0
-
-    def __post_init__(self):
-        if self.beta_max <= 0 or self.x_min <= 0:
-            raise InvalidParameterError("beta_max and x_min must be positive")
+    beta_max = 2.0  # unannotated: class attributes, not constructor fields
+    x_min = 2.0
 
     @property
     def assistance(self) -> bool:

@@ -297,7 +297,10 @@ def state_from_json(text: str) -> PureState:
     with a distinct `index` (a list of in-range integers) and finite real
     `re` and `im` (0 when absent).
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise InvalidStateError("the state JSON nests too deeply to read") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("dims"), list)
             and isinstance(doc.get("amplitudes"), list)):
         raise InvalidStateError("a state is an object with lists 'dims' and 'amplitudes'")

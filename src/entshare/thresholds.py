@@ -13,6 +13,7 @@ scans its bound up to the cap, shifted by the bound's
 bounds.comparison_tol. Every argument is checked before any component is
 measured. A scan point at which the lhs power (BoundPlan.lhs_power), a component
 power or the weight overflows a float raises InvalidParameterError (exit 2).
+A scan without a root raises NoRootError (exit 3), whose message says why.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .bounds import BASE, POLYGAMY, RESIDUAL_MAX, BoundPlan, ComponentTable
 from .bounds import bound_value  # noqa: F401  (bench/tracing.py wraps thresholds.bound_value)
-from .errors import EvaluationError, InvalidParameterError
+from .errors import EvaluationError, InvalidParameterError, NoRootError
 from .reference import MAX_GRID_POINTS
 
 DEFAULT_TOL = 1e-6
@@ -98,11 +99,11 @@ def find_zero(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
 
 
 def _scan(table: ComponentTable, bound_id: str, hi: float, tol: float, scan_steps: int,
-          shifted: bool = False) -> ThresholdResult | None:
-    """Smallest root of bound(a) - lhs^a (+ its tolerance if shifted) on [lo, hi], or None.
+          shifted: bool = False) -> ThresholdResult:
+    """Smallest root of bound(a) - lhs^a (+ its tolerance if shifted) on [lo, hi].
 
-    Arguments are checked before any component is measured. A shifted scan
-    violated at lo has no root, nor has a base bound whose marginals all vanish.
+    Arguments are checked before any component is measured. NoRootError gives
+    the reason for no root; a shifted scan's is the bound's verdict at lo.
     """
     _check_scan_steps(scan_steps)
     if not 0 < tol < math.inf:
@@ -111,25 +112,30 @@ def _scan(table: ComponentTable, bound_id: str, hi: float, tol: float, scan_step
     if not lo < hi < math.inf:
         raise InvalidParameterError(f"invalid range [{lo}, {hi}]")
     plan = BoundPlan(table, POLYGAMY, (bound_id,))
-    if bound_id == BASE and not any(table.marginal(b).value for b in range(1, table.n_b + 1)):
-        return None
+    degenerate = bound_id == BASE and not any(table.marginal(b).value
+                                              for b in range(1, table.n_b + 1))
     shift = plan.tol[bound_id] if shifted else 0.0
 
     def f(alpha):
         return plan.values(alpha)[0] - plan.lhs_power(alpha) + shift
 
-    result = find_zero(f, lo, hi, tol=tol, scan_steps=scan_steps)
-    if result is not None and shifted and result.scan_profile[0][1] < 0:
-        return None  # violated from the start: no transition inside the range
-    return result
+    result = None if degenerate else find_zero(f, lo, hi, tol=tol, scan_steps=scan_steps)
+    if result is not None and not (shifted and result.scan_profile[0][1] < 0):
+        return result
+    if not shifted:
+        raise NoRootError("no root: degenerate state, both pair components vanish" if degenerate
+                          else "no root: residual keeps one sign on the range")
+    violated = plan.report(lo).satisfied[bound_id] is False
+    why = "is violated from the first scanned exponent" if violated else "holds on the whole range"
+    raise NoRootError(f"no transition: the bound {why}")
 
 
 def residual_zero_exponent(table: ComponentTable, tol: float = DEFAULT_TOL,
-                           scan_steps: int = DEFAULT_SCAN_STEPS) -> ThresholdResult | None:
-    """Exponent where the three-party residual of the table changes sign, or None.
+                           scan_steps: int = DEFAULT_SCAN_STEPS) -> ThresholdResult:
+    """Exponent where the three-party residual of the table changes sign.
 
-    None covers both fixed-sign residuals and the degenerate case of states
-    whose pairwise components vanish; the table keeps the components read.
+    NoRootError covers both fixed-sign residuals and the degenerate case of
+    states whose pairwise components vanish; the table keeps the components read.
     """
     if table.n_b != 2:
         raise InvalidParameterError("residual-zero threshold is defined for three parties")
@@ -141,14 +147,14 @@ _BETA_BOUND_IDS = (BASE, RESIDUAL_MAX)
 
 def empirical_beta(table: ComponentTable, bound_id: str = RESIDUAL_MAX,
                    tol: float = DEFAULT_TOL, scan_steps: int = DEFAULT_SCAN_STEPS,
-                   search_cap: float = DEFAULT_SEARCH_CAP) -> ThresholdResult | None:
+                   search_cap: float = DEFAULT_SEARCH_CAP) -> ThresholdResult:
     """Largest exponent at which the chosen upper bound still holds on the table.
 
     Solved as the smallest root of bound(a) - lhs^a + tol, with tol the
     bound's comparison tolerance: states that saturate the bound make the
     plain difference identically zero on the valid range, so the shifted
     function is what actually changes sign at the transition to violation.
-    Returns None when no transition occurs below the cap.
+    Raises NoRootError when no transition occurs below the cap.
     """
     if bound_id not in _BETA_BOUND_IDS:
         raise InvalidParameterError(f"empirical beta supports bounds {_BETA_BOUND_IDS}")

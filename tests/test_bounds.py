@@ -46,6 +46,7 @@ from entshare.errors import (
     DegenerateExponentWarning,
     ExponentRangeWarning,
     InvalidParameterError,
+    NoRootError,
     OrderingHypothesisWarning,
 )
 from entshare.measures import (
@@ -1063,7 +1064,10 @@ def _rule_beta_shift(state, table, rule, verdict, monkeypatch):
         return find_zero(f, lo, hi, **kwargs)
 
     monkeypatch.setattr(thresholds, "find_zero", spy)
-    thresholds.empirical_beta(table, RESIDUAL_MAX)
+    try:
+        thresholds.empirical_beta(table, RESIDUAL_MAX)
+    except NoRootError:  # a stand-in rule wider than every gap leaves no transition
+        pass
     (f,) = scanned
     lhs = table.lhs()
     # f(x) minus the unshifted difference, to six figures (the subtraction rounds)
@@ -1130,6 +1134,16 @@ def test_every_consumer_uses_the_one_comparison_rule(rule_tables, monkeypatch, c
     # the stand-in rule moves what the consumer reports, so the consumer reads the rule
     assert wide != want
     assert all(c.exact for c in table._cache.values()) == (case == "w4")
+
+
+def test_no_transition_message_comes_from_verdict(rule_tables, monkeypatch):
+    _, table = rule_tables["w4"]
+    with pytest.raises(NoRootError, match="^no transition: the bound holds on the whole range$"):
+        thresholds.empirical_beta(table, BASE, search_cap=1.5)
+    # the stand-in decision flips the reason, so the scan decides it with verdict
+    monkeypatch.setattr(bmod, "verdict", _inverted_verdict)
+    with pytest.raises(NoRootError, match="^no transition: the bound is violated from the first"):
+        thresholds.empirical_beta(table, BASE, search_cap=1.5)
 
 
 class TestSyntheticProperties:

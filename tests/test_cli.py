@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -168,6 +169,67 @@ def test_malformed_values_exit_cleanly(argv):
         assert out.getvalue() == "" and err.getvalue().strip()
     if code == 1:
         assert json.loads(out.getvalue())["violations"]
+
+
+# a valid state document, (|00> + |11>)/sqrt(2), that each example breaks: every value in
+# BAD_VALUES is invalid wherever it is set, DEEP stands for a deeply nested list and DROP
+# deletes the key or item
+DEEP, DROP = "@deep@", "@drop@"
+BAD_VALUES = (None, True, "x", [], {}, [[2]], -3, 1.5, math.nan, math.inf, -math.inf, 1e308,
+              10**400, DEEP)
+PATHS = (("dims",), ("dims", 0), ("amplitudes",), ("amplitudes", 0), ("amplitudes", 0, "index"),
+         ("amplitudes", 1, "index", 1), ("amplitudes", 0, "re"), ("amplitudes", 1, "im"))
+BREAK = st.one_of(
+    st.tuples(st.sampled_from(PATHS), st.sampled_from(BAD_VALUES)),
+    st.tuples(st.sampled_from(PATHS[::2] + (("amplitudes", 0, "re"),)), st.just(DROP)),
+    st.just((("amplitudes", 1, "index"), [0, 0])))  # a duplicate index
+STATE_COMMANDS = (["measure"], ["bounds", "--side", "polygamy", "--exponent", "1"],
+                  ["sweep", "--side", "monogamy", "--grid", "2:3:0.5"],
+                  ["threshold", "--kind", "residual-zero"])
+
+
+def _broken_state(breaks, depth) -> str:
+    """The document with each (path, value) applied where the path still leads somewhere."""
+    doc = {"dims": [2, 2], "amplitudes": [{"index": [0, 0], "re": 0.5**0.5},
+                                          {"index": [1, 1], "re": 0.5**0.5}]}
+    for (*path, key), value in breaks:
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            node = doc
+            for step in path:
+                node = node[step]
+            if value == DROP:
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(value)
+    text = json.dumps(doc)  # NaN and Infinity as Python's json writes them
+    return text.replace(json.dumps(DEEP), "[" * depth + "]" * depth)
+
+
+STATE_DOCUMENTS = st.one_of(
+    st.builds(_broken_state, st.lists(BREAK, min_size=1, max_size=3),
+              st.sampled_from((5, 500, 900, 990, 1_000, 100_000))),
+    st.sampled_from((1_000, 100_000)).map(lambda n: "[" * n + "]" * n),
+    st.text(max_size=20), st.binary(max_size=20))
+
+
+@given(document=STATE_DOCUMENTS, command=st.sampled_from(STATE_COMMANDS))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_malformed_state_documents_exit_2(tmp_path_factory, document, command):
+    """A broken state file (wrong types, missing keys, bad or duplicate indices, non-finite or
+    huge numbers, a bad norm, deep nesting, bytes that are no UTF-8) exits 2 from every command
+    that reads one: one error line, no traceback, nothing on stdout."""
+    path = tmp_path_factory.getbasetemp() / "broken_state.json"
+    if isinstance(document, bytes):
+        path.write_bytes(document)
+    else:
+        path.write_text(document)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([*command, "--state", str(path)])
+    assert (code, out.getvalue()) == (2, ""), err.getvalue()
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestMeasureCommand:
@@ -591,6 +653,14 @@ class TestBoundsCommand:
         assert "OrderingHypothesisWarning: ordering index m=1" in warned.stderr
         assert quiet.stderr == "" and warned.stdout == quiet.stdout
         assert json.loads(warned.stdout)["m"] == 1
+
+    def test_ordering_warning_shown_by_every_call_in_one_process(self):
+        argv = ["bounds", "--family", "w4", "--side", "monogamy", "--exponent", "2.5", "--m", "1"]
+        code = f"from entshare.cli import main; main({argv!r}); main({argv!r})"
+        warned, quiet = run_python("-c", code), run_python("-W", "ignore", "-c", code)
+        assert warned.returncode == quiet.returncode == 0
+        assert warned.stderr.count("OrderingHypothesisWarning: ordering index m=1") == 2
+        assert quiet.stderr == "" and warned.stdout == quiet.stdout
 
     def test_nan_exponent_exits_2(self, capsys):
         code, out, err = run(capsys, "bounds", "--family", "w4", "--measure", "concurrence",

@@ -5,10 +5,15 @@ import pytest
 
 from conftest import all_subsets
 from entshare.bounds import BASE, RESIDUAL_MAX, ComponentTable
-from entshare.errors import EvaluationError, InvalidParameterError
+from entshare.errors import EvaluationError, InvalidParameterError, NoRootError
 from entshare.measures import CONCURRENCE, TAU_ASSISTANCE, OptimizerConfig
 from entshare.states import PureState, make_family, w_state
 from entshare.thresholds import empirical_beta, find_zero, residual_zero_exponent
+
+DEGENERATE = "^no root: degenerate state, both pair components vanish$"
+ONE_SIGN = "^no root: residual keeps one sign on the range$"
+VIOLATED = "^no transition: the bound is violated from the first scanned exponent$"
+HOLDS = "^no transition: the bound holds on the whole range$"
 
 
 class TestFindZero:
@@ -97,7 +102,8 @@ class TestResidualZero:
         assert res.root == pytest.approx(1.33770, abs=1e-3)
 
     def test_ghz_degenerate(self):
-        assert residual_zero_exponent(ComponentTable(make_family("ghz", [3]), CONCURRENCE)) is None
+        with pytest.raises(NoRootError, match=DEGENERATE):
+            residual_zero_exponent(ComponentTable(make_family("ghz", [3]), CONCURRENCE))
 
     def test_party_count_guard(self):
         table = ComponentTable(w_state(4), CONCURRENCE)
@@ -125,7 +131,8 @@ class TestResidualZero:
     def test_product_state_has_no_root(self):
         # every component vanishes, so the residual is identically zero
         table = ComponentTable(make_family("3q", [1, 0, 0, 0, 0]), CONCURRENCE)
-        assert residual_zero_exponent(table) is None
+        with pytest.raises(NoRootError, match=DEGENERATE):
+            residual_zero_exponent(table)
 
     def test_phase_does_not_move_the_root(self):
         lam = [1 / math.sqrt(5)] * 5
@@ -152,12 +159,14 @@ class TestEmpiricalBeta:
         psi = np.zeros(16)
         psi[0] = 1.0
         state = PureState(psi, (2, 2, 2, 2))
-        assert empirical_beta(ComponentTable(state, CONCURRENCE), RESIDUAL_MAX) is None
+        with pytest.raises(NoRootError, match=HOLDS):
+            empirical_beta(ComponentTable(state, CONCURRENCE), RESIDUAL_MAX)
 
     def test_violated_at_the_first_point_has_no_transition(self):
         # base fails at the floor and the shifted gap turns positive near 3.0
         table = ComponentTable.from_values({(1,): 1e-4, (2,): 0.0, (1, 2): 1e-3}, 2, CONCURRENCE)
-        assert empirical_beta(table, BASE) is None
+        with pytest.raises(NoRootError, match=VIOLATED):
+            empirical_beta(table, BASE)
         assert find_zero(lambda a: 1e-4**a - 1e-3**a + 1e-9, 1e-4, 4.0).root == pytest.approx(
             3.0, abs=1e-3)
 
@@ -179,6 +188,20 @@ class TestEmpiricalBeta:
         a = empirical_beta(ComponentTable(state, CONCURRENCE, opt), RESIDUAL_MAX)
         b = empirical_beta(ComponentTable(state, CONCURRENCE, opt), RESIDUAL_MAX)
         assert a.root == b.root
+
+
+# the states of the four no-root threshold commands in scripts/output_digests.py
+@pytest.mark.parametrize("solver, family, params, message", [
+    (residual_zero_exponent, "ghz", [3], DEGENERATE),
+    (residual_zero_exponent, "3q", [0.6, 0, 0.6, 0, 0.5291502622129181], ONE_SIGN),
+    (empirical_beta, "ghz", [3], VIOLATED),
+    (empirical_beta, "3q", [1, 0, 0, 0, 0], HOLDS),
+], ids=["degenerate", "one-sign", "violated", "holds"])
+def test_each_no_root_outcome_says_why(no_roof, solver, family, params, message):
+    table = ComponentTable(make_family(family, params), CONCURRENCE)
+    kwargs = {"bound_id": BASE} if solver is empirical_beta else {}
+    with pytest.raises(NoRootError, match=message):
+        solver(table, **kwargs)
 
 
 @pytest.mark.parametrize("scan_steps", [4, 1_000_000])
