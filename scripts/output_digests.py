@@ -6,9 +6,10 @@ command's stdout, and its argv. Two checkouts give equal lines exactly when
 every listed command printed the same bytes and exited the same way:
 figures 1-3, three- and four-qubit `fuzz` (one four-qubit run with checks
 that name no bound, so every applicable bound and the hierarchy checks
-run), `sweep` and `bounds` on w4, w5, 3q and 4q-theta for both sides in JSON
-and CSV with and without `--m 1` (which exits 2 on 3q: a three-party state
-has no ordering index), both `threshold` kinds (residual-zero also
+run), five-qubit `fuzz` with the default checks (all `base`, so no
+ordering index is classified and no roof runs), `sweep` and `bounds` on
+w4, w5, 3q and 4q-theta for both sides in JSON and CSV with and without
+`--m 1` (which exits 2 on 3q: a three-party state has no ordering index), both `threshold` kinds (residual-zero also
 on GHZ, which has no root and exits 3, and on a 3q state whose residual
 keeps one sign, which exits 3 too; empirical-beta also with `--cap 0`,
 an invalid range that exits 2), and `measure --reduce` under both measures
@@ -24,7 +25,8 @@ exact, and every weighted bound evaluates its five-party recursion.
 `bounds` also runs on two states with violated verdicts: the W-class state
 F with amplitudes (4, 3, 6, 4, 4)/sqrt(93) (m = 1 from ordering_classify,
 exact violations on both sides, in JSON and CSV) and the Haar 4-qubit state
-under polygamy concurrence (estimate-backed violations). The residual-zero
+under polygamy concurrence (estimate-backed violations). F also runs
+`--bounds base` alone, which reads no m and so reports "m": null. The residual-zero
 threshold also runs in CSV. Empirical-beta of `base` has no transition and
 exits 3 twice: on GHZ, where the bound is violated from the first scanned
 exponent on, and on the product state 3q 1,0,0,0,0, where it holds on the
@@ -94,6 +96,7 @@ def commands() -> list[list[str]]:
                  "--restarts", "2"])
     cmds.append(["fuzz", "--samples", "2", "--dims", "2,2,2,2", "--seed", "3",
                  "--restarts", "2", "--checks", HIERARCHY_CHECKS])
+    cmds.append(["fuzz", "--samples", "3", "--dims", "2,2,2,2,2", "--seed", "5"])
     for family, params in FAMILIES.items():
         for side, (measure, grid, exponent) in SIDES.items():
             common = ["--family", family, *params, "--measure", measure, "--side", side,
@@ -131,6 +134,8 @@ def commands() -> list[list[str]]:
         for fmt in ("json", "csv"):
             cmds.append(["bounds", "--state", "f.json", "--side", side, "--measure", measure,
                          "--exponent", exponent, "--format", fmt])
+    cmds.append(["bounds", "--state", "f.json", "--side", "monogamy", "--bounds", "base",
+                 "--exponent", "2"])
     cmds.append(["bounds", "--state", "haar4.json", "--side", "polygamy", "--measure",
                  "concurrence", "--exponent", "1", "--restarts", "2"])
     return cmds

@@ -19,8 +19,10 @@ Every bound is evaluated through a BoundPlan, built once per (table, side,
 bound ids, m). The plan does the exponent-independent work: it fetches and
 validates every component its bounds read, fixes each bound's exact flag and
 its weight layout. bound_reports checks a given m (1..n_b-2, so none at three
-parties) or resolves m with ordering_classify, and picks the default bound
-ids, before it builds the plan. The float pass is one generated Python
+parties) and picks the default bound ids before it builds the plan. It reads
+the table's ordering (ordering_classify, once per table) only where m
+matters, so a plan whose bounds read no m measures no tail cut and
+classifies nothing. The float pass is one generated Python
 function per plan structure (_program): straight-line code over the residual
 recursion flattened children-first (_recursion). Its cache key is the
 structure only, the party count, the side, each bound's (weighting,
@@ -149,7 +151,8 @@ class ComponentTable:
 
     Each value is measure_bipartite on the reduction to A plus S (the state
     itself for the full cut), across A|S, under the table's optimizer
-    settings. Bound and threshold calls read all three from the table.
+    settings. Bound and threshold calls read all three from the table, and
+    the ordering index from `ordering`, classified on its first read.
     """
 
     def __init__(self, state: PureState | DensityMatrix | None, measure: CorrelationMeasure,
@@ -183,6 +186,11 @@ class ComponentTable:
         comp = self._measure_cut(key)
         self._cache[key] = comp
         return comp
+
+    @functools.cached_property
+    def ordering(self) -> OrderingResult:
+        """The ordering index classification, made on the first read: nothing else decides m."""
+        return ordering_classify(self)
 
     def marginal(self, i: int) -> MeasureValue:
         return self.joint((i,))
@@ -600,11 +608,13 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
 
     The side, every exponent, every given bound id and a given m (1..n_b-2,
     so none at three parties) are checked before any component is measured.
-    With m None on four or more parties, m comes from ordering_classify; the
-    default bound ids are every applicable bound. A given m at which the
+    The default bound ids are every applicable bound. table.ordering is read
+    only where m matters: with m None, for the default ids on four or more
+    parties and for chosen bounds that need m (the report's m stays None
+    otherwise); with m given, when a bound needs it. A given m at which the
     ordering hypothesis fails (OrderingResult.holds_at) is used anyway, with an
-    OrderingHypothesisWarning, when a bound needs m. The table's measure sets
-    the exponent ranges and its optimizer settings the comparison margin.
+    OrderingHypothesisWarning. The table's measure sets the exponent ranges
+    and its optimizer settings the comparison margin.
     """
     if side not in BOUNDS:
         raise InvalidParameterError(f"side must be polygamy or monogamy, got {side!r}")
@@ -615,20 +625,18 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
     n_parties = table.n_b + 1
     for bid in bound_ids or ():
         check_bound(side, bid, n_parties)
-    given = m is not None
-    if given:
+    keyed = bound_ids is None or any(needs_m(side, bid) for bid in bound_ids)
+    if m is not None:
         _check_m(table.n_b, m)
-    elif n_parties >= 4:
-        m = ordering_classify(table).m
-    if bound_ids is None:
-        bound_ids = applicable_bounds(n_parties, side, m is not None)
-    if given and any(needs_m(side, bid) for bid in bound_ids):
-        ordering = ordering_classify(table)
-        if not ordering.holds_at(m):
-            relations = ", ".join(c.relation for c in ordering.comparisons)
+        if keyed and not table.ordering.holds_at(m):
+            relations = ", ".join(c.relation for c in table.ordering.comparisons)
             warnings.warn(f"ordering index m={m} breaks the ordering hypothesis (marginal "
                           f"against tail cut: {relations}); the weighted bounds need not hold",
                           OrderingHypothesisWarning, stacklevel=2)
+    elif keyed and n_parties >= 4:
+        m = table.ordering.m
+    if bound_ids is None:
+        bound_ids = applicable_bounds(n_parties, side, m is not None)
     plan = BoundPlan(table, side, bound_ids, m)
     return [plan.report(exponent) for exponent in exponents]
 

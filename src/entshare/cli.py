@@ -69,9 +69,11 @@ def parse_cut(text: str, n_parties: int) -> Bipartition:
         s = tokens.replace(",", "").replace(" ", "")
         if s.lower() == "rest":
             return None
-        names = re.findall(r"A|B\d+", s)
+        names = re.findall(r"A|B[1-9]\d*", s)  # party indices have no leading zero
         if "".join(names) != s or not names:
             raise EntshareError(f"cannot parse cut side {tokens!r}")
+        if len(set(names)) < len(names):
+            raise EntshareError(f"cut side {tokens!r} names a party twice")
         idx = set()
         for name in names:
             i = 0 if name == "A" else int(name[1:])
@@ -348,7 +350,7 @@ def cmd_fuzz(args) -> int:
         for side, name, measure, exponent, bound in checks:
             table = tables[measure]
             # a bound keyed to an ordering index does not apply to a sample without one
-            if bound and bmod.needs_m(side, bound) and bmod.ordering_classify(table).m is None:
+            if bound and bmod.needs_m(side, bound) and table.ordering.m is None:
                 skipped += 1
                 continue
             ids = (bound,) if bound else None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, field
 
@@ -295,7 +296,8 @@ def state_from_json(text: str) -> PureState:
     One schema check, each rule an InvalidStateError: an object with lists
     `dims` (integers of 2 or more) and `amplitudes`, each amplitude an object
     with a distinct `index` (a list of in-range integers) and finite real
-    `re` and `im` (0 when absent).
+    `re` and `im` (0 when absent). A message quotes only the head of a long
+    offending value (reprlib.repr), so it stays one short line.
     """
     try:
         doc = json.loads(text)
@@ -306,7 +308,8 @@ def state_from_json(text: str) -> PureState:
         raise InvalidStateError("a state is an object with lists 'dims' and 'amplitudes'")
     dims = tuple(doc["dims"])
     if not dims or not all(_integer(d) and d >= 2 for d in dims):
-        raise InvalidStateError(f"dims must be integers of 2 or more, got {doc['dims']!r}")
+        raise InvalidStateError(f"dims must be integers of 2 or more, "
+                                f"got {reprlib.repr(doc['dims'])}")
     check_size(dims, "the JSON dims")
     v = np.zeros(math.prod(dims), dtype=complex)
     seen = set()
@@ -314,15 +317,15 @@ def state_from_json(text: str) -> PureState:
         idx = entry.get("index") if isinstance(entry, dict) else None
         if not (isinstance(idx, list) and len(idx) == len(dims)
                 and all(_integer(i) and 0 <= i < d for i, d in zip(idx, dims))):
-            raise InvalidStateError(f"amplitude index {idx!r} is not a list of in-range "
-                                    f"integers for dims {list(dims)}")
+            raise InvalidStateError(f"amplitude index {reprlib.repr(idx)} is not a list of "
+                                    f"in-range integers for dims {list(dims)}")
         if tuple(idx) in seen:
             raise InvalidStateError(f"amplitude index {idx} appears twice")
         seen.add(tuple(idx))
         parts = entry.get("re", 0.0), entry.get("im", 0.0)
         if not all(_finite_real(x) for x in parts):
             raise InvalidStateError(f"amplitude {idx}: re and im must be finite reals, "
-                                    f"got {parts}")
+                                    f"got {reprlib.repr(parts)}")
         flat = 0
         for i, d in zip(idx, dims):
             flat = flat * d + i

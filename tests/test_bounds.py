@@ -841,6 +841,17 @@ class TestOrdering:
             warnings.simplefilter("error")
             bound_reports(table, side, [2.0], m=1)
 
+    def test_m_is_classified_only_for_the_bounds_that_read_it(self, no_roof):
+        table = ComponentTable(TestKnownFindings.state_f(), CONCURRENCE)
+        (report,) = bound_reports(table, MONOGAMY, [2.0], (BASE,))
+        assert report.m is None
+        assert (2, 3) not in table._cache  # the tail cut only the classification reads
+        (report,) = bound_reports(table, MONOGAMY, [2.0])
+        assert report.m == 1 and EXP_WEIGHTED in report.bounds
+        assert table.ordering is table.ordering  # classified once per table
+        (report,) = bound_reports(table, MONOGAMY, [2.0], (EXP_WEIGHTED,))
+        assert report.m == 1
+
     def test_forced_m_without_a_weighted_bound_is_not_checked(self, no_roof):
         table = ComponentTable(w_state(4), CONCURRENCE)
         with warnings.catch_warnings():

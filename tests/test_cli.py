@@ -86,13 +86,17 @@ class TestParsing:
         cut = parse_cut("B1,B3|rest", 4)
         assert cut.side_a == {1, 3} and cut.side_b == {0, 2}
 
-    def test_cut_rejects_nonsense(self):
+    @pytest.mark.parametrize("text", [
+        "A|Bx", "rest|rest", "A|B7",
+        "B0|B1", "A|B01", "A|B1B01", "B00|A",  # party 0 is A; indices have no leading zero
+        "B1B1|A", "A|B1,B1", "AA|B1", "A|B1|B2", "B1|B1",  # a party named twice
+    ])
+    def test_cut_rejects_nonsense(self, capsys, text):
         with pytest.raises(EntshareError):
-            parse_cut("A|Bx", 3)
-        with pytest.raises(EntshareError):
-            parse_cut("rest|rest", 3)
-        with pytest.raises(EntshareError):
-            parse_cut("A|B7", 3)
+            parse_cut(text, 4)
+        code, out, err = run(capsys, "measure", "--family", "w4", "--cut", text, "--reduce")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_grid(self):
         assert parse_grid("0:1:0.5") == pytest.approx([0.0, 0.5, 1.0])
@@ -341,9 +345,12 @@ class TestMeasureCommand:
         {"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": 1.0},
                                            {"index": [0, 0, 0], "re": 1.0}]},
         {"dims": [2] * 50, "amplitudes": [{"index": [0] * 50, "re": 1.0}]},
+        {"dims": [1] * 100_000, "amplitudes": []},
+        {"dims": [2, 2], "amplitudes": [{"index": list(range(50_000)), "re": 1.0}]},
+        {"dims": [2, 2], "amplitudes": [{"index": [0, 0], "re": "x" * 50_000}]},
     ], ids=["list", "no-dims", "no-amplitudes", "float-dim", "dim-1", "re-string", "im-bool",
             "re-inf", "re-huge-int", "index-int", "index-float", "index-bool", "index-out-of-range",
-            "entry-number", "duplicate-index", "too-large"])
+            "entry-number", "duplicate-index", "too-large", "long-dims", "long-index", "long-re"])
     def test_malformed_state_json_exits_2(self, capsys, tmp_path, doc):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
@@ -351,6 +358,7 @@ class TestMeasureCommand:
                              "--reduce")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200  # a long value is cut short
 
     def test_invalid_family_exits_2(self, capsys):
         code, _, err = run(capsys, "measure", "--family", "w9")
@@ -896,6 +904,35 @@ class TestFuzzCommand:
                              "--checks", f"monogamy:concurrence:2:base,{check}")
         assert code == 2 and out == ""
         assert re.search(r"three-party|four parties|not defined for the polygamy side", err)
+
+    @pytest.mark.parametrize("dims", ["2,2,2,2", "2,2,2,2,2"])
+    def test_default_checks_classify_no_m(self, capsys, monkeypatch, dims):
+        # the default checks at four or more parties are base checks, which read no m,
+        # so no tail cut is measured and no roof runs
+        def raising(*args, **kwargs):
+            raise AssertionError("a roof ran")
+
+        monkeypatch.setattr(measures, "minimize", raising)
+        code, out, err = run(capsys, "fuzz", "--samples", "2", "--dims", dims, "--seed", "5")
+        assert code == 0, err
+        assert "0 checks skipped" in err
+
+    def test_one_classification_per_sample_and_measure(self, capsys, monkeypatch):
+        from entshare import bounds
+
+        calls = []
+        classify = bounds.ordering_classify
+
+        def counting_classify(table):
+            calls.append(table)
+            return classify(table)
+
+        monkeypatch.setattr(bounds, "ordering_classify", counting_classify)
+        checks = "monogamy:concurrence:2.5:exp_weighted,monogamy:concurrence:3:ratio_weighted"
+        code, out, err = run(capsys, "fuzz", "--samples", "3", "--dims", "2,2,2,2",
+                             "--restarts", "2", "--seed", "17", "--checks", checks)
+        assert code in (0, 1), err
+        assert len(calls) == len(set(map(id, calls))) == 3
 
     def test_sample_without_ordering_index_is_skipped(self, capsys):
         code, out, err = run(capsys, "fuzz", "--samples", "1", "--dims", "2,2,2,2",
