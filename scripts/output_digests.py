@@ -35,6 +35,10 @@ state files are built from fixed amplitudes or seeds and written as JSON into
 a temporary working directory, so every argv stays the same from run to run.
 Warnings and timing notes go to stderr and are not digested.
 
+tests/output_digests.txt holds the current lines, and tier-1 compares them
+with a fresh in-process run; a change that moves output on purpose
+regenerates that file with this script.
+
 Usage: python scripts/output_digests.py [outfile]
 """
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: measure, bounds, sweep, threshold, fuzz, figure. All output is
-deterministic for a fixed seed: CSV cells carry 17 significant digits, JSON
-is key-sorted, and timing notes go to stderr, never into files.
+Subcommands: measure, bounds, sweep, threshold, fuzz, figure. Each writes its
+result through one function, _write, which builds only the --format asked for.
+All output is deterministic for a fixed seed: CSV cells carry 17 significant
+digits, JSON is key-sorted, and timing notes go to stderr, never into files.
 
 Exit codes: 0 success, 1 fuzz violations, 2 invalid input, 3 no root found.
 """
@@ -195,20 +196,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
+def _write(args, doc, header: list[str], rows) -> None:
+    """Write a command's result in its --format to --out, or to stdout: every command's one path.
+
+    JSON is doc(), key-sorted with a two-space indent; CSV is the header and the rows of
+    formatted cells, one comma-joined line each. doc is called only for JSON and rows are
+    read only for CSV, so no run builds the values of the format it does not write.
+    """
+    if args.format == "json":
+        text = json.dumps(doc(), indent=2, sort_keys=True) + "\n"
+    else:
+        text = "\n".join([",".join(header), *[",".join(row) for row in rows]]) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv(header: list[str], rows) -> str:
-    """CSV text of a header and an iterable of rows of formatted cells."""
-    return "\n".join([",".join(header), *[",".join(row) for row in rows]]) + "\n"
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_measure(args) -> int:
@@ -223,11 +225,9 @@ def cmd_measure(args) -> int:
         cut = Bipartition({remap[i] for i in cut.side_a}, {remap[i] for i in cut.side_b})
     measure = get_measure(args.measure)
     mv = measure_bipartite(measure, target, cut, opt)
-    doc = {"value": mv.value, "exactness": mv.exactness, "optimizer_meta": mv.optimizer_meta}
-    if args.format == "json":
-        _emit(_json_text(doc), args.out)
-    else:
-        _emit(_csv(["value", "exactness"], [[fmt(mv.value), mv.exactness]]), args.out)
+    _write(args, lambda: {"value": mv.value, "exactness": mv.exactness,
+                          "optimizer_meta": mv.optimizer_meta},
+           ["value", "exactness"], ([fmt(v.value), v.exactness] for v in (mv,)))
     return EXIT_OK
 
 
@@ -272,15 +272,11 @@ def cmd_sweep(args) -> int:
     opt = optimizer_from_args(args)
     one_point = args.command == "bounds"
     grid = [args.exponent] if one_point else parse_grid(args.grid)
-    ids = tuple(args.bounds.split(",")) if args.bounds else None
+    ids = tuple(args.bounds.split(",")) if args.bounds is not None else None
     table = bmod.ComponentTable(state, measure, opt)
     reports = bmod.bound_reports(table, args.side, grid, ids, args.m)
-    if args.format == "json":
-        docs = [_report_doc(r) for r in reports]
-        _emit(_json_text(docs[0] if one_point else docs), args.out)
-    else:
-        header, rows = _report_rows(reports, list(reports[0].bounds))
-        _emit(_csv(header, rows), args.out)
+    _write(args, lambda: _report_doc(reports[0]) if one_point else [*map(_report_doc, reports)],
+           *_report_rows(reports, list(reports[0].bounds)))
     return EXIT_OK
 
 
@@ -292,13 +288,9 @@ def cmd_threshold(args) -> int:
     else:
         result = empirical_beta(table, args.bound, tol=args.tol, scan_steps=args.scan_steps,
                                 search_cap=args.cap)
-    doc = result.to_dict()
-    if args.format == "json":
-        _emit(_json_text(doc), args.out)
-    else:
-        cells = (doc["root"], *doc["bracket"], doc["iterations"], doc["residual_at_root"])
-        _emit(_csv(["root", "bracket_lo", "bracket_hi", "iterations", "residual_at_root"],
-                   [[fmt(cell) for cell in cells]]), args.out)
+    _write(args, result.to_dict,
+           ["root", "bracket_lo", "bracket_hi", "iterations", "residual_at_root"],
+           (map(fmt, (r.root, *r.bracket, r.iterations, r.residual_at_root)) for r in (result,)))
     return EXIT_OK
 
 
@@ -310,7 +302,7 @@ def _parse_checks(raw: str | None, n_parties: int):
     whose exponent is not finite, is rejected up front.
     """
     specs = []
-    for chunk in raw.split(",") if raw else DEFAULT_FUZZ_CHECKS:
+    for chunk in raw.split(",") if raw is not None else DEFAULT_FUZZ_CHECKS:
         parts = chunk.strip().split(":")
         if len(parts) not in (3, 4):
             raise EntshareError(f"check {chunk!r} must be side:measure:exponent[:bound]")
@@ -320,7 +312,7 @@ def _parse_checks(raw: str | None, n_parties: int):
         if side not in bmod.BOUNDS:
             raise EntshareError(f"unknown side {side!r} in check {chunk!r}")
         bound = parts[3] if len(parts) == 4 else None
-        if bound and not raw and bound not in bmod.applicable_bounds(n_parties, side, True):
+        if bound and raw is None and bound not in bmod.applicable_bounds(n_parties, side, True):
             continue
         if bound:
             bmod.check_bound(side, bound, n_parties)
@@ -367,7 +359,9 @@ def cmd_fuzz(args) -> int:
                     "measure": name,
                 })
     elapsed = time.perf_counter() - started
-    report = {
+    sys.stderr.write(f"fuzz: {args.samples} samples in {elapsed:.2f}s, "
+                     f"{skipped} checks skipped without an ordering index m\n")
+    _write(args, lambda: {
         "samples": args.samples,
         "dims": list(dims),
         "checks": [f"{s}:{name}:{e}" + (f":{b}" if b else "")
@@ -375,26 +369,16 @@ def cmd_fuzz(args) -> int:
         "seed": opt.seed,
         "violations": violations,
         "indeterminate": indeterminate,
-    }
-    sys.stderr.write(f"fuzz: {args.samples} samples in {elapsed:.2f}s, "
-                     f"{skipped} checks skipped without an ordering index m\n")
-    if args.format == "json":
-        _emit(_json_text(report), args.out)
-    else:
-        header = ["seed", "state_digest", "side", "measure", "bound", "exponent", "gap"]
-        rows = [[str(v["seed"]), v["state_digest"], v["side"], v["measure"], v["bound"],
-                 fmt(v["exponent"]), fmt(v["gap"])] for v in violations]
-        _emit(_csv(header, rows), args.out)
+    }, ["seed", "state_digest", "side", "measure", "bound", "exponent", "gap"],
+        ([str(v["seed"]), v["state_digest"], v["side"], v["measure"], v["bound"],
+          fmt(v["exponent"]), fmt(v["gap"])] for v in violations))
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
 def cmd_figure(args) -> int:
     header, rows = reference.figure_rows(args.fig, args.step)
-    if args.format == "json":
-        doc = [dict(zip(header, row)) for row in rows]
-        _emit(_json_text(doc), args.out)
-    else:
-        _emit(_csv(header, [[fmt(cell) for cell in row] for row in rows]), args.out)
+    _write(args, lambda: [dict(zip(header, row)) for row in rows], header,
+           (map(fmt, row) for row in rows))
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ class DimensionError(EntshareError):
 
 
 class OptimizerConfigError(EntshareError):
-    """Optimizer settings out of range: restarts or max_iters below 1, or tol not in (0, inf)."""
+    """Optimizer settings out of range: restarts, max_iters, tol or seed; the message says which."""
 
 
 class EvaluationError(EntshareError):

@@ -74,9 +74,10 @@ class OptimizerConfig:
     seed: int = 17
 
     def __post_init__(self):
-        for name, value in (("restarts", self.restarts), ("max_iters", self.max_iters)):
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise OptimizerConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        for name, value, least in (("restarts", self.restarts, 1),
+                                   ("max_iters", self.max_iters, 1), ("seed", self.seed, 0)):
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise OptimizerConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.restarts > MAX_RESTARTS:
             raise OptimizerConfigError(f"restarts must be at most {MAX_RESTARTS}, "
                                        f"got {self.restarts}")

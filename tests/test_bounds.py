@@ -402,6 +402,12 @@ class TestWeightPowers:
             bound_reports(table, side, [1.0, 2.0], (BASE,), m)
         assert table._cache == {}
 
+    def test_unknown_side_rejected_before_any_component(self):
+        table = ComponentTable(w_state(4), CONCURRENCE)
+        with pytest.raises(InvalidParameterError, match="side must be polygamy or monogamy"):
+            bound_reports(table, "sideways", [1.0])
+        assert table._cache == {}
+
 
 class TestResidualTree:
     def test_product_state_all_zero(self):

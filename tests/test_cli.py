@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import difflib
 import io
 import json
 import math
@@ -85,6 +86,8 @@ class TestParsing:
         assert cut.side_a == {0} and cut.side_b == {1, 2}
         cut = parse_cut("B1,B3|rest", 4)
         assert cut.side_a == {1, 3} and cut.side_b == {0, 2}
+        cut = parse_cut("rest|A", 3)
+        assert cut.side_a == {1, 2} and cut.side_b == {0}
 
     @pytest.mark.parametrize("text", [
         "A|Bx", "rest|rest", "A|B7",
@@ -318,8 +321,10 @@ class TestMeasureCommand:
         (["measure", "--family", "ghz:3.5"], "integer party count"),
         (["measure", "--family", "ghz:inf"], "integer party count"),
         (["measure", "--family", "ghz:" + "1" * 22], "4096 amplitudes"),
+        (["measure", "--family", "w4", "--state", "w4.json"], "not both"),
+        (["measure"], "a state source is required"),
     ], ids=["3q-phase", "4q-theta-phase", "w4-params", "w5-params", "ghz-extra-param",
-            "ghz-fraction", "ghz-inf", "ghz-huge"])
+            "ghz-fraction", "ghz-inf", "ghz-huge", "family-and-state", "no-source"])
     def test_bad_family_params_exit_2(self, capsys, argv, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -526,6 +531,16 @@ class TestSweepCommand:
                          "--grid", "4:2:0.5")
         assert code == 2
 
+    def test_csv_sweep_builds_no_json_document(self, capsys, monkeypatch):
+        def no_doc(rep):
+            raise AssertionError("a JSON report document was built")
+
+        monkeypatch.setattr(cli, "_report_doc", no_doc)
+        code, out, err = run(capsys, "sweep", "--family", "w5", "--measure", "tau_assistance",
+                             "--side", "polygamy", "--grid", "0:2:0.5")
+        assert code == 0, err
+        assert len(out.splitlines()) == 6
+
     def test_infinite_grid_end_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "w4", "--side", "monogamy",
                            "--grid", "2:inf:1")
@@ -709,6 +724,27 @@ class TestBoundsCommand:
                              "--bounds", "base", "--m", m, *command[1:])
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "--family", "w4", "--side", "polygamy", "--exponent", "1", "--bounds", ""],
+         "bound id ''"),
+        (["fuzz", "--samples", "1", "--checks", ""], "check ''"),
+        (["bounds", "--state", "bell.json", "--side", "polygamy", "--exponent", "1"],
+         "component tables need at least three parties"),
+    ], ids=["empty-bounds", "empty-checks", "two-party-state"])
+    def test_input_errors_exit_2_before_any_component(self, capsys, tmp_path, monkeypatch, bell,
+                                                      argv, message):
+        from entshare import bounds
+
+        def measured(*args, **kwargs):
+            raise AssertionError("a component was measured")
+
+        monkeypatch.setattr(bounds, "measure_bipartite", measured)
+        (tmp_path / "bell.json").write_text(state_to_json(bell))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_wrong_side_bound_exits_2_before_any_roof(self, capsys, no_roof):
         code, out, err = run(capsys, "bounds", "--family", "w5", "--measure", "tau_assistance",
@@ -969,8 +1005,8 @@ class TestFuzzCommand:
 class TestOptimizerFlags:
     @pytest.mark.parametrize("measure", ["concurrence", "tau_assistance"])
     @pytest.mark.parametrize("opt_args", [
-        ["--restarts", "0"], ["--max-iters", "0"], ["--opt-tol", "0"],
-    ], ids=["restarts", "max-iters", "opt-tol"])
+        ["--restarts", "0"], ["--max-iters", "0"], ["--opt-tol", "0"], ["--seed", "-1"],
+    ], ids=["restarts", "max-iters", "opt-tol", "seed"])
     def test_invalid_optimizer_settings_exit_2(self, capsys, measure, opt_args):
         code, out, err = run(capsys, "measure", "--family", "w4", "--measure", measure,
                              "--cut", "A|B1B2", "--reduce", *opt_args)
@@ -1077,6 +1113,18 @@ def test_readme_scripts_run(tmp_path, argv):
     assert argv[0] == "python"
     proc = run_python(str(ROOT / argv[1]), *SCRIPT_ARGS.get(argv[1], argv[2:]), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.filterwarnings("ignore")  # warnings go to stderr, which is not digested
+def test_output_digests_match_the_committed_file():
+    """Every command of scripts/output_digests.py prints the bytes and exit code recorded in
+    tests/output_digests.txt. A change that moves output on purpose regenerates the file with
+    `python scripts/output_digests.py tests/output_digests.txt`."""
+    digest_lines = runpy.run_path(str(ROOT / "scripts" / "output_digests.py"))["digest_lines"]
+    recorded = (ROOT / "tests" / "output_digests.txt").read_text().splitlines()
+    moved = "\n".join(difflib.unified_diff(recorded, digest_lines(), "recorded", "now", n=0,
+                                           lineterm=""))
+    assert not moved, f"digest lines moved:\n{moved}"
 
 
 def test_readme_scripts_block_found():

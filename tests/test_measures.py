@@ -53,6 +53,10 @@ class TestMeasureValue:
         with pytest.raises(InvalidParameterError):
             MeasureValue(0.5, "exact", {"restarts": 3})
 
+    def test_unknown_exactness_flag_rejected(self):
+        with pytest.raises(InvalidParameterError, match="exactness flag 'estimate'"):
+            MeasureValue(0.5, "estimate", {"restarts": 3})
+
     def test_measure_registry(self):
         assert get_measure("tau_assistance").beta_max == 2.0
         assert get_measure("concurrence").x_min == 2.0
@@ -483,6 +487,7 @@ class TestOptimizerConfig:
     @pytest.mark.parametrize("bad", [
         {"restarts": 0}, {"restarts": 2.5}, {"max_iters": 0}, {"tol": 0.0}, {"tol": -1e-8},
         {"tol": float("nan")}, {"tol": float("inf")}, {"restarts": measures.MAX_RESTARTS + 1},
+        {"seed": -1}, {"seed": 1.5},
     ])
     def test_invalid_settings_rejected(self, bad):
         with pytest.raises(OptimizerConfigError):

@@ -33,6 +33,8 @@ class TestInvariants:
             PureState(np.array([1.0]), (1,))
         with pytest.raises(InvalidStateError):
             PureState(np.array([1.0, 0, 0]), (2,))
+        with pytest.raises(InvalidStateError, match="does not match dims"):
+            DensityMatrix(np.eye(2) / 2, (2, 2))
 
     def test_density_hermitian_and_trace(self):
         with pytest.raises(InvalidStateError):
@@ -189,6 +191,7 @@ class TestFamilies:
 
     @pytest.mark.parametrize("name, params, message", [
         ("3q", [1, 0, 0, 0, 0, math.inf], "phase"), ("4q-theta", [0.5, 0.5, math.nan], "phase"),
+        ("4q-theta", [0.5], "theta0"), ("4q-theta", [0.5] * 4, "theta0"),
         ("w4", [1], "no params"), ("w5", [0.3], "no params"),
         ("ghz", [math.inf], "integer"),
     ])

@@ -45,6 +45,11 @@ class TestFindZero:
         with pytest.raises(InvalidParameterError):
             find_zero(lambda x: x, 0.0, 1.0, scan_steps=4)
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, 0.0), (0.0, math.nan)])
+    def test_empty_range_rejected(self, lo, hi):
+        with pytest.raises(InvalidParameterError, match="invalid range"):
+            find_zero(lambda x: x, lo, hi)
+
     def test_convergence_stability_under_tighter_tol(self):
         f = lambda a: 0.5**a + 0.75**a - 1.0
         loose = find_zero(f, 0.1, 3.0, tol=1e-5)
