@@ -15,8 +15,10 @@ keeps one sign, which exits 3 too; empirical-beta also with `--cap 0`,
 an invalid range that exits 2), and `measure --reduce` under both measures
 on one cut per dispatch branch (a pure state, a 2x2 mixed state, a rank-1
 2x2 and a rank-1 2x4 reduction, two 2x4 cuts restricted to 2x2, a 2x2
-reduction of a product |a>|psi_B1B2> with a pure side, which both measures
-read as an exact 0, a 2x4 roof on a Haar 4-qubit state and a 2x8 roof
+reduction of a product |a>|psi_B1B2> and a 2x4 reduction of a product
+|a>|psi_B1B2B3>, each with a pure side, which both measures read as an
+exact 0 (the second through the rank-1-side branch of the support
+restriction), a 2x4 roof on a Haar 4-qubit state and a 2x8 roof
 restricted to 2x4 on a Haar 5-qubit state, plus the 2x2 case in CSV).
 A 6-qubit W-class state (real amplitudes (0.3, 0.25, 0.35, 0.4, 0.45, 0.5,
 0.3)/norm on |000000> and the six single excitations, A first) runs `sweep`
@@ -30,7 +32,7 @@ under polygamy concurrence (estimate-backed violations). F also runs
 threshold also runs in CSV. Empirical-beta of `base` has no transition and
 exits 3 twice: on GHZ, where the bound is violated from the first scanned
 exponent on, and on the product state 3q 1,0,0,0,0, where it holds on the
-whole range. So each of the four no-root reasons has a line. The five
+whole range. So each of the four no-root reasons has a line. The six
 state files are built from fixed amplitudes or seeds and written as JSON into
 a temporary working directory, so every argv stays the same from run to run.
 Warnings and timing notes go to stderr and are not digested.
@@ -75,6 +77,7 @@ MEASURE_CASES = [
     (["--family", "w4"], "A|B1B2"),                             # compressed to 2x2
     (["--family", "ghz:4"], "A|B1B2"),                          # compressed to 2x2
     (["--state", "product.json"], "A|B1"),                      # 2x2 with a pure side
+    (["--state", "product4.json"], "A|B1B2"),                   # 2x4 with a pure side
     (["--state", "haar4.json"], "A|B1B2"),                      # 2x4 roof, nothing shrinks
     (["--state", "haar5.json"], "A|B1B2B3"),                    # 2x8 compressed to a 2x4 roof
 ]
@@ -154,8 +157,10 @@ def digest_line(argv: list[str]) -> str:
 
 
 def state_files() -> dict[str, PureState]:
-    """The states the commands read: two Haar states, |a> x |psi_B1B2> of two more, F and W6."""
+    """The states the commands read: two Haar states, |a> x |psi_B1B2> and |a> x |psi_B1B2B3>
+    of three more, F and W6."""
     a, psi = haar_random_pure((2,), 0), haar_random_pure((2, 2), 1)
+    psi3 = haar_random_pure((2, 2, 2), 2)
     f = np.zeros(16)
     f[[0b0000, 0b1000, 0b0100, 0b0010, 0b0001]] = np.array([4, 3, 6, 4, 4]) / np.sqrt(93)
     w6 = np.zeros(64)
@@ -163,6 +168,7 @@ def state_files() -> dict[str, PureState]:
     return {"haar4.json": haar_random_pure((2,) * 4, 4),
             "haar5.json": haar_random_pure((2,) * 5, 5),
             "product.json": PureState(np.kron(a.amplitudes, psi.amplitudes), (2, 2, 2)),
+            "product4.json": PureState(np.kron(a.amplitudes, psi3.amplitudes), (2,) * 4),
             "f.json": PureState(f, (2,) * 4),
             "w6.json": PureState(w6 / np.linalg.norm(w6), (2,) * 6)}
 

@@ -65,13 +65,21 @@ the marginals, laid out by the ordering index m (_weight_powers), and need m.
     ratio_weighted     weight y/x: weighted marginals plus residual levels (needs m)
     exp_weighted       weight 2^(y/x)-1: weighted marginals plus residual levels (needs m)
     pair_weighted      the sorted pair with weights (1, 2^(y/x)-1)
+
+An open finding: weighted_residual and exp_weighted, the bounds figures 2 and
+3 plot, fail on an exact table. On the W-class state F, amplitudes
+(4, 3, 6, 4, 4)/sqrt(93) on |0000>, |1000>, |0100>, |0010>, |0001>, m = 1 and
+every component is exact; exp_weighted at y = 5.2 gives 0.041078 > lhs^y
+0.037566, and weighted_residual at a = 0.8 gives 0.576712 < lhs^a 0.603585.
+The failing step is the weight h^2 on B2 (h the scalar weight) once the
+{B1, B3} residual replaces their marginals: one lemma step licenses only h.
+TestKnownFindings and the state-F digest lines pin both cases.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -240,10 +248,6 @@ class ResidualTree:
     level_values: dict[int, float]
     selection: dict[int, int | None]
     exact: bool
-
-    def level_sum(self) -> float:
-        """The levels added as a left fold from 0, as values() adds them."""
-        return functools.reduce(operator.add, self.level_values.values(), 0)
 
 
 @functools.lru_cache(maxsize=None)

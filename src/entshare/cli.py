@@ -173,11 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_args(p)
     p.add_argument("--measure", default="concurrence")
     p.add_argument("--kind", choices=("residual-zero", "empirical-beta"), required=True)
-    p.add_argument("--bound", default=bmod.RESIDUAL_MAX,
-                   help="bound id for empirical-beta (base or residual_max)")
+    p.add_argument("--bound", help="empirical-beta bound id: base or residual_max (default)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--scan-steps", type=int, default=DEFAULT_SCAN_STEPS)
-    p.add_argument("--cap", type=float, default=DEFAULT_SEARCH_CAP)
+    p.add_argument("--cap", type=float,
+                   help=f"empirical-beta scan cap (default: {DEFAULT_SEARCH_CAP})")
     _add_opt_args(p)
     _add_out_args(p)
 
@@ -281,14 +281,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    """residual-zero scans `base` up to beta_max, so --bound and --cap are empirical-beta's."""
+    residual_zero = args.kind == "residual-zero"
+    if residual_zero and (args.bound is not None or args.cap is not None):
+        raise EntshareError("--bound and --cap apply to --kind empirical-beta only")
     table = bmod.ComponentTable(load_state(args), get_measure(args.measure),
                                 optimizer_from_args(args))
-    if args.kind == "residual-zero":
+    if residual_zero:
         result = residual_zero_exponent(table, tol=args.tol, scan_steps=args.scan_steps)
     else:
-        result = empirical_beta(table, args.bound, tol=args.tol, scan_steps=args.scan_steps,
-                                search_cap=args.cap)
-    _write(args, result.to_dict,
+        result = empirical_beta(table, bmod.RESIDUAL_MAX if args.bound is None else args.bound,
+                                tol=args.tol, scan_steps=args.scan_steps,
+                                search_cap=DEFAULT_SEARCH_CAP if args.cap is None else args.cap)
+    _write(args, lambda: vars(result),
            ["root", "bracket_lo", "bracket_hi", "iterations", "residual_at_root"],
            (map(fmt, (r.root, *r.bracket, r.iterations, r.residual_at_root)) for r in (result,)))
     return EXIT_OK

@@ -9,6 +9,13 @@ components, all exact on W states) lives in the sweep command; the two are
 kept separate because the presets do not match it: figure 1's residual terms
 use w4 values for w5, and the ordering behind the weighted curves of figures
 2 and 3 does not hold from first principles (ROADMAP item 5).
+
+The bounds figures 2 and 3 plot, weighted_residual and exp_weighted, fail on
+an exact table (an open finding): on the W-class state F, amplitudes
+(4, 3, 6, 4, 4)/sqrt(93) on |0000>, |1000>, |0100>, |0010>, |0001>, with
+m = 1 and every component exact, exp_weighted at y = 5.2 gives
+0.041078 > lhs^y 0.037566 and weighted_residual at a = 0.8 gives
+0.576712 < lhs^a 0.603585. The bounds module docstring names the failing step.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from .errors import InvalidParameterError
 # most points a grid or a threshold scan may have; a step typo such as 1e-12
 # would otherwise ask for trillions of floats before anything is checked
 MAX_GRID_POINTS = 1_000_000
+
+_STEP = 0.01  # the grid step of every preset unless figure_rows is given one
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -60,7 +69,6 @@ def _fig3_exp_weighted(y: float) -> float:
 class FigurePreset:
     exponent_lo: float
     exponent_hi: float
-    step: float
     lhs: Callable[[float], float]
     bounds: tuple[tuple[str, Callable[[float], float]], ...]
 
@@ -69,14 +77,12 @@ FIGURES: dict[int, FigurePreset] = {
     1: FigurePreset(
         exponent_lo=0.0,
         exponent_hi=2.0,
-        step=0.01,
         lhs=_fig1_lhs,
         bounds=(("base", _fig1_base), ("residual_max", _fig1_residual_max)),
     ),
     2: FigurePreset(
         exponent_lo=0.0,
         exponent_hi=2.0,
-        step=0.01,
         lhs=_fig1_lhs,
         bounds=(("residual_max", _fig1_residual_max),
                 ("weighted_residual", _fig2_weighted_residual)),
@@ -84,7 +90,6 @@ FIGURES: dict[int, FigurePreset] = {
     3: FigurePreset(
         exponent_lo=2.0,
         exponent_hi=6.0,
-        step=0.01,
         lhs=_fig3_lhs,
         bounds=(("ratio_weighted", _fig3_ratio_weighted), ("exp_weighted", _fig3_exp_weighted)),
     ),
@@ -117,8 +122,7 @@ def figure_rows(fig: int, step: float | None = None) -> tuple[list[str], list[li
     preset = FIGURES[fig]
     header = ["exponent", "lhs"] + [name for name, _ in preset.bounds]
     rows = []
-    grid = inclusive_grid(preset.exponent_lo, preset.exponent_hi,
-                          preset.step if step is None else step)
+    grid = inclusive_grid(preset.exponent_lo, preset.exponent_hi, _STEP if step is None else step)
     for x in grid:
         rows.append([x, preset.lhs(x)] + [fn(x) for _, fn in preset.bounds])
     return header, rows

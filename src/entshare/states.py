@@ -265,18 +265,10 @@ def haar_random_pure(dims, seed: int) -> PureState:
 
 def state_to_json(state: PureState) -> str:
     """Serialize to the dims/amplitudes JSON schema (zero amplitudes omitted)."""
-    dims = list(state.dims)
-    entries = []
-    for flat, amp in enumerate(state.amplitudes):
-        if amp == 0:
-            continue
-        idx = []
-        rem = flat
-        for d in reversed(dims):
-            idx.append(rem % d)
-            rem //= d
-        entries.append({"index": idx[::-1], "re": float(amp.real), "im": float(amp.imag)})
-    return json.dumps({"dims": dims, "amplitudes": entries}, indent=2)
+    psi = state.amplitudes.reshape(state.dims)
+    entries = [{"index": [int(i) for i in idx], "re": float(psi[idx].real),
+                "im": float(psi[idx].imag)} for idx in zip(*np.nonzero(psi))]
+    return json.dumps({"dims": list(state.dims), "amplitudes": entries}, indent=2)
 
 
 def _integer(x) -> bool:
@@ -311,7 +303,7 @@ def state_from_json(text: str) -> PureState:
         raise InvalidStateError(f"dims must be integers of 2 or more, "
                                 f"got {reprlib.repr(doc['dims'])}")
     check_size(dims, "the JSON dims")
-    v = np.zeros(math.prod(dims), dtype=complex)
+    v = np.zeros(dims, dtype=complex)
     seen = set()
     for entry in doc["amplitudes"]:
         idx = entry.get("index") if isinstance(entry, dict) else None
@@ -326,10 +318,8 @@ def state_from_json(text: str) -> PureState:
         if not all(_finite_real(x) for x in parts):
             raise InvalidStateError(f"amplitude {idx}: re and im must be finite reals, "
                                     f"got {reprlib.repr(parts)}")
-        flat = 0
-        for i, d in zip(idx, dims):
-            flat = flat * d + i
-        v[flat] = complex(*parts)
+        v[tuple(idx)] = complex(*parts)
+    v = v.reshape(-1)
     norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= 1e-6:
         raise InvalidStateError(f"state in JSON has norm {norm!r}; refusing to normalize")

@@ -40,15 +40,6 @@ class ThresholdResult:
     residual_at_root: float
     scan_profile: tuple[tuple[float, float], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "root": self.root,
-            "bracket": list(self.bracket),
-            "iterations": self.iterations,
-            "residual_at_root": self.residual_at_root,
-            "scan_profile": [list(p) for p in self.scan_profile],
-        }
-
 
 def _check_scan_steps(scan_steps: int) -> None:
     if not 8 <= scan_steps < MAX_GRID_POINTS:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_subsets, near_w, oracle_lambda_sum, oracle_wootters
+from conftest import all_subsets, near_w, oracle_reduce, oracle_spin_flip_spectrum
 from entshare import bounds as bmod
 from entshare import cli, measures, thresholds
 from entshare.bounds import (
@@ -68,6 +68,7 @@ from entshare.states import (
 )
 
 SQ2, SQ3 = math.sqrt(2), math.sqrt(3)
+EPS = np.finfo(float).eps
 SRC = os.pathsep.join(p for p in (str(Path(bmod.__file__).resolve().parents[1]),
                                      os.environ.get("PYTHONPATH")) if p)
 
@@ -79,6 +80,30 @@ def general_w(n: int) -> PureState:
     for k in range(n):
         amps[1 << (n - 1 - k)] = (0.2 + 0.15 * k) * np.exp(0.7j * k)
     return PureState(amps / np.linalg.norm(amps), (2,) * n)
+
+
+def random_w_class(n: int, seed: int) -> PureState:
+    """A seeded generalized W-class state: complex Gaussian b_0 on |0...0> and b_k on each
+    single excitation, normalized."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(2**n, dtype=complex)
+    amps[[0] + [1 << (n - 1 - k) for k in range(n)]] = (rng.standard_normal(n + 1)
+                                                        + 1j * rng.standard_normal(n + 1))
+    return PureState(amps / np.linalg.norm(amps), (2,) * n)
+
+
+def three_tangle(state: PureState) -> float:
+    """tau_ABC = 4 |d1 - 2 d2 + 4 d3| from the amplitudes (Coffman, Kundu & Wootters 2000)."""
+    a = state.amplitudes.reshape(2, 2, 2)
+    d1 = (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2 + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+          + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2 + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2)
+    d2 = (a[0, 0, 0] * a[1, 1, 1] * (a[0, 1, 1] * a[1, 0, 0] + a[1, 0, 1] * a[0, 1, 0]
+                                     + a[1, 1, 0] * a[0, 0, 1])
+          + a[0, 1, 1] * a[1, 0, 0] * (a[1, 0, 1] * a[0, 1, 0] + a[1, 1, 0] * a[0, 0, 1])
+          + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1])
+    d3 = (a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
+          + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0])
+    return 4 * abs(d1 - 2 * d2 + 4 * d3)
 
 
 def w6_state() -> PureState:
@@ -479,7 +504,7 @@ class TestResidualTree:
             marginals = left_sum([weights.get(b, 1.0) * table.marginal(b).value ** 1.7
                                   for b in (1, 2, 3)])
             sign = -1.0 if side == POLYGAMY else 1.0
-            assert values[bid] == marginals + sign * tree.level_sum()
+            assert values[bid] == marginals + sign * left_sum(tree.level_values.values())
 
 
 class TestComponentTable:
@@ -987,20 +1012,53 @@ class TestHierarchy:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_three_qubit_closed_form_cross_check(self, seed):
-        # independent oracle: CKW and its dual from the conftest spectrum route
+        # CKW and its dual as the equalities they are (Coffman, Kundu & Wootters 2000):
+        # C^2_{A|BC} - C^2_AB - C^2_AC = tau and C_a(rho_ABi)^2 - C(rho_ABi)^2 = tau, read
+        # from the package's tables and from the conftest oracles.
         state = haar_random_pure((2, 2, 2), 2000 + seed)
-        rho = state.density().matrix
-        dims = (2, 2, 2)
-        from conftest import oracle_reduce
+        tau = three_tangle(state)
+        c, ca = ComponentTable(state, CONCURRENCE), ComponentTable(state, CONCURRENCE_ASSISTANCE)
+        # Each table value is a 2x2 closed form or 2 (1 - tr rho_A^2), a handful of roundings
+        # of numbers <= 1; seeds 2000-2299 reach 6 eps and 10 eps.
+        tol = 16 * EPS
+        pairs = [c.marginal(i).value for i in (1, 2)]
+        assert c.joint((1, 2)).value ** 2 - pairs[0] ** 2 - pairs[1] ** 2 == pytest.approx(
+            tau, abs=tol)
+        for i, pair in zip((1, 2), pairs):
+            assert ca.marginal(i).value ** 2 - pair**2 == pytest.approx(tau, abs=tol)
 
-        c_ab = oracle_wootters(oracle_reduce(state.amplitudes, dims, [0, 1]))
-        c_ac = oracle_wootters(oracle_reduce(state.amplitudes, dims, [0, 2]))
-        ca_ab = oracle_lambda_sum(oracle_reduce(state.amplitudes, dims, [0, 1]))
-        ca_ac = oracle_lambda_sum(oracle_reduce(state.amplitudes, dims, [0, 2]))
-        red = oracle_reduce(state.amplitudes, dims, [0])
-        c_joint = math.sqrt(max(0.0, 2 * (1 - float(np.trace(red @ red).real))))
-        assert c_joint**2 + 1e-9 >= c_ab**2 + c_ac**2
-        assert ca_ab**2 + ca_ac**2 + 1e-9 >= c_joint**2
+        # rho_ABi has rank 2, so lambda_3 = lambda_4 = 0: C = l1 - l2 and C_a = l1 + l2. The
+        # oracle's lambdas are square roots of eigenvalues, so the zero pair comes out of
+        # order sqrt(eps) and is not read, and l2's rounding grows like eps / l2: seeds
+        # 2000-2299 (smallest tau 0.007) reach 21 eps and 49 eps.
+        tol = 64 * EPS
+        amps, dims = state.amplitudes, (2, 2, 2)
+        red = oracle_reduce(amps, dims, [0])
+        joint = 2 * (1 - float(np.trace(red @ red).real))
+        lams = [oracle_spin_flip_spectrum(oracle_reduce(amps, dims, [0, i])) for i in (1, 2)]
+        pairs = [lam[0] - lam[1] for lam in lams]
+        assert joint - pairs[0] ** 2 - pairs[1] ** 2 == pytest.approx(tau, abs=tol)
+        for lam, pair in zip(lams, pairs):
+            assert (lam[0] + lam[1]) ** 2 - pair**2 == pytest.approx(tau, abs=tol)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_w_class_saturates_ckw_without_a_roof(self, no_roof, n):
+        # W-class states have no three-tangle: C^2_{A|rest} = sum_i C^2_{ABi}, and each
+        # rho_ABi has lambda_2 = 0, so C_a = C on every pair
+        for seed in range(50):
+            state = random_w_class(n, seed)
+            c = ComponentTable(state, CONCURRENCE)
+            ca = ComponentTable(state, CONCURRENCE_ASSISTANCE)
+            pairs = [c.marginal(i) for i in range(1, n)]
+            assert all(p.exact for p in pairs)
+            # 2 (1 - tr rho_A^2) against up to five squared closed forms, each a few
+            # roundings of numbers <= 1, added: seeds 0-49 at n = 4-6 reach 11.5 eps
+            assert c.lhs().value ** 2 == pytest.approx(
+                left_sum(p.value**2 for p in pairs), abs=32 * EPS)
+            # both closed forms read one spectrum, whose lambda_2 is an SVD's rounding of 0;
+            # seeds 0-49 reach 1 eps
+            for i, p in enumerate(pairs, 1):
+                assert ca.marginal(i).value == pytest.approx(p.value, abs=4 * EPS)
 
 
 # past beta_max = 2 the W-state pair residuals turn negative, so residual_max
@@ -1229,8 +1287,9 @@ class TestSyntheticProperties:
         tree = residual_tree(table, POLYGAMY, RESIDUAL_MAX, alpha)
         base, _ = bound_value(table, BASE, alpha, POLYGAMY)
         tight, _ = bound_value(table, RESIDUAL_MAX, alpha, POLYGAMY)
-        assert tight == pytest.approx(base - tree.level_sum(), abs=1e-10)
-        assert tree.level_sum() >= -1e-9
+        levels = left_sum(tree.level_values.values())
+        assert tight == pytest.approx(base - levels, abs=1e-10)
+        assert levels >= -1e-9
 
     def test_hierarchy_checks_scoped_to_provable_cases(self):
         # the exp/ratio dominance is a four-party theorem (counterexamples

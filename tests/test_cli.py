@@ -64,6 +64,17 @@ def table_inits(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def no_component(monkeypatch):
+    """Make measuring a table component raise, so a test sees a check run before any."""
+    from entshare import bounds
+
+    def raising(*args, **kwargs):
+        raise AssertionError("component measured")
+
+    monkeypatch.setattr(bounds, "measure_bipartite", raising)
+
+
 class GridBuilt(Exception):
     """Raised in place of building a grid or scan; args hold its point count."""
 
@@ -384,10 +395,12 @@ class TestThresholdCommand:
         assert code == 0
         assert json.loads(out)["root"] == pytest.approx(1.26185, abs=1e-3)
 
-    def test_empirical_beta(self, capsys):
+    @pytest.mark.parametrize("flags", [[], ["--bound", "residual_max", "--cap", "4"]],
+                             ids=["defaults", "explicit"])
+    def test_empirical_beta(self, capsys, flags):
         code, out, _ = run(capsys, "threshold", "--family", "4q-theta",
                            "--params", "0.7853981634,0.7853981634",
-                           "--kind", "empirical-beta", "--bound", "residual_max")
+                           "--kind", "empirical-beta", *flags)
         assert code == 0
         assert json.loads(out)["root"] == pytest.approx(1.507126, abs=1e-4)
 
@@ -463,33 +476,32 @@ class TestThresholdCommand:
         (["--family", "3q", "--params", PARAMS_3Q], "residual-zero"),
         (["--family", "4q-theta", "--params", "0.785,0.785"], "empirical-beta"),
     ], ids=["residual-zero", "empirical-beta"])
-    def test_bad_scan_steps_exit_2_before_any_table(self, capsys, monkeypatch, state, kind,
-                                                    steps):
-        from entshare import thresholds
-
-        def no_table(*args, **kwargs):
-            raise AssertionError("component table built")
-
-        monkeypatch.setattr(thresholds, "ComponentTable", no_table)
+    def test_bad_scan_steps_exit_2_before_any_component(self, capsys, no_component, state,
+                                                        kind, steps):
         code, out, err = run(capsys, "threshold", *state, "--kind", kind, "--scan-steps", steps,
                              "--restarts", "2")
         assert code == 2 and out == "" and "scan_steps" in err
 
-    @pytest.mark.parametrize("bad", [
-        ["--cap", "0"], ["--cap", "-1"], ["--cap", "nan"], ["--cap", "1e-5"],
-        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1"],
+    @pytest.mark.parametrize("kind, bad", [
+        ("empirical-beta", ["--cap", "0"]), ("empirical-beta", ["--cap", "-1"]),
+        ("empirical-beta", ["--cap", "nan"]), ("empirical-beta", ["--cap", "1e-5"]),
+        ("empirical-beta", ["--tol", "nan"]), ("empirical-beta", ["--tol", "inf"]),
+        ("empirical-beta", ["--tol", "0"]), ("empirical-beta", ["--tol", "-1"]),
+        ("empirical-beta", ["--bound", ""]),
+        ("residual-zero", ["--cap", "4"]), ("residual-zero", ["--bound", "base"]),
+        ("residual-zero", ["--bound", "weighted", "--cap", "-5"]),
     ], ids=["cap-0", "cap-negative", "cap-nan", "cap-below-floor", "tol-nan", "tol-inf",
-            "tol-0", "tol-negative"])
-    def test_bad_cap_or_tol_exits_2_before_any_table(self, capsys, monkeypatch, bad):
-        from entshare import thresholds
-
-        def no_table(*args, **kwargs):
-            raise AssertionError("component table built")
-
-        monkeypatch.setattr(thresholds, "ComponentTable", no_table)
-        code, out, err = run(capsys, "threshold", "--family", "4q-theta", "--params",
-                             "0.785,0.785", "--kind", "empirical-beta", "--restarts", "2", *bad)
+            "tol-0", "tol-negative", "bound-empty", "residual-zero-cap", "residual-zero-bound",
+            "residual-zero-both"])
+    def test_bad_cap_or_tol_exits_2_before_any_component(self, capsys, no_component, kind,
+                                                         bad):
+        state = (["--family", "3q", "--params", PARAMS_3Q] if kind == "residual-zero"
+                 else ["--family", "4q-theta", "--params", "0.785,0.785"])
+        code, out, err = run(capsys, "threshold", *state, "--kind", kind, "--restarts", "2",
+                             *bad)
         assert code == 2 and out == "" and err.startswith("error:")
+        if kind == "residual-zero":
+            assert err == "error: --bound and --cap apply to --kind empirical-beta only\n"
 
 
 class TestSweepCommand:
@@ -1096,6 +1108,11 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch, line):
 
 def test_readme_cli_block_found():
     assert len(_readme_cli_lines()) == 8
+
+
+def test_readme_library_block_runs(tmp_path):
+    proc = run_python("-c", _readme_block("Library").removeprefix("python\n"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _readme_script_lines() -> list[list[str]]:

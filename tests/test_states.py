@@ -262,8 +262,15 @@ class TestHaar:
 
 
 class TestJson:
-    def test_roundtrip(self):
-        s = make_family("3q", [1 / math.sqrt(5)] * 5 + [0.7])
+    @pytest.mark.parametrize("s", [make_family("3q", [1 / math.sqrt(5)] * 5 + [0.7]),
+                                   haar_random_pure((3, 2, 4), 5)], ids=["3q", "dims-3-2-4"])
+    def test_roundtrip(self, s):
+        entries = json.loads(state_to_json(s))["amplitudes"]
+        # each nonzero amplitude in flat order, its index the row-major digits of its position
+        flat = [k for k, amp in enumerate(s.amplitudes) if amp != 0]
+        assert [e["index"] for e in entries] == [
+            [k // math.prod(s.dims[j + 1:]) % d for j, d in enumerate(s.dims)] for k in flat]
+        assert [complex(e["re"], e["im"]) for e in entries] == [s.amplitudes[k] for k in flat]
         again = state_from_json(state_to_json(s))
         assert again.dims == s.dims
         assert np.max(np.abs(again.amplitudes - s.amplitudes)) < 1e-12
