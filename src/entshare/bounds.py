@@ -16,13 +16,14 @@ bound_reports, verify_hierarchy and the threshold scans take a table and
 nothing that could disagree with it.
 
 Every bound is evaluated through a BoundPlan, built once per (table, side,
-bound ids, m). The plan does the exponent-independent work: it fetches and
-validates every component its bounds read, fixes each bound's exact flag and
-its weight layout. bound_reports checks a given m (1..n_b-2, so none at three
-parties) and picks the default bound ids before it builds the plan. It reads
-the table's ordering (ordering_classify, once per table) only where m
-matters, so a plan whose bounds read no m measures no tail cut and
-classifies nothing. The float pass is one generated Python
+bound ids, m). The plan does the exponent-independent work: it checks m where
+a bound's layout needs it, fetches and validates every component its bounds
+read, fixes each bound's exact flag and its weight layout. bound_reports is
+the one loop that turns a plan into BoundReports. It checks a given m
+(1..n_b-2, so none at three parties) and picks the default bound ids before
+it builds the plan. It reads the table's ordering (ordering_classify, once
+per table) only where m matters, so a plan whose bounds read no m measures no
+tail cut and classifies nothing. The float pass is one generated Python
 function per plan structure (_program): straight-line code over the residual
 recursion flattened children-first (_recursion). Its cache key is the
 structure only, the party count, the side, each bound's (weighting,
@@ -35,8 +36,8 @@ maxima winning and divides each mean's fold by its count: the operations and
 order of the recursion, so every value is bit-identical to a direct
 evaluation (numpy's vectorized power may differ from `**` in the last bit, so
 it is not used). Its names come from indices only. evaluate_bounds is a
-one-point plan; a sweep is one plan over its grid; bound_value is a one-bound
-plan. residual_tree is a read-only view of one residual bound's plan
+one-point bound_reports; a sweep is one plan over its grid; bound_value is a
+one-bound plan. residual_tree is a read-only view of one residual bound's plan
 (BoundPlan.explain): the same compiled function called with its explain flag
 set, which then also returns each node's residual, the numbered levels and
 the party each top-level max omitted, read off the names the max() chose
@@ -49,10 +50,11 @@ turns a gap and its tolerance into a decision for verdicts, orderings and
 hierarchy checks: exact values always get holds/fails; estimates within the
 tolerance get None.
 
-Sides and ids (the BOUNDS table below). `base` applies at any party count,
-`pair_weighted` at three parties only, every other bound at four or more.
-Weighted bounds other than `pair_weighted` put powers of a scalar weight on
-the marginals, laid out by the ordering index m (_weight_powers), and need m.
+Sides and ids (the BOUNDS table below, whose rows every bound rule reads).
+`base` applies at any party count, `pair_weighted` (layout "pair") at three
+parties only, every other bound at four or more. The bounds of layout "m" put
+powers of a scalar weight on the marginals, laid out by the ordering index m
+(_weight_powers), and need m.
   polygamy  (upper bounds on Q^a of the joint cut; weight 2^(a/beta)-1):
     base               power sum of the pairwise marginals
     residual_max       base minus the max-selected residual levels
@@ -112,24 +114,27 @@ RATIO_WEIGHTED = "ratio_weighted"
 EXP_WEIGHTED = "exp_weighted"
 PAIR_WEIGHTED = "pair_weighted"
 
-# side -> bound id -> (weights, residual strategy). Weights are None, "exp"
-# (2^(e/ref) - 1) or "ratio" (e/ref), with ref the measure's beta_max
-# (polygamy) or x_min (monogamy); the strategy selects the residual levels
-# that are subtracted (polygamy) or added (monogamy).
+# side -> bound id -> (weights, residual strategy, weight layout). Weights are
+# None, "exp" (2^(e/ref) - 1) or "ratio" (e/ref), with ref the measure's
+# beta_max (polygamy) or x_min (monogamy); the strategy selects the residual
+# levels that are subtracted (polygamy) or added (monogamy). The layout places
+# the weight's powers on the marginals by the ordering index m ("m") or down
+# the sorted three-party pair ("pair"); with the rest of the row it decides
+# the party counts the bound applies at (_fits).
 BOUNDS = {
     POLYGAMY: {
-        BASE: (None, None),
-        RESIDUAL_MAX: (None, "max"),
-        RESIDUAL_MEAN: (None, "mean"),
-        WEIGHTED: ("exp", None),
-        WEIGHTED_RESIDUAL: ("exp", "max"),
-        PAIR_WEIGHTED: ("exp", None),
+        BASE: (None, None, None),
+        RESIDUAL_MAX: (None, "max", None),
+        RESIDUAL_MEAN: (None, "mean", None),
+        WEIGHTED: ("exp", None, "m"),
+        WEIGHTED_RESIDUAL: ("exp", "max", "m"),
+        PAIR_WEIGHTED: ("exp", None, "pair"),
     },
     MONOGAMY: {
-        BASE: (None, None),
-        RATIO_WEIGHTED: ("ratio", "max"),
-        EXP_WEIGHTED: ("exp", "max"),
-        PAIR_WEIGHTED: ("exp", None),
+        BASE: (None, None, None),
+        RATIO_WEIGHTED: ("ratio", "max", "m"),
+        EXP_WEIGHTED: ("exp", "max", "m"),
+        PAIR_WEIGHTED: ("exp", None, "pair"),
     },
 }
 
@@ -443,41 +448,40 @@ def ordering_classify(table: ComponentTable) -> OrderingResult:
     return OrderingResult(m, result.comparisons)
 
 
-def _fits(bound_id: str, n_parties: int) -> bool:
-    """pair_weighted at three parties, base at any count, the rest at four or more."""
-    if bound_id == PAIR_WEIGHTED:
-        return n_parties == 3
-    return bound_id == BASE or n_parties >= 4
+def _fits(side: str, bound_id: str, n_parties: int) -> bool:
+    """Whether its BOUNDS row applies: "pair" at three parties, all None at any count, else 4+."""
+    row = BOUNDS[side][bound_id]
+    return n_parties == 3 if row[2] == "pair" else n_parties >= 4 or row == (None, None, None)
 
 
 def check_bound(side: str, bound_id: str, n_parties: int) -> None:
     """Raise unless `bound_id` is a bound of `side` defined at n_parties parties."""
     if bound_id not in BOUNDS.get(side, ()):
         raise InvalidParameterError(f"bound id {bound_id!r} not defined for the {side} side")
-    if not _fits(bound_id, n_parties):
-        if bound_id == PAIR_WEIGHTED:
-            raise InvalidParameterError("pair_weighted applies to three-party states only")
+    if not _fits(side, bound_id, n_parties):
+        if BOUNDS[side][bound_id][2] == "pair":
+            raise InvalidParameterError(f"{bound_id} applies to three-party states only")
         raise InvalidParameterError(f"{bound_id} needs at least four parties")
 
 
 def needs_m(side: str, bound_id: str) -> bool:
-    """True for the weighted bounds keyed to an ordering index m."""
-    return BOUNDS[side][bound_id][0] is not None and bound_id != PAIR_WEIGHTED
+    """True for the weighted bounds keyed to an ordering index m (layout "m")."""
+    return BOUNDS[side][bound_id][2] == "m"
 
 
 class BoundPlan:
     """The bounds `bound_ids` of one side on one table, at ordering index m.
 
-    Built once: every component the bounds read is fetched and validated,
-    each bound's exact flag is fixed (its marginals and, with a residual
-    strategy, every component of the recursion), and the compiled float pass
-    of the plan's structure is looked up. values() and report() then
-    evaluate any exponent without another table lookup, and explain() shows
+    Built once: the bound ids and, for a bound of layout "m", m are checked;
+    only then is every component the bounds read fetched, each bound's exact
+    flag fixed (its marginals and, with a residual strategy, every component
+    of the recursion), and the compiled float pass looked up. values() then
+    evaluates any exponent without another table lookup, and explain() shows
     the residual recursion that values() evaluated. Marginal sums are
     (weighted) power sums; a residual strategy subtracts (polygamy) or adds
     (monogamy) its selected levels. A plan holds one weight layout, the
-    scalar weight's power per party: from m (_weight_powers) or, for
-    pair_weighted (three parties only), (0, 1) down the descending sort of
+    scalar weight's power per party, read off its rows' layout column: from
+    m (_weight_powers) or, for "pair", (0, 1) down the descending sort of
     the two marginals.
     """
 
@@ -486,25 +490,21 @@ class BoundPlan:
         self.bound_ids = tuple(bound_ids)
         for bid in self.bound_ids:
             check_bound(side, bid, n_b + 1)
-        self.table, self.side, self.m = table, side, m
-        self._polygamy = side == POLYGAMY
+        self.table = table
+        rows = [BOUNDS[side][bid] for bid in self.bound_ids]
+        layouts = [row[2] for row in rows]
+        if "m" in layouts and m is None:
+            bid = self.bound_ids[layouts.index("m")]
+            raise InvalidParameterError(f"bound {bid!r} needs an ordering index m")
+        layout = _weight_powers(n_b, m) if "m" in layouts else None  # checks m before any component
         marginals = [table.marginal(i) for i in range(1, n_b + 1)]
         values = [c.value for c in marginals]
         self._zero_marginal = 0.0 in values
-        self._margin = comparison_tol(table.opt, False)
-        kinds = tuple(BOUNDS[side][bid] for bid in self.bound_ids)
-        self._ref = layout = None
-        for bid, (weighting, _) in zip(self.bound_ids, kinds):
-            if weighting is None:
-                continue
-            self._ref = table.measure.beta_max if self._polygamy else table.measure.x_min
-            if bid == PAIR_WEIGHTED:
-                order = sorted(range(n_b), key=values.__getitem__, reverse=True)
-                layout = tuple(order.index(b) for b in range(n_b))
-            elif m is None:
-                raise InvalidParameterError(f"bound {bid!r} needs an ordering index m")
-            else:
-                layout = _weight_powers(n_b, m)
+        if "pair" in layouts:
+            order = sorted(range(n_b), key=values.__getitem__, reverse=True)
+            layout = tuple(order.index(b) for b in range(n_b))
+        self._ref = table.measure.beta_max if side == POLYGAMY else table.measure.x_min
+        kinds = tuple(row[:2] for row in rows)
         joints = []
         if any(strategy for _, strategy in kinds):
             joints = [table.joint(sub) for sub, _ in _recursion(n_b)[0]]
@@ -513,7 +513,7 @@ class BoundPlan:
         marginals_exact = all(c.exact for c in marginals)
         tree_exact = marginals_exact and all(c.exact for c in joints)
         self.exact = tuple(tree_exact if strategy else marginals_exact for _, strategy in kinds)
-        self._key = (n_b, self._polygamy, kinds, layout)
+        self._key = (n_b, side == POLYGAMY, kinds, layout)
         self._program = _program(*self._key)
 
     def values(self, exponent: float) -> list[float]:
@@ -558,40 +558,6 @@ class BoundPlan:
         except OverflowError:
             raise InvalidParameterError(f"exponent {exponent} overflows the lhs power") from None
 
-    def report(self, exponent: float) -> BoundReport:
-        """The bound report at one finite exponent: lhs, every bound, the flags."""
-        lhs = self.lhs
-        if exponent < 0 and lhs.value == 0.0:
-            raise InvalidParameterError(f"exponent {exponent} is negative and the lhs is 0")
-        values = self.values(exponent)
-        lhs_power = self.lhs_power(exponent)
-        measure = self.table.measure
-        range_warning = False
-        if self.side == POLYGAMY and not (0 <= exponent <= measure.beta_max + 1e-12):
-            warnings.warn(f"polygamy exponent {exponent} outside [0, {measure.beta_max}]",
-                          ExponentRangeWarning, stacklevel=2)
-            range_warning = True
-        if self.side == MONOGAMY and exponent < measure.x_min - 1e-12:
-            warnings.warn(f"monogamy exponent {exponent} below {measure.x_min}",
-                          ExponentRangeWarning, stacklevel=2)
-            range_warning = True
-
-        degenerate = exponent == 0.0 and (self._zero_marginal or lhs.value == 0.0)
-        if degenerate:
-            warnings.warn("exponent 0 with a zero component; report flagged degenerate",
-                          DegenerateExponentWarning, stacklevel=2)
-
-        bounds: dict[str, BoundEntry] = {}
-        satisfied: dict[str, bool | None] = {}
-        gaps: dict[str, float] = {}
-        tols = self.tol
-        for bid, val, exact in zip(self.bound_ids, values, self.exact):
-            bounds[bid] = BoundEntry(val, exact, range_warning)
-            gap = gaps[bid] = (val - lhs_power) if self._polygamy else (lhs_power - val)
-            satisfied[bid] = None if degenerate else verdict(gap, tols[bid], exact and lhs.exact)
-        return BoundReport(exponent, self.side, lhs, bounds, satisfied, self.m, degenerate,
-                           self._margin, tols, lhs_power, gaps)
-
 
 def bound_value(table: ComponentTable, bound_id: str, exponent: float, side: str,
                 m: int | None = None) -> tuple[float, bool]:
@@ -603,12 +569,12 @@ def bound_value(table: ComponentTable, bound_id: str, exponent: float, side: str
 def applicable_bounds(n_parties: int, side: str, have_m: bool) -> tuple[str, ...]:
     """The side's bounds defined at n_parties, in table order; m-keyed ones need have_m."""
     return tuple(b for b in BOUNDS[side]
-                 if _fits(b, n_parties) and (have_m or not needs_m(side, b)))
+                 if _fits(side, b, n_parties) and (have_m or not needs_m(side, b)))
 
 
 def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
                   m: int | None = None) -> list[BoundReport]:
-    """Bound reports at each exponent, all from one BoundPlan.
+    """Bound reports at each exponent, all from one BoundPlan: the one loop that builds them.
 
     The side, every exponent, every given bound id and a given m (1..n_b-2,
     so none at three parties) are checked before any component is measured.
@@ -618,7 +584,9 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
     otherwise); with m given, when a bound needs it. A given m at which the
     ordering hypothesis fails (OrderingResult.holds_at) is used anyway, with an
     OrderingHypothesisWarning. The table's measure sets the exponent ranges
-    and its optimizer settings the comparison margin.
+    and its optimizer settings the comparison margin. What does not depend on
+    the exponent (lhs, tolerances, decided flags, range limits) is read once;
+    range and degenerate warnings point at the caller.
     """
     if side not in BOUNDS:
         raise InvalidParameterError(f"side must be polygamy or monogamy, got {side!r}")
@@ -642,7 +610,35 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
     if bound_ids is None:
         bound_ids = applicable_bounds(n_parties, side, m is not None)
     plan = BoundPlan(table, side, bound_ids, m)
-    return [plan.report(exponent) for exponent in exponents]
+    if not exponents:
+        return []
+    lhs, tols, polygamy, measure = plan.lhs, plan.tol, side == POLYGAMY, table.measure
+    decided = [exact and lhs.exact for exact in plan.exact]
+    margin = comparison_tol(table.opt, False)
+    low, high = (0.0, measure.beta_max + 1e-12) if polygamy else (measure.x_min - 1e-12, math.inf)
+    reports = []
+    for exponent in exponents:
+        if exponent < 0 and lhs.value == 0.0:
+            raise InvalidParameterError(f"exponent {exponent} is negative and the lhs is 0")
+        values = plan.values(exponent)
+        lhs_power = plan.lhs_power(exponent)
+        range_warning = not low <= exponent <= high
+        if range_warning:
+            beyond = f"outside [0, {measure.beta_max}]" if polygamy else f"below {measure.x_min}"
+            warnings.warn(f"{side} exponent {exponent} {beyond}", ExponentRangeWarning,
+                          stacklevel=2)
+        degenerate = exponent == 0.0 and (plan._zero_marginal or lhs.value == 0.0)
+        if degenerate:
+            warnings.warn("exponent 0 with a zero component; report flagged degenerate",
+                          DegenerateExponentWarning, stacklevel=2)
+        bounds, satisfied, gaps = {}, {}, {}
+        for bid, val, exact, dec in zip(plan.bound_ids, values, plan.exact, decided):
+            bounds[bid] = BoundEntry(val, exact, range_warning)
+            gap = gaps[bid] = (val - lhs_power) if polygamy else (lhs_power - val)
+            satisfied[bid] = None if degenerate else verdict(gap, tols[bid], dec)
+        reports.append(BoundReport(exponent, side, lhs, bounds, satisfied, m, degenerate,
+                                   margin, tols, lhs_power, gaps))
+    return reports
 
 
 def evaluate_bounds(table: ComponentTable, exponent: float, side: str, bound_ids=None,

@@ -60,6 +60,15 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _number(text: str, option: str, kind=float):
+    """kind(text), or an error naming the option and the text that is not a number."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise EntshareError(f"{option}: {text!r} is not "
+                            f"{'an integer' if kind is int else 'a number'}") from None
+
+
 def parse_cut(text: str, n_parties: int) -> Bipartition:
     """Parse cuts like "A|rest", "A|B1B2", "B1,B3|A"."""
     halves = text.split("|")
@@ -101,10 +110,11 @@ def load_state(args) -> PureState:
     if not args.family:
         raise EntshareError("a state source is required (--family or --state)")
     family = args.family
-    params = args.params.split(",") if args.params else []
+    texts = args.params.split(",") if args.params else []
+    params = [_number(p, f"--params {args.params!r}") for p in texts]
     if family.startswith("ghz:"):  # the count and any --params, for make_family to check
         family, count = family.split(":", 1)
-        params = [count, *params]
+        params = [_number(count, f"--family {args.family!r}"), *params]
     return make_family(family, params)
 
 
@@ -262,7 +272,7 @@ def parse_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise EntshareError(f"grid {spec!r} must be lo:hi:step")
-    return reference.inclusive_grid(*(float(p) for p in parts))
+    return reference.inclusive_grid(*(_number(p, f"--grid {spec!r}") for p in parts))
 
 
 def cmd_sweep(args) -> int:
@@ -311,7 +321,7 @@ def _parse_checks(raw: str | None, n_parties: int):
         parts = chunk.strip().split(":")
         if len(parts) not in (3, 4):
             raise EntshareError(f"check {chunk!r} must be side:measure:exponent[:bound]")
-        side, name, exponent = parts[0], parts[1], float(parts[2])
+        side, name, exponent = parts[0], parts[1], _number(parts[2], f"--checks {chunk!r}")
         if not math.isfinite(exponent):
             raise EntshareError(f"check {chunk!r} needs a finite exponent")
         if side not in bmod.BOUNDS:
@@ -328,7 +338,7 @@ def _parse_checks(raw: str | None, n_parties: int):
 def cmd_fuzz(args) -> int:
     if args.samples < 0:
         raise EntshareError(f"--samples must be >= 0, got {args.samples}")
-    dims = tuple(int(d) for d in args.dims.split(","))
+    dims = tuple(_number(d, f"--dims {args.dims!r}", int) for d in args.dims.split(","))
     if len(dims) < 3 or min(dims) < 2:
         raise EntshareError(f"--dims needs three or more parties of dimension 2 or more, "
                             f"got {args.dims}")

@@ -46,7 +46,7 @@ class MeasureValue:
     value: float
     exactness: str
     optimizer_meta: dict = field(default_factory=dict)
-    # a plain field, not a property: bound arithmetic reads it on every table lookup
+    # a plain field, not a property: each plan reads it once per component it fetches
     exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -178,7 +178,11 @@ def make_family(name: str, params=()) -> PureState:
     - "w4", "w5": four/five-qubit W states, no params.
     - "ghz": n-qubit GHZ, params (n,) with n >= 3.
     """
-    params = [float(p) for p in params]
+    try:
+        params = [float(p) for p in params]
+    except ValueError:
+        raise InvalidParameterError(f"{name} family params must be numbers, "
+                                    f"got {params!r}") from None
     if name == "3q":
         return _family_3q(params)
     if name == "4q-theta":

@@ -39,7 +39,13 @@ _YY = np.kron(_SY, _SY)
 
 
 def oracle_spin_flip_spectrum(rho: np.ndarray) -> np.ndarray:
-    """Spin-flip lambdas via the Hermitian sqrt(sqrt(rho) rho~ sqrt(rho)) route."""
+    """Spin-flip lambdas via the Hermitian sqrt(sqrt(rho) rho~ sqrt(rho)) route.
+
+    On a rank-deficient rho the vanishing lambdas come out as square roots of
+    eigenvalue rounding noise, about sqrt(eps) ~ 1e-8 rather than 0, so the
+    oracles built on it carry errors of about 1e-7 there (every pair
+    reduction of a pure three-qubit state): compare them no tighter.
+    """
     w, v = np.linalg.eigh(rho)
     sq = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
     tilde = _YY @ rho.conj() @ _YY

@@ -427,6 +427,22 @@ class TestWeightPowers:
             bound_reports(table, side, [1.0, 2.0], (BASE,), m)
         assert table._cache == {}
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda t: bound_value(t, WEIGHTED, 1.0, POLYGAMY), "needs an ordering index m"),
+        (lambda t: bound_value(t, WEIGHTED, 1.0, POLYGAMY, m=5), "outside 1..2"),
+        (lambda t: residual_tree(t, POLYGAMY, WEIGHTED_RESIDUAL, 1.0), "needs an ordering index m"),
+        (lambda t: residual_tree(t, MONOGAMY, EXP_WEIGHTED, 2.0, 9), "outside 1..2"),
+        (lambda t: BoundPlan(t, MONOGAMY, (RATIO_WEIGHTED,)), "needs an ordering index m"),
+    ], ids=["value-no-m", "value-m5", "tree-no-m", "tree-m9", "plan-no-m"])
+    def test_plan_checks_m_before_any_component(self, monkeypatch, call, message):
+        def measured(*args):
+            raise AssertionError("a component was measured before m was checked")
+
+        monkeypatch.setattr(bmod, "measure_bipartite", measured)
+        table = ComponentTable(haar_random_pure((2,) * 5, 1), CONCURRENCE)
+        with pytest.raises(InvalidParameterError, match=message):
+            call(table)
+
     def test_unknown_side_rejected_before_any_component(self):
         table = ComponentTable(w_state(4), CONCURRENCE)
         with pytest.raises(InvalidParameterError, match="side must be polygamy or monogamy"):
@@ -791,16 +807,35 @@ class TestBoundValues:
         with pytest.raises(InvalidParameterError):
             bound_value(table, "tightest", 1.0, POLYGAMY)
 
-    @pytest.mark.parametrize("bound_id, fits, misfits", [
-        (PAIR_WEIGHTED, (3,), (4, 5)), (RESIDUAL_MAX, (4, 5), (3,)),
-        (RESIDUAL_MEAN, (4, 5), (3,)), (BASE, (3, 4, 5), ()),
-    ])
-    def test_party_count_fit(self, bound_id, fits, misfits):
-        for n in fits:
-            check_bound(POLYGAMY, bound_id, n)
-        for n in misfits:
-            with pytest.raises(InvalidParameterError):
-                check_bound(POLYGAMY, bound_id, n)
+    # (side, bound id) -> (the party counts it is defined at among 3..6, whether it needs m)
+    PARTY_RULES = {
+        (POLYGAMY, BASE): ((3, 4, 5, 6), False),
+        (POLYGAMY, RESIDUAL_MAX): ((4, 5, 6), False),
+        (POLYGAMY, RESIDUAL_MEAN): ((4, 5, 6), False),
+        (POLYGAMY, WEIGHTED): ((4, 5, 6), True),
+        (POLYGAMY, WEIGHTED_RESIDUAL): ((4, 5, 6), True),
+        (POLYGAMY, PAIR_WEIGHTED): ((3,), False),
+        (MONOGAMY, BASE): ((3, 4, 5, 6), False),
+        (MONOGAMY, RATIO_WEIGHTED): ((4, 5, 6), True),
+        (MONOGAMY, EXP_WEIGHTED): ((4, 5, 6), True),
+        (MONOGAMY, PAIR_WEIGHTED): ((3,), False),
+    }
+
+    @pytest.mark.parametrize("n_parties", [3, 4, 5, 6])
+    @pytest.mark.parametrize("side, bound_id", [(s, b) for s in BOUNDS for b in BOUNDS[s]])
+    def test_party_count_fit(self, side, bound_id, n_parties):
+        fits, keyed = self.PARTY_RULES[side, bound_id]
+        assert bmod.needs_m(side, bound_id) is keyed
+        assert (bound_id in applicable_bounds(n_parties, side, True)) == (n_parties in fits)
+        if n_parties in fits:
+            check_bound(side, bound_id, n_parties)
+        else:
+            message = ("applies to three-party states only" if fits == (3,)
+                       else "needs at least four parties")
+            with pytest.raises(InvalidParameterError, match=f"^{bound_id} {message}$"):
+                check_bound(side, bound_id, n_parties)
+
+    def test_party_count_checked_before_any_component(self):
         pair_table = ComponentTable.from_values({(1,): 0.5, (2,): 0.25}, n_b=2,
                                                 measure=CONCURRENCE)
         with pytest.raises(InvalidParameterError, match="four parties"):
@@ -898,6 +933,11 @@ class TestEvaluateBounds:
             BASE, RESIDUAL_MAX, RESIDUAL_MEAN, WEIGHTED, WEIGHTED_RESIDUAL)
         assert applicable_bounds(4, MONOGAMY, False) == (BASE,)
         assert applicable_bounds(4, MONOGAMY, True) == (BASE, RATIO_WEIGHTED, EXP_WEIGHTED)
+
+    def test_empty_grid_reads_no_lhs(self):
+        table = ComponentTable(w_state(4), CONCURRENCE)
+        assert bound_reports(table, MONOGAMY, [], (BASE,)) == []
+        assert set(table._cache) == {(1,), (2,), (3,)}
 
     def test_range_warning_flagged(self):
         state = w_state(3)

@@ -743,7 +743,16 @@ class TestBoundsCommand:
         (["fuzz", "--samples", "1", "--checks", ""], "check ''"),
         (["bounds", "--state", "bell.json", "--side", "polygamy", "--exponent", "1"],
          "component tables need at least three parties"),
-    ], ids=["empty-bounds", "empty-checks", "two-party-state"])
+        (["sweep", "--family", "w4", "--side", "monogamy", "--grid", "0:x:1"],
+         "--grid '0:x:1': 'x' is not a number"),
+        (["fuzz", "--samples", "1", "--dims", "2,2,x"], "--dims '2,2,x': 'x' is not an integer"),
+        (["fuzz", "--samples", "1", "--checks", "monogamy:concurrence:abc"],
+         "--checks 'monogamy:concurrence:abc': 'abc' is not a number"),
+        (["measure", "--family", "ghz:x"], "--family 'ghz:x': 'x' is not a number"),
+        (["measure", "--family", "3q", "--params", "1,0,0,0,zz"],
+         "--params '1,0,0,0,zz': 'zz' is not a number"),
+    ], ids=["empty-bounds", "empty-checks", "two-party-state", "grid-text", "dims-text",
+            "checks-exponent-text", "ghz-count-text", "params-text"])
     def test_input_errors_exit_2_before_any_component(self, capsys, tmp_path, monkeypatch, bell,
                                                       argv, message):
         from entshare import bounds
@@ -1182,3 +1191,41 @@ tracing.install(tracing.Tracer(), True)
 def test_benchmark_tracer_finds_every_name():
     proc = run_python("-c", TRACER_PROBE, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+WORKLOAD_PROBE = """
+import contextlib, io, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from workloads import WORKLOADS
+from entshare import cli
+for name, workload in WORKLOADS.items():
+    workload = workload(1)
+    checked = 0
+    for rnd in (workload.warmup(), workload.round(0)):
+        for path, text in rnd.files.items():
+            Path(path).write_text(text)
+        for item in rnd.items:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(item.argv)
+            problem = item.check(code, out.getvalue())
+            if problem is not None:
+                print("FAILED", name, " ".join(item.argv), problem)
+            checked += 1
+    print(name, checked)
+"""
+
+
+def test_benchmark_rounds_pass_their_oracles(tmp_path):
+    """The warmup and first round (seed 1) of every benchmark workload through its oracles.
+
+    bench/ is imported read-only (no bytecode written) in a subprocess that
+    runs in a temporary directory, so an output the benchmark would count as
+    incorrect fails here too.
+    """
+    proc = run_python("-B", "-c", WORKLOAD_PROBE, str(ROOT / "bench"), cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and not [line for line in lines if line.startswith("FAILED")], proc.stdout
+    assert all(int(line.split()[1]) > 0 for line in lines), proc.stdout

@@ -193,7 +193,7 @@ class TestFamilies:
         ("3q", [1, 0, 0, 0, 0, math.inf], "phase"), ("4q-theta", [0.5, 0.5, math.nan], "phase"),
         ("4q-theta", [0.5], "theta0"), ("4q-theta", [0.5] * 4, "theta0"),
         ("w4", [1], "no params"), ("w5", [0.3], "no params"),
-        ("ghz", [math.inf], "integer"),
+        ("ghz", [math.inf], "integer"), ("3q", ["1", "0", "0", "0", "zz"], "params .*'zz'"),
     ])
     def test_bad_params_rejected_by_name(self, name, params, message):
         with warnings.catch_warnings():
