@@ -32,7 +32,10 @@ under polygamy concurrence (estimate-backed violations). F also runs
 threshold also runs in CSV. Empirical-beta of `base` has no transition and
 exits 3 twice: on GHZ, where the bound is violated from the first scanned
 exponent on, and on the product state 3q 1,0,0,0,0, where it holds on the
-whole range. So each of the four no-root reasons has a line. The six
+whole range. So each of the four no-root reasons has a line. The last two
+lines are the fine-grid CSV sweeps the paper-curves benchmark times: w5
+tau_assistance polygamy on 0:2:0.001 and w4 concurrence monogamy on
+2:6:0.0005, both on exact tables. The six
 state files are built from fixed amplitudes or seeds and written as JSON into
 a temporary working directory, so every argv stays the same from run to run.
 Warnings and timing notes go to stderr and are not digested.
@@ -90,6 +93,12 @@ PAIR_CHECKS = ",".join(f"{side}:{measure}:{e}:pair_weighted"
                        for side, measure in (("monogamy", "concurrence"),
                                              ("polygamy", "concurrence_assistance"))
                        for e in ("0.5", "1", "2", "3"))
+# the two fine-grid sweeps the paper-curves benchmark times; both tables are exact, with no roof
+BENCH_SWEEPS = (
+    ["--family", "w5", "--measure", "tau_assistance", "--side", "polygamy",
+     "--grid", "0:2:0.001", "--restarts", "4"],
+    ["--family", "w4", "--measure", "concurrence", "--side", "monogamy", "--grid", "2:6:0.0005"],
+)
 
 
 def commands() -> list[list[str]]:
@@ -145,6 +154,8 @@ def commands() -> list[list[str]]:
                  "--exponent", "2"])
     cmds.append(["bounds", "--state", "haar4.json", "--side", "polygamy", "--measure",
                  "concurrence", "--exponent", "1", "--restarts", "2"])
+    for args in BENCH_SWEEPS:
+        cmds.append(["sweep", *args, "--format", "csv"])
     return cmds
 
 

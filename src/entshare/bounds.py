@@ -10,38 +10,21 @@ dispatch restricts each mixed cut to the supports of its reduced states, so
 the mixed joints of W-class, GHZ and 4q-theta states are exact 2x2 closed
 forms and only cuts still larger than 2x2 after it reach a convex roof.
 
-The table is the one input of every bound and threshold call: it carries
-the state, the measure and the optimizer settings, so evaluate_bounds,
-bound_reports, verify_hierarchy and the threshold scans take a table and
-nothing that could disagree with it.
+The table is the one input of every bound and threshold call: it carries the
+state, the measure and the optimizer settings, so no call takes anything that
+could disagree with it.
 
 Every bound is evaluated through a BoundPlan, built once per (table, side,
-bound ids, m). The plan does the exponent-independent work: it checks m where
-a bound's layout needs it, fetches and validates every component its bounds
-read, fixes each bound's exact flag and its weight layout. bound_reports is
-the one loop that turns a plan into BoundReports. It checks a given m
-(1..n_b-2, so none at three parties) and picks the default bound ids before
-it builds the plan. It reads the table's ordering (ordering_classify, once
-per table) only where m matters, so a plan whose bounds read no m measures no
-tail cut and classifies nothing. The float pass is one generated Python
-function per plan structure (_program): straight-line code over the residual
-recursion flattened children-first (_recursion). Its cache key is the
-structure only, the party count, the side, each bound's (weighting,
-strategy) and the weight layout; the components and the weight reference are
-arguments, so every plan of one structure shares the code, compiled on first
-use and never at import. The code raises each component with scalar `**`,
-weights a marginal as s**k * p, writes every sum as a left fold from 0 (what
-sum() of floats does on Python 3.11), takes max() with the first of equal
-maxima winning and divides each mean's fold by its count: the operations and
-order of the recursion, so every value is bit-identical to a direct
-evaluation (numpy's vectorized power may differ from `**` in the last bit, so
-it is not used). Its names come from indices only. evaluate_bounds is a
-one-point bound_reports; a sweep is one plan over its grid; bound_value is a
-one-bound plan. residual_tree is a read-only view of one residual bound's plan
-(BoundPlan.explain): the same compiled function called with its explain flag
-set, which then also returns each node's residual, the numbered levels and
-the party each top-level max omitted, read off the names the max() chose
-from, so the one function is the only walk of the recursion.
+bound ids, m): it fetches and validates the components its bounds read and
+fixes each bound's exact flag and weight layout. Its float pass is one
+generated function per plan structure (_program), bit-identical to a direct
+evaluation of the recursion (_source). bound_sweep is the one column pass
+over a grid: one plan, evaluated point by point in grid order, returned as a
+BoundSweep whose columns the CSV rows, the JSON reports and verify_hierarchy
+read; a BoundReport (bound_reports, evaluate_bounds) is a view of one point.
+bound_value is a one-bound plan, and residual_tree a read-only view of one
+residual bound's plan (BoundPlan.explain): the same compiled function with its
+explain flag set, so the one function is the only walk of the recursion.
 
 Every comparison (verdicts, orderings, hierarchy checks, the empirical-beta
 shift) takes its tolerance from one rule, comparison_tol: EXACT_TOL when every
@@ -85,6 +68,7 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import (
     DegenerateExponentWarning,
@@ -189,16 +173,16 @@ class ComponentTable:
         return table
 
     def joint(self, subset) -> MeasureValue:
+        if type(subset) is tuple and subset in self._cache:  # a cached key is read as given
+            return self._cache[subset]
         key = tuple(sorted(int(i) for i in subset))
         if not key or any(i < 1 or i > self.n_b for i in key) or len(set(key)) != len(key):
             raise InvalidParameterError(f"subset {subset} is not a set of B parties 1..{self.n_b}")
-        if key in self._cache:
-            return self._cache[key]
-        if self.state is None:
-            raise InvalidParameterError(f"synthetic table is missing component {key}")
-        comp = self._measure_cut(key)
-        self._cache[key] = comp
-        return comp
+        if key not in self._cache:
+            if self.state is None:
+                raise InvalidParameterError(f"synthetic table is missing component {key}")
+            self._cache[key] = self._measure_cut(key)
+        return self._cache[key]
 
     @functools.cached_property
     def ordering(self) -> OrderingResult:
@@ -293,8 +277,11 @@ def _source(n_b: int, polygamy: bool, kinds: tuple, layout: tuple | None) -> str
     ResidualTree: each node subset's residual, the numbered top levels and
     the party each top-level max omitted, the first position holding the
     selected value, as max() keeps the first of equal maxima. Names come from
-    indices only. Every sum is a left fold from 0, as sum() of floats is on
-    Python 3.11, so the values match the recursion bit for bit.
+    indices only. Each component is raised once with scalar `**` (numpy's
+    vectorized power may differ in the last bit), a marginal is weighted as
+    s**k * p, every sum is a left fold from 0 (as sum() of floats is on Python
+    3.11) and a mean divides its fold by its count: the values match the
+    recursion bit for bit.
     """
     nodes, top = _recursion(n_b) if any(strategy for _, strategy in kinds) else ((), ())
 
@@ -388,7 +375,7 @@ class BoundEntry:
     range_warning: bool = False
 
 
-@dataclass(slots=True)  # slots: a sweep holds one per grid point
+@dataclass(slots=True)
 class BoundReport:
     """One exponent's left-hand side, bound values, and satisfaction flags."""
 
@@ -403,6 +390,33 @@ class BoundReport:
     tol: dict[str, float]  # each bound's comparison_tol against the lhs
     lhs_power: float  # lhs.value ** exponent
     gap: dict[str, float]  # per bound: bound - lhs_power (polygamy), lhs_power - bound
+
+
+@dataclass(slots=True)
+class BoundSweep:
+    """One plan over an exponent grid (bound_sweep): values, gaps (signed as BoundReport.gap)
+    and verdicts hold one column per bound in plan.bound_ids order, each in grid order."""
+
+    plan: BoundPlan
+    exponents: list[float]
+    lhs_powers: list[float]
+    values: list[tuple[float, ...]]
+    gaps: list[list[float]]
+    verdicts: list[list[bool | None]]
+    degenerate: list[bool]
+    out_of_range: list[bool]
+    margin: float  # the comparison_tol of an estimate
+
+    def reports(self) -> list[BoundReport]:
+        """One BoundReport per exponent, a view of the columns: all share the plan's tol dict."""
+        plan, ids = self.plan, self.plan.bound_ids
+        return [BoundReport(x, plan.side, plan.lhs,
+                            {b: BoundEntry(v, e, wide) for b, v, e in zip(ids, values, plan.exact)},
+                            dict(zip(ids, verdicts)), plan.m, flat, self.margin, plan.tol, power,
+                            dict(zip(ids, gaps)))
+                for x, power, wide, flat, values, gaps, verdicts
+                in zip(self.exponents, self.lhs_powers, self.out_of_range, self.degenerate,
+                       zip(*self.values), zip(*self.gaps), zip(*self.verdicts))]
 
 
 @dataclass(frozen=True)
@@ -472,17 +486,15 @@ def needs_m(side: str, bound_id: str) -> bool:
 class BoundPlan:
     """The bounds `bound_ids` of one side on one table, at ordering index m.
 
-    Built once: the bound ids and, for a bound of layout "m", m are checked;
-    only then is every component the bounds read fetched, each bound's exact
+    Built once: the bound ids and, for a bound of layout "m", m are checked
+    before every component the bounds read is fetched, each bound's exact
     flag fixed (its marginals and, with a residual strategy, every component
-    of the recursion), and the compiled float pass looked up. values() then
-    evaluates any exponent without another table lookup, and explain() shows
-    the residual recursion that values() evaluated. Marginal sums are
-    (weighted) power sums; a residual strategy subtracts (polygamy) or adds
-    (monogamy) its selected levels. A plan holds one weight layout, the
-    scalar weight's power per party, read off its rows' layout column: from
-    m (_weight_powers) or, for "pair", (0, 1) down the descending sort of
-    the two marginals.
+    of the recursion) and the compiled float pass looked up. values() then
+    evaluates any exponent without a table lookup; explain() shows the
+    recursion values() evaluated. A residual strategy subtracts (polygamy) or
+    adds (monogamy) its selected levels from the (weighted) power sum. The
+    weight layout, the scalar weight's power per party, comes from m
+    (_weight_powers) or, for "pair", is (0, 1) down the sorted marginals.
     """
 
     def __init__(self, table: ComponentTable, side: str, bound_ids, m: int | None = None):
@@ -490,7 +502,7 @@ class BoundPlan:
         self.bound_ids = tuple(bound_ids)
         for bid in self.bound_ids:
             check_bound(side, bid, n_b + 1)
-        self.table = table
+        self.table, self.side, self.m = table, side, m
         rows = [BOUNDS[side][bid] for bid in self.bound_ids]
         layouts = [row[2] for row in rows]
         if "m" in layouts and m is None:
@@ -517,11 +529,8 @@ class BoundPlan:
         self._program = _program(*self._key)
 
     def values(self, exponent: float) -> list[float]:
-        """Each bound's value at `exponent`, in bound_ids order.
-
-        A negative exponent when a component is 0, and an exponent at which a
-        component power or the weight overflows a float, are rejected.
-        """
+        """Each bound's value at `exponent`, in bound_ids order; a negative exponent when a
+        component is 0, or one at which a component power or the weight overflows, is rejected."""
         return self._run(exponent, False)
 
     def _run(self, exponent: float, explain: bool):
@@ -572,22 +581,30 @@ def applicable_bounds(n_parties: int, side: str, have_m: bool) -> tuple[str, ...
                  if _fits(side, b, n_parties) and (have_m or not needs_m(side, b)))
 
 
+def bound_sweep(table: ComponentTable, side: str, exponents, bound_ids=None,
+                m: int | None = None) -> BoundSweep:
+    """The bounds of one BoundPlan over `exponents`, as columns: the one column pass.
+
+    The side, every exponent, every given bound id and a given m (1..n_b-2)
+    are checked before any component is measured; the default ids are every
+    applicable bound. table.ordering is read only where m matters: with m
+    None, for the default ids on four or more parties and for chosen bounds
+    that need m; with m given, when a bound needs it, and an m that breaks
+    the ordering hypothesis is used with an OrderingHypothesisWarning. The
+    first grid point that fails raises before any range or degenerate
+    warning; those follow in grid order and point at the caller.
+    """
+    return _sweep(table, side, exponents, bound_ids, m)
+
+
 def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
                   m: int | None = None) -> list[BoundReport]:
-    """Bound reports at each exponent, all from one BoundPlan: the one loop that builds them.
+    """bound_sweep's BoundReports (BoundSweep.reports), with its checks and warnings."""
+    return _sweep(table, side, exponents, bound_ids, m).reports()
 
-    The side, every exponent, every given bound id and a given m (1..n_b-2,
-    so none at three parties) are checked before any component is measured.
-    The default bound ids are every applicable bound. table.ordering is read
-    only where m matters: with m None, for the default ids on four or more
-    parties and for chosen bounds that need m (the report's m stays None
-    otherwise); with m given, when a bound needs it. A given m at which the
-    ordering hypothesis fails (OrderingResult.holds_at) is used anyway, with an
-    OrderingHypothesisWarning. The table's measure sets the exponent ranges
-    and its optimizer settings the comparison margin. What does not depend on
-    the exponent (lhs, tolerances, decided flags, range limits) is read once;
-    range and degenerate warnings point at the caller.
-    """
+
+def _sweep(table, side, exponents, bound_ids, m) -> BoundSweep:
+    """bound_sweep's body, called by bound_sweep and bound_reports: warnings skip two frames."""
     if side not in BOUNDS:
         raise InvalidParameterError(f"side must be polygamy or monogamy, got {side!r}")
     exponents = list(exponents)
@@ -604,49 +621,42 @@ def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
             relations = ", ".join(c.relation for c in table.ordering.comparisons)
             warnings.warn(f"ordering index m={m} breaks the ordering hypothesis (marginal "
                           f"against tail cut: {relations}); the weighted bounds need not hold",
-                          OrderingHypothesisWarning, stacklevel=2)
+                          OrderingHypothesisWarning, stacklevel=3)
     elif keyed and n_parties >= 4:
         m = table.ordering.m
     if bound_ids is None:
         bound_ids = applicable_bounds(n_parties, side, m is not None)
     plan = BoundPlan(table, side, bound_ids, m)
-    if not exponents:
-        return []
-    lhs, tols, polygamy, measure = plan.lhs, plan.tol, side == POLYGAMY, table.measure
-    decided = [exact and lhs.exact for exact in plan.exact]
-    margin = comparison_tol(table.opt, False)
+    polygamy, measure = side == POLYGAMY, table.measure
     low, high = (0.0, measure.beta_max + 1e-12) if polygamy else (measure.x_min - 1e-12, math.inf)
-    reports = []
-    for exponent in exponents:
-        if exponent < 0 and lhs.value == 0.0:
-            raise InvalidParameterError(f"exponent {exponent} is negative and the lhs is 0")
-        values = plan.values(exponent)
-        lhs_power = plan.lhs_power(exponent)
-        range_warning = not low <= exponent <= high
-        if range_warning:
+    rows, powers, out_of_range, degenerate = [], [], [], []
+    for x in exponents:  # the lhs is read per point, so an empty grid measures none
+        if x < 0 and plan.lhs.value == 0.0:
+            raise InvalidParameterError(f"exponent {x} is negative and the lhs is 0")
+        rows.append(plan.values(x))
+        powers.append(plan.lhs_power(x))
+        out_of_range.append(not low <= x <= high)
+        degenerate.append(x == 0.0 and (plan._zero_marginal or plan.lhs.value == 0.0))
+    for x, wide, flat in zip(exponents, out_of_range, degenerate):
+        if wide:
             beyond = f"outside [0, {measure.beta_max}]" if polygamy else f"below {measure.x_min}"
-            warnings.warn(f"{side} exponent {exponent} {beyond}", ExponentRangeWarning,
-                          stacklevel=2)
-        degenerate = exponent == 0.0 and (plan._zero_marginal or lhs.value == 0.0)
-        if degenerate:
+            warnings.warn(f"{side} exponent {x} {beyond}", ExponentRangeWarning, stacklevel=3)
+        if flat:
             warnings.warn("exponent 0 with a zero component; report flagged degenerate",
-                          DegenerateExponentWarning, stacklevel=2)
-        bounds, satisfied, gaps = {}, {}, {}
-        for bid, val, exact, dec in zip(plan.bound_ids, values, plan.exact, decided):
-            bounds[bid] = BoundEntry(val, exact, range_warning)
-            gap = gaps[bid] = (val - lhs_power) if polygamy else (lhs_power - val)
-            satisfied[bid] = None if degenerate else verdict(gap, tols[bid], dec)
-        reports.append(BoundReport(exponent, side, lhs, bounds, satisfied, m, degenerate,
-                                   margin, tols, lhs_power, gaps))
-    return reports
+                          DegenerateExponentWarning, stacklevel=3)
+    values, gaps, verdicts = [*zip(*rows)], [], []
+    for column, bid, exact in zip(values, plan.bound_ids, plan.exact):
+        gaps.append([*map(sub, column, powers)] if polygamy else [*map(sub, powers, column)])
+        tol, decided = plan.tol[bid], exact and plan.lhs.exact
+        verdicts.append([None if flat else verdict(gap, tol, decided)  # flat: 0**0, no verdict
+                         for gap, flat in zip(gaps[-1], degenerate)])
+    return BoundSweep(plan, exponents, powers, values, gaps, verdicts, degenerate, out_of_range,
+                      comparison_tol(table.opt, False))
 
 
 def evaluate_bounds(table: ComponentTable, exponent: float, side: str, bound_ids=None,
                     m: int | None = None) -> BoundReport:
-    """Full bound report for one exponent: lhs, every requested bound, flags.
-
-    A one-point bound_reports on the table.
-    """
+    """Full bound report for one exponent: a one-point bound_reports on the table."""
     return bound_reports(table, side, [exponent], bound_ids, m)[0]
 
 
@@ -676,28 +686,30 @@ def hierarchy_checks(side: str, n_parties: int, measure: CorrelationMeasure):
 def verify_hierarchy(table: ComponentTable, exponents, side: str, bound_ids=None):
     """Evaluate a grid and collect violations of the bound and ordering checks.
 
-    Returns (reports, violations, indeterminate_count). A violated bound or a
+    Returns (sweep, violations, indeterminate_count), the sweep being the
+    BoundSweep whose columns the checks read. A violated bound or a
     tighter/looser ordering broken beyond its comparison_tol becomes a
-    Violation; indeterminate (estimate-backed) verdicts only count. The
-    party count and the measure that pick the ordering checks are the table's.
+    Violation; indeterminate (estimate-backed) verdicts only count. The party
+    count and the measure that pick the ordering checks are the table's.
     """
     checks = hierarchy_checks(side, table.n_b + 1, table.measure)
-    reports = bound_reports(table, side, [float(x) for x in exponents], bound_ids)
-    violations: list[Violation] = []
-    indeterminate = 0
-    for report in reports:
-        if report.degenerate:
+    sweep = bound_sweep(table, side, [float(x) for x in exponents], bound_ids)
+    ids, values, exact = sweep.plan.bound_ids, sweep.values, sweep.plan.exact
+    violations, indeterminate = [], 0
+    for i, exponent in enumerate(sweep.exponents):
+        if sweep.degenerate[i]:
             continue
-        for bid, ok in report.satisfied.items():
-            if ok is False:
-                violations.append(Violation(report.exponent, bid, report.gap[bid]))
-            elif ok is None:
+        for bid, verdicts, gaps in zip(ids, sweep.verdicts, sweep.gaps):
+            if verdicts[i] is False:
+                violations.append(Violation(exponent, bid, gaps[i]))
+            elif verdicts[i] is None:
                 indeterminate += 1
         for tighter, looser in checks:
-            if tighter in report.bounds and looser in report.bounds:
-                a, b = report.bounds[tighter], report.bounds[looser]
-                gap = (b.value - a.value) if side == POLYGAMY else (a.value - b.value)
-                if verdict(gap, comparison_tol(table.opt, a.exact, b.exact), True) is False:
+            if tighter in ids and looser in ids:
+                a, b = ids.index(tighter), ids.index(looser)
+                x, y = values[a][i], values[b][i]
+                gap = (y - x) if side == POLYGAMY else (x - y)
+                if verdict(gap, comparison_tol(table.opt, exact[a], exact[b]), True) is False:
                     rel = "<=" if side == POLYGAMY else ">="
-                    violations.append(Violation(report.exponent, f"{tighter}{rel}{looser}", gap))
-    return reports, violations, indeterminate
+                    violations.append(Violation(exponent, f"{tighter}{rel}{looser}", gap))
+    return sweep, violations, indeterminate

@@ -19,7 +19,6 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 from . import bounds as bmod
@@ -56,8 +55,11 @@ DEFAULT_FUZZ_CHECKS = (
 )
 
 
+FLOAT_CELL, TEXT_CELL = "%.17g", "%s"  # CSV cells: a float to 17 significant digits, text as is
+
+
 def fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return FLOAT_CELL % x
 
 
 def _number(text: str, option: str, kind=float):
@@ -206,17 +208,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(args, doc, header: list[str], rows) -> None:
+def _write(args, doc, header: list[str], cells: list[str], rows) -> None:
     """Write a command's result in its --format to --out, or to stdout: every command's one path.
 
-    JSON is doc(), key-sorted with a two-space indent; CSV is the header and the rows of
-    formatted cells, one comma-joined line each. doc is called only for JSON and rows are
-    read only for CSV, so no run builds the values of the format it does not write.
+    JSON is doc(), key-sorted with a two-space indent; CSV is the header, then each row tuple
+    through one %-template, the comma-joined cells (FLOAT_CELL, TEXT_CELL or a constant). doc
+    is called only for JSON and rows are read only for CSV, so no run builds the values of the
+    format it does not write.
     """
     if args.format == "json":
         text = json.dumps(doc(), indent=2, sort_keys=True) + "\n"
     else:
-        text = "\n".join([",".join(header), *[",".join(row) for row in rows]]) + "\n"
+        template = ",".join(cells)
+        text = "\n".join([",".join(header), *map(template.__mod__, rows)]) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -233,39 +237,35 @@ def cmd_measure(args) -> int:
         target = partial_trace(state, keep)
         remap = {old: new for new, old in enumerate(keep)}
         cut = Bipartition({remap[i] for i in cut.side_a}, {remap[i] for i in cut.side_b})
-    measure = get_measure(args.measure)
-    mv = measure_bipartite(measure, target, cut, opt)
+    mv = measure_bipartite(get_measure(args.measure), target, cut, opt)
     _write(args, lambda: {"value": mv.value, "exactness": mv.exactness,
                           "optimizer_meta": mv.optimizer_meta},
-           ["value", "exactness"], ([fmt(v.value), v.exactness] for v in (mv,)))
+           ["value", "exactness"], [FLOAT_CELL, TEXT_CELL], [(mv.value, mv.exactness)])
     return EXIT_OK
 
 
 _OK_CELLS = {True: "1", False: "0", None: "na"}
 
 
-def _report_rows(reports, bound_ids):
-    """CSV header and the formatted rows of the reports of one plan, made one at a time."""
-    header = ["exponent", "lhs"] + list(bound_ids)
-    header += [f"tol_{b}" for b in bound_ids] + [f"ok_{b}" for b in bound_ids]
-    tols = [fmt(reports[0].tol[b]) for b in bound_ids]  # one plan: every report shares its tol
-    rows = ([fmt(rep.exponent), fmt(rep.lhs_power), *[fmt(rep.bounds[b].value) for b in bound_ids],
-             *tols, *[_OK_CELLS[rep.satisfied[b]] for b in bound_ids]] for rep in reports)
-    return header, rows
+def _report_rows(sweep):
+    """CSV header, cells and row tuples of a sweep's columns; the tol cells are formatted once."""
+    ids, tol = sweep.plan.bound_ids, sweep.plan.tol
+    header = ["exponent", "lhs", *ids, *[f"tol_{b}" for b in ids], *[f"ok_{b}" for b in ids]]
+    cells = [FLOAT_CELL] * (2 + len(ids)) + [fmt(tol[b]) for b in ids] + [TEXT_CELL] * len(ids)
+    oks = [[*map(_OK_CELLS.__getitem__, verdicts)] for verdicts in sweep.verdicts]
+    return header, cells, zip(sweep.exponents, sweep.lhs_powers, *sweep.values, *oks)
 
 
-def _report_doc(rep) -> dict:
-    return {
-        "exponent": rep.exponent,
-        "side": rep.side,
-        "lhs": {"value": rep.lhs.value, "exactness": rep.lhs.exactness},
-        "lhs_power": rep.lhs_power,
-        "bounds": {b: asdict(e) for b, e in rep.bounds.items()},
-        "satisfied": rep.satisfied,
-        "m": rep.m,
-        "degenerate": rep.degenerate,
-        "margin": rep.margin,
-    }
+def _report_doc(sweep, i: int) -> dict:
+    """The JSON report of a sweep's i-th exponent, read off its columns."""
+    plan, lhs, wide = sweep.plan, sweep.plan.lhs, sweep.out_of_range[i]
+    return {"exponent": sweep.exponents[i], "side": plan.side, "m": plan.m,
+            "lhs": {"value": lhs.value, "exactness": lhs.exactness},
+            "lhs_power": sweep.lhs_powers[i], "degenerate": sweep.degenerate[i],
+            "bounds": {b: {"value": values[i], "exact": exact, "range_warning": wide}
+                       for b, values, exact in zip(plan.bound_ids, sweep.values, plan.exact)},
+            "satisfied": {b: verdicts[i] for b, verdicts in zip(plan.bound_ids, sweep.verdicts)},
+            "margin": sweep.margin}
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -277,16 +277,14 @@ def parse_grid(spec: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     """sweep over --grid; bounds is the one-point sweep at --exponent."""
-    state = load_state(args)
-    measure = get_measure(args.measure)
-    opt = optimizer_from_args(args)
+    state, measure, opt = load_state(args), get_measure(args.measure), optimizer_from_args(args)
     one_point = args.command == "bounds"
     grid = [args.exponent] if one_point else parse_grid(args.grid)
     ids = tuple(args.bounds.split(",")) if args.bounds is not None else None
     table = bmod.ComponentTable(state, measure, opt)
-    reports = bmod.bound_reports(table, args.side, grid, ids, args.m)
-    _write(args, lambda: _report_doc(reports[0]) if one_point else [*map(_report_doc, reports)],
-           *_report_rows(reports, list(reports[0].bounds)))
+    sweep = bmod.bound_sweep(table, args.side, grid, ids, args.m)
+    _write(args, lambda: _report_doc(sweep, 0) if one_point
+           else [_report_doc(sweep, i) for i in range(len(grid))], *_report_rows(sweep))
     return EXIT_OK
 
 
@@ -304,8 +302,8 @@ def cmd_threshold(args) -> int:
                                 tol=args.tol, scan_steps=args.scan_steps,
                                 search_cap=DEFAULT_SEARCH_CAP if args.cap is None else args.cap)
     _write(args, lambda: vars(result),
-           ["root", "bracket_lo", "bracket_hi", "iterations", "residual_at_root"],
-           (map(fmt, (r.root, *r.bracket, r.iterations, r.residual_at_root)) for r in (result,)))
+           ["root", "bracket_lo", "bracket_hi", "iterations", "residual_at_root"], [FLOAT_CELL] * 5,
+           [(result.root, *result.bracket, result.iterations, result.residual_at_root)])
     return EXIT_OK
 
 
@@ -347,8 +345,7 @@ def cmd_fuzz(args) -> int:
     measures = dict.fromkeys(m for _, _, m, _, _ in checks)
     opt = optimizer_from_args(args)
     started = time.perf_counter()
-    violations = []
-    indeterminate = skipped = 0
+    violations, indeterminate, skipped = [], 0, 0
     for k in range(args.samples):
         sample_seed = opt.seed + k
         state = haar_random_pure(dims, sample_seed)
@@ -364,36 +361,27 @@ def cmd_fuzz(args) -> int:
             _, viol, indet = bmod.verify_hierarchy(table, [exponent], side, bound_ids=ids)
             indeterminate += indet
             for v in viol:
-                violations.append({
-                    "seed": sample_seed,
-                    "state_digest": digest,
-                    "bound": v.check,
-                    "exponent": v.exponent,
-                    "gap": v.gap,
-                    "side": side,
-                    "measure": name,
-                })
+                violations.append((sample_seed, digest, side, name, v.check, v.exponent, v.gap))
     elapsed = time.perf_counter() - started
     sys.stderr.write(f"fuzz: {args.samples} samples in {elapsed:.2f}s, "
                      f"{skipped} checks skipped without an ordering index m\n")
+    header = ["seed", "state_digest", "side", "measure", "bound", "exponent", "gap"]
     _write(args, lambda: {
         "samples": args.samples,
         "dims": list(dims),
         "checks": [f"{s}:{name}:{e}" + (f":{b}" if b else "")
                    for s, name, _, e, b in checks],
         "seed": opt.seed,
-        "violations": violations,
+        "violations": [dict(zip(header, v)) for v in violations],
         "indeterminate": indeterminate,
-    }, ["seed", "state_digest", "side", "measure", "bound", "exponent", "gap"],
-        ([str(v["seed"]), v["state_digest"], v["side"], v["measure"], v["bound"],
-          fmt(v["exponent"]), fmt(v["gap"])] for v in violations))
+    }, header, [TEXT_CELL] * 5 + [FLOAT_CELL] * 2, violations)
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 
 def cmd_figure(args) -> int:
     header, rows = reference.figure_rows(args.fig, args.step)
     _write(args, lambda: [dict(zip(header, row)) for row in rows], header,
-           (map(fmt, row) for row in rows))
+           [FLOAT_CELL] * len(header), map(tuple, rows))
     return EXIT_OK
 
 

@@ -982,9 +982,9 @@ class TestEvaluateBounds:
 class TestHierarchy:
     def test_w5_polygamy_grid_clean(self):
         table = ComponentTable(w_state(5), TAU_ASSISTANCE, OptimizerConfig(restarts=6))
-        reports, violations, _ = verify_hierarchy(table, [0.5, 1.0, 1.5, 2.0], POLYGAMY)
+        sweep, violations, _ = verify_hierarchy(table, [0.5, 1.0, 1.5, 2.0], POLYGAMY)
         assert violations == []
-        assert len(reports) == 4
+        assert len(sweep.reports()) == 4
 
     def test_w4_monogamy_grid_clean(self):
         _, violations, _ = verify_hierarchy(
@@ -1008,13 +1008,13 @@ class TestHierarchy:
 
         monkeypatch.setattr(bounds, "measure_bipartite", unexpected)
         again = verify_hierarchy(shared, exponents, side)
-        assert again == fresh
+        assert (again[0].reports(), *again[1:]) == (fresh[0].reports(), *fresh[1:])
 
     def test_product_state_all_zero(self):
-        reports, violations, _ = verify_hierarchy(
+        sweep, violations, _ = verify_hierarchy(
             ComponentTable(product_state_4q(), CONCURRENCE), [1.0, 2.0], POLYGAMY)
         assert violations == []
-        for rep in reports:
+        for rep in sweep.reports():
             assert rep.lhs_power == 0.0
             assert all(e.value == 0.0 for e in rep.bounds.values())
 
@@ -1023,8 +1023,8 @@ class TestHierarchy:
         table = ComponentTable.from_values({(1,): 0.5, (2,): 0.0, (1, 2): 0.6}, n_b=2,
                                            measure=CONCURRENCE)
         with pytest.warns(DegenerateExponentWarning):
-            reports, violations, indeterminate = verify_hierarchy(table, [0.0], POLYGAMY)
-        assert [rep.degenerate for rep in reports] == [True]
+            sweep, violations, indeterminate = verify_hierarchy(table, [0.0], POLYGAMY)
+        assert [rep.degenerate for rep in sweep.reports()] == [True]
         assert (violations, indeterminate) == ([], 0)
 
     @pytest.mark.parametrize("measure, checked", [(TAU_ASSISTANCE, True), (CONCURRENCE, False)])
@@ -1033,7 +1033,8 @@ class TestHierarchy:
         table = ComponentTable.from_values(
             {(1,): 0.1, (2,): 0.1, (3,): 0.1, (1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5,
              (1, 2, 3): 0.9}, n_b=3, measure=measure)
-        reports, violations, _ = verify_hierarchy(table, [1.0], POLYGAMY)
+        sweep, violations, _ = verify_hierarchy(table, [1.0], POLYGAMY)
+        reports = sweep.reports()
         assert [rep.m for rep in reports] == [None]
         assert set(reports[0].bounds) == {BASE, RESIDUAL_MAX, RESIDUAL_MEAN}
         checks = {v.check for v in violations}
@@ -1144,9 +1145,9 @@ def _rule_ordering(state, table, rule, verdict, monkeypatch):
 def _rule_hierarchy(state, table, rule, verdict, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExponentRangeWarning)
-        reports, violations, _ = verify_hierarchy(table, RULE_EXPONENTS, POLYGAMY)
+        sweep, violations, _ = verify_hierarchy(table, RULE_EXPONENTS, POLYGAMY)
     want = []
-    for rep in reports:
+    for rep in sweep.reports():
         tight, loose = rep.bounds[RESIDUAL_MAX], rep.bounds[BASE]
         gap = loose.value - tight.value
         if verdict(gap, rule(table.opt, tight.exact, loose.exact), True) is False:
@@ -1155,19 +1156,27 @@ def _rule_hierarchy(state, table, rule, verdict, monkeypatch):
     return got, want
 
 
+def _rule_sweep(table):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExponentRangeWarning)
+        return bmod.bound_sweep(table, POLYGAMY, RULE_EXPONENTS)
+
+
 def _rule_csv_tol(state, table, rule, verdict, monkeypatch):
-    reports = _rule_reports(table)
-    ids = list(reports[0].bounds)
-    _, rows = cli._report_rows(reports, ids)
+    sweep = _rule_sweep(table)
+    ids = sweep.plan.bound_ids
+    _, cells, rows = cli._report_rows(sweep)
+    lines = [(",".join(cells) % row).split(",") for row in rows]
     want = [[cli.fmt(rule(table.opt, rep.bounds[b].exact, rep.lhs.exact)) for b in ids]
-            for rep in reports]
-    return [row[2 + len(ids):2 + 2 * len(ids)] for row in rows], want
+            for rep in sweep.reports()]
+    return [line[2 + len(ids):2 + 2 * len(ids)] for line in lines], want
 
 
 def _rule_json_margin(state, table, rule, verdict, monkeypatch):
-    reports = _rule_reports(table)
-    return ([cli._report_doc(rep)["margin"] for rep in reports],
-            [rule(table.opt, False)] * len(reports))
+    sweep = _rule_sweep(table)
+    points = range(len(sweep.exponents))
+    return ([cli._report_doc(sweep, i)["margin"] for i in points],
+            [rule(table.opt, False)] * len(points))
 
 
 def _rule_beta_shift(state, table, rule, verdict, monkeypatch):

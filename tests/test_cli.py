@@ -544,7 +544,7 @@ class TestSweepCommand:
         assert code == 2
 
     def test_csv_sweep_builds_no_json_document(self, capsys, monkeypatch):
-        def no_doc(rep):
+        def no_doc(*args):
             raise AssertionError("a JSON report document was built")
 
         monkeypatch.setattr(cli, "_report_doc", no_doc)
