@@ -20,11 +20,12 @@ fixes each bound's exact flag and weight layout. Its float pass is one
 generated function per plan structure (_program), bit-identical to a direct
 evaluation of the recursion (_source). bound_sweep is the one column pass
 over a grid: one plan, evaluated point by point in grid order, returned as a
-BoundSweep whose columns the CSV rows, the JSON reports and verify_hierarchy
-read; a BoundReport (bound_reports, evaluate_bounds) is a view of one point.
-bound_value is a one-bound plan, and residual_tree a read-only view of one
-residual bound's plan (BoundPlan.explain): the same compiled function with its
-explain flag set, so the one function is the only walk of the recursion.
+BoundSweep, the one bound result, whose columns the CSV rows, the JSON
+reports, verify_hierarchy and the empirical-beta no-root reason read;
+evaluate_bounds is its one-point sweep. bound_value is a one-bound plan, and
+residual_tree a read-only view of one residual bound's plan
+(BoundPlan.explain): the same compiled function with its explain flag set,
+so the one function is the only walk of the recursion.
 
 Every comparison (verdicts, orderings, hierarchy checks, the empirical-beta
 shift) takes its tolerance from one rule, comparison_tol: EXACT_TOL when every
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -175,8 +177,9 @@ class ComponentTable:
     def joint(self, subset) -> MeasureValue:
         if type(subset) is tuple and subset in self._cache:  # a cached key is read as given
             return self._cache[subset]
-        key = tuple(sorted(int(i) for i in subset))
-        if not key or any(i < 1 or i > self.n_b for i in key) or len(set(key)) != len(key):
+        parties = tuple(subset)
+        key = tuple(sorted(int(i) for i in parties if isinstance(i, numbers.Integral)))
+        if not key or any(i < 1 or i > self.n_b for i in key) or len(set(key)) != len(parties):
             raise InvalidParameterError(f"subset {subset} is not a set of B parties 1..{self.n_b}")
         if key not in self._cache:
             if self.state is None:
@@ -368,34 +371,11 @@ def residual_tree(table: ComponentTable, side: str, bound_id: str, exponent: flo
     return BoundPlan(table, side, (bound_id,), m).explain(exponent)[bound_id]
 
 
-@dataclass(frozen=True, slots=True)
-class BoundEntry:
-    value: float
-    exact: bool
-    range_warning: bool = False
-
-
-@dataclass(slots=True)
-class BoundReport:
-    """One exponent's left-hand side, bound values, and satisfaction flags."""
-
-    exponent: float
-    side: str
-    lhs: MeasureValue
-    bounds: dict[str, BoundEntry]
-    satisfied: dict[str, bool | None]
-    m: int | None
-    degenerate: bool
-    margin: float  # the comparison_tol of an estimate
-    tol: dict[str, float]  # each bound's comparison_tol against the lhs
-    lhs_power: float  # lhs.value ** exponent
-    gap: dict[str, float]  # per bound: bound - lhs_power (polygamy), lhs_power - bound
-
-
 @dataclass(slots=True)
 class BoundSweep:
-    """One plan over an exponent grid (bound_sweep): values, gaps (signed as BoundReport.gap)
-    and verdicts hold one column per bound in plan.bound_ids order, each in grid order."""
+    """One plan over an exponent grid (bound_sweep), the one bound result: values, gaps and
+    verdicts hold one column per bound in plan.bound_ids order, each in grid order. A gap is
+    bound - lhs power for polygamy, lhs power - bound for monogamy, decided at plan.tol."""
 
     plan: BoundPlan
     exponents: list[float]
@@ -406,17 +386,6 @@ class BoundSweep:
     degenerate: list[bool]
     out_of_range: list[bool]
     margin: float  # the comparison_tol of an estimate
-
-    def reports(self) -> list[BoundReport]:
-        """One BoundReport per exponent, a view of the columns: all share the plan's tol dict."""
-        plan, ids = self.plan, self.plan.bound_ids
-        return [BoundReport(x, plan.side, plan.lhs,
-                            {b: BoundEntry(v, e, wide) for b, v, e in zip(ids, values, plan.exact)},
-                            dict(zip(ids, verdicts)), plan.m, flat, self.margin, plan.tol, power,
-                            dict(zip(ids, gaps)))
-                for x, power, wide, flat, values, gaps, verdicts
-                in zip(self.exponents, self.lhs_powers, self.out_of_range, self.degenerate,
-                       zip(*self.values), zip(*self.gaps), zip(*self.verdicts))]
 
 
 @dataclass(frozen=True)
@@ -556,7 +525,7 @@ class BoundPlan:
 
     @functools.cached_property
     def tol(self) -> dict[str, float]:
-        """Each bound's comparison_tol against the lhs; every report shares this dict."""
+        """Each bound's comparison_tol against the lhs; every sweep of the plan reads it."""
         return {bid: comparison_tol(self.table.opt, exact, self.lhs.exact)
                 for bid, exact in zip(self.bound_ids, self.exact)}
 
@@ -594,17 +563,6 @@ def bound_sweep(table: ComponentTable, side: str, exponents, bound_ids=None,
     first grid point that fails raises before any range or degenerate
     warning; those follow in grid order and point at the caller.
     """
-    return _sweep(table, side, exponents, bound_ids, m)
-
-
-def bound_reports(table: ComponentTable, side: str, exponents, bound_ids=None,
-                  m: int | None = None) -> list[BoundReport]:
-    """bound_sweep's BoundReports (BoundSweep.reports), with its checks and warnings."""
-    return _sweep(table, side, exponents, bound_ids, m).reports()
-
-
-def _sweep(table, side, exponents, bound_ids, m) -> BoundSweep:
-    """bound_sweep's body, called by bound_sweep and bound_reports: warnings skip two frames."""
     if side not in BOUNDS:
         raise InvalidParameterError(f"side must be polygamy or monogamy, got {side!r}")
     exponents = list(exponents)
@@ -621,7 +579,7 @@ def _sweep(table, side, exponents, bound_ids, m) -> BoundSweep:
             relations = ", ".join(c.relation for c in table.ordering.comparisons)
             warnings.warn(f"ordering index m={m} breaks the ordering hypothesis (marginal "
                           f"against tail cut: {relations}); the weighted bounds need not hold",
-                          OrderingHypothesisWarning, stacklevel=3)
+                          OrderingHypothesisWarning, stacklevel=2)
     elif keyed and n_parties >= 4:
         m = table.ordering.m
     if bound_ids is None:
@@ -640,10 +598,10 @@ def _sweep(table, side, exponents, bound_ids, m) -> BoundSweep:
     for x, wide, flat in zip(exponents, out_of_range, degenerate):
         if wide:
             beyond = f"outside [0, {measure.beta_max}]" if polygamy else f"below {measure.x_min}"
-            warnings.warn(f"{side} exponent {x} {beyond}", ExponentRangeWarning, stacklevel=3)
+            warnings.warn(f"{side} exponent {x} {beyond}", ExponentRangeWarning, stacklevel=2)
         if flat:
             warnings.warn("exponent 0 with a zero component; report flagged degenerate",
-                          DegenerateExponentWarning, stacklevel=3)
+                          DegenerateExponentWarning, stacklevel=2)
     values, gaps, verdicts = [*zip(*rows)], [], []
     for column, bid, exact in zip(values, plan.bound_ids, plan.exact):
         gaps.append([*map(sub, column, powers)] if polygamy else [*map(sub, powers, column)])
@@ -655,9 +613,9 @@ def _sweep(table, side, exponents, bound_ids, m) -> BoundSweep:
 
 
 def evaluate_bounds(table: ComponentTable, exponent: float, side: str, bound_ids=None,
-                    m: int | None = None) -> BoundReport:
-    """Full bound report for one exponent: a one-point bound_reports on the table."""
-    return bound_reports(table, side, [exponent], bound_ids, m)[0]
+                    m: int | None = None) -> BoundSweep:
+    """Every bound at one exponent: the one-point bound_sweep, with its checks and warnings."""
+    return bound_sweep(table, side, [exponent], bound_ids, m)
 
 
 @dataclass(frozen=True)

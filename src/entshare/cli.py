@@ -58,10 +58,6 @@ DEFAULT_FUZZ_CHECKS = (
 FLOAT_CELL, TEXT_CELL = "%.17g", "%s"  # CSV cells: a float to 17 significant digits, text as is
 
 
-def fmt(x: float) -> str:
-    return FLOAT_CELL % x
-
-
 def _number(text: str, option: str, kind=float):
     """kind(text), or an error naming the option and the text that is not a number."""
     try:
@@ -251,7 +247,8 @@ def _report_rows(sweep):
     """CSV header, cells and row tuples of a sweep's columns; the tol cells are formatted once."""
     ids, tol = sweep.plan.bound_ids, sweep.plan.tol
     header = ["exponent", "lhs", *ids, *[f"tol_{b}" for b in ids], *[f"ok_{b}" for b in ids]]
-    cells = [FLOAT_CELL] * (2 + len(ids)) + [fmt(tol[b]) for b in ids] + [TEXT_CELL] * len(ids)
+    cells = ([FLOAT_CELL] * (2 + len(ids)) + [FLOAT_CELL % tol[b] for b in ids]
+             + [TEXT_CELL] * len(ids))
     oks = [[*map(_OK_CELLS.__getitem__, verdicts)] for verdicts in sweep.verdicts]
     return header, cells, zip(sweep.exponents, sweep.lhs_powers, *sweep.values, *oks)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import reprlib
 import sys
 from dataclasses import dataclass, field
@@ -153,6 +154,9 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
     else:
         rho, dims = state.matrix, state.dims
     n = len(dims)
+    keep = list(keep)
+    if not all(isinstance(k, numbers.Integral) for k in keep):
+        raise InvalidPartitionError(f"keep set {keep} holds a party that is not an integer")
     keep = sorted(set(int(k) for k in keep))
     if not keep or any(k < 0 or k >= n for k in keep):
         raise InvalidPartitionError(f"keep set {keep} is not a valid non-empty subset of 0..{n - 1}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import BASE, POLYGAMY, RESIDUAL_MAX, BoundPlan, ComponentTable, bound_reports
+from .bounds import BASE, POLYGAMY, RESIDUAL_MAX, BoundPlan, ComponentTable, bound_sweep
 from .bounds import bound_value  # noqa: F401  (bench/tracing.py wraps thresholds.bound_value)
 from .errors import EvaluationError, InvalidParameterError, NoRootError
 from .reference import MAX_GRID_POINTS
@@ -116,7 +116,7 @@ def _scan(table: ComponentTable, bound_id: str, hi: float, tol: float, scan_step
     if not shifted:
         raise NoRootError("no root: degenerate state, both pair components vanish" if degenerate
                           else "no root: residual keeps one sign on the range")
-    violated = bound_reports(table, POLYGAMY, [lo], (bound_id,))[0].satisfied[bound_id] is False
+    violated = bound_sweep(table, POLYGAMY, [lo], (bound_id,)).verdicts[0][0] is False
     why = "is violated from the first scanned exponent" if violated else "holds on the whole range"
     raise NoRootError(f"no transition: the bound {why}")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import os
@@ -34,7 +35,7 @@ from entshare.bounds import (
     BoundPlan,
     ComponentTable,
     applicable_bounds,
-    bound_reports,
+    bound_sweep,
     bound_value,
     check_bound,
     evaluate_bounds,
@@ -249,7 +250,7 @@ class TestBoundPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameterError, match="negative"):
-                bound_reports(table, side, [2.0, -1.0])
+                bound_sweep(table, side, [2.0, -1.0])
         assert bound_value(table, BASE, 2.0, side) == (0.25, True)
 
     @pytest.mark.parametrize("joints, side, bound_id, exponent, m", [
@@ -265,7 +266,7 @@ class TestBoundPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameterError, match="overflows"):
-                bound_reports(table, side, [exponent], (bound_id,), m)
+                bound_sweep(table, side, [exponent], (bound_id,), m)
 
     def test_negative_exponent_on_a_zero_lhs_rejected_before_any_warning(self):
         table = ComponentTable.from_values({(1,): 0.5, (2,): 0.5, (1, 2): 0.0}, n_b=2,
@@ -274,14 +275,14 @@ class TestBoundPlan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidParameterError, match="lhs"):
-                bound_reports(table, POLYGAMY, [-1.0])
+                bound_sweep(table, POLYGAMY, [-1.0])
 
     def test_negative_exponent_on_non_zero_components_evaluated(self):
         table = ComponentTable.from_values({(1,): 0.5, (2,): 0.5, (1, 2): 0.5}, n_b=2,
                                            measure=CONCURRENCE)
         with pytest.warns(ExponentRangeWarning):
-            (report,) = bound_reports(table, POLYGAMY, [-1.0])
-        assert report.bounds[BASE].value == 4.0 and report.lhs_power == 2.0
+            sweep = bound_sweep(table, POLYGAMY, [-1.0])
+        assert sweep.values[0] == (4.0,) and sweep.lhs_powers == [2.0]
 
 
 IMPORT_PROBE = """
@@ -398,9 +399,9 @@ class TestWeightedPair:
     def test_range_warnings(self):
         for side, exponent in ((POLYGAMY, 3.0), (MONOGAMY, 1.0)):
             with pytest.warns(ExponentRangeWarning):
-                rep = evaluate_bounds(ComponentTable(w_state(3), CONCURRENCE), exponent, side,
-                                      bound_ids=(PAIR_WEIGHTED,))
-            assert rep.bounds[PAIR_WEIGHTED].range_warning
+                sweep = evaluate_bounds(ComponentTable(w_state(3), CONCURRENCE), exponent, side,
+                                        bound_ids=(PAIR_WEIGHTED,))
+            assert cli._report_doc(sweep, 0)["bounds"][PAIR_WEIGHTED]["range_warning"]
 
 
 class TestWeightPowers:
@@ -424,7 +425,7 @@ class TestWeightPowers:
     def test_m_out_of_range_rejected_before_any_component(self, state, m, message, side):
         table = ComponentTable(state, TAU_ASSISTANCE if side == POLYGAMY else CONCURRENCE)
         with pytest.raises(InvalidParameterError, match=message):
-            bound_reports(table, side, [1.0, 2.0], (BASE,), m)
+            bound_sweep(table, side, [1.0, 2.0], (BASE,), m)
         assert table._cache == {}
 
     @pytest.mark.parametrize("call, message", [
@@ -446,7 +447,7 @@ class TestWeightPowers:
     def test_unknown_side_rejected_before_any_component(self):
         table = ComponentTable(w_state(4), CONCURRENCE)
         with pytest.raises(InvalidParameterError, match="side must be polygamy or monogamy"):
-            bound_reports(table, "sideways", [1.0])
+            bound_sweep(table, "sideways", [1.0])
         assert table._cache == {}
 
 
@@ -544,8 +545,8 @@ class TestComponentTable:
 
     def test_report_lhs_is_the_table_entry(self):
         table = ComponentTable(w_state(4), CONCURRENCE, OptimizerConfig(restarts=2))
-        rep = evaluate_bounds(table, 2.0, MONOGAMY)
-        assert rep.lhs is table.lhs()
+        sweep = evaluate_bounds(table, 2.0, MONOGAMY)
+        assert sweep.plan.lhs is table.lhs()
 
     def test_state_backed_memoizes(self):
         table = ComponentTable(w_state(4), CONCURRENCE)
@@ -554,10 +555,15 @@ class TestComponentTable:
 
     def test_subset_validation(self):
         table = ComponentTable.from_values(W4_TABLE, n_b=3, measure=CONCURRENCE)
-        with pytest.raises(InvalidParameterError):
-            table.joint((0,))
-        with pytest.raises(InvalidParameterError):
-            table.joint((1, 1))
+        # int() would truncate the non-integral parties to the B1 or B1B2 cut
+        for subset in ((0,), (1, 1), [1.7], [2.2, 1.9], [1, 1.0], [True, 2.5]):
+            with pytest.raises(InvalidParameterError, match="not a set of B parties"):
+                table.joint(subset)
+        assert table.joint([np.int64(2), 1]) is table.joint((1, 2))
+        state_backed = ComponentTable(w_state(4), CONCURRENCE)
+        with pytest.raises(InvalidParameterError, match="not a set of B parties"):
+            state_backed.joint([1.7])
+        assert state_backed._cache == {}
 
     def test_exact_marginals_for_w4(self):
         table = ComponentTable(w_state(4), CONCURRENCE)
@@ -709,20 +715,21 @@ class TestKnownFindings:
                                                              exponent, bound_id, value,
                                                              lhs_power):
         table = ComponentTable(self.state_f(), measure)
-        rep = evaluate_bounds(table, exponent, side)
+        sweep = evaluate_bounds(table, exponent, side)
+        rep = cli._report_doc(sweep, 0)
         # Kim-Sanders: C_{AB_i} = 2 |b_0 b_i|, joints sqrt(sum_S C^2), lhs 2 sqrt(det rho_A)
         b = np.array([3, 6, 4, 4]) / math.sqrt(93)
         q = {s: 2 * b[0] * math.sqrt(sum(b[i] ** 2 for i in s)) for s in all_subsets(3)[:-1]}
         q[(1, 2, 3)] = 2 * math.sqrt(612) / 93
         assert all(table.joint(s).value == pytest.approx(q[s], rel=1e-12) for s in q)
         ref = measure.beta_max if side == POLYGAMY else measure.x_min
-        entry = rep.bounds[bound_id]
-        assert rep.m == 1 and entry.exact and rep.lhs.exact
-        assert entry.value == pytest.approx(recursive_bound(q, 3, bound_id, exponent, side, 1,
-                                                            ref), rel=1e-12)
-        assert rep.lhs_power == pytest.approx(q[(1, 2, 3)] ** exponent, rel=1e-12)
-        assert (entry.value, rep.lhs_power) == pytest.approx((value, lhs_power), abs=5e-8)
-        assert rep.satisfied[bound_id] is False
+        entry = rep["bounds"][bound_id]
+        assert rep["m"] == 1 and entry["exact"] and sweep.plan.lhs.exact
+        assert entry["value"] == pytest.approx(recursive_bound(q, 3, bound_id, exponent, side, 1,
+                                                               ref), rel=1e-12)
+        assert rep["lhs_power"] == pytest.approx(q[(1, 2, 3)] ** exponent, rel=1e-12)
+        assert (entry["value"], rep["lhs_power"]) == pytest.approx((value, lhs_power), abs=5e-8)
+        assert rep["satisfied"][bound_id] is False
 
 
 class TestBoundValues:
@@ -895,8 +902,8 @@ class TestOrdering:
         assert tuple(c.relation for c in ordering.comparisons) == relations
         assert ordering.m is None and not ordering.holds_at(1)
         with pytest.warns(OrderingHypothesisWarning, match="m=1 breaks"):
-            (report,) = bound_reports(table, side, [2.0], m=1)
-        assert report.m == 1
+            sweep = bound_sweep(table, side, [2.0], m=1)
+        assert sweep.plan.m == 1
 
     @pytest.mark.parametrize("side, measure", [(POLYGAMY, TAU_ASSISTANCE),
                                                (MONOGAMY, CONCURRENCE)])
@@ -905,24 +912,22 @@ class TestOrdering:
         assert ordering_classify(table).m == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bound_reports(table, side, [2.0], m=1)
+            bound_sweep(table, side, [2.0], m=1)
 
     def test_m_is_classified_only_for_the_bounds_that_read_it(self, no_roof):
         table = ComponentTable(TestKnownFindings.state_f(), CONCURRENCE)
-        (report,) = bound_reports(table, MONOGAMY, [2.0], (BASE,))
-        assert report.m is None
+        assert bound_sweep(table, MONOGAMY, [2.0], (BASE,)).plan.m is None
         assert (2, 3) not in table._cache  # the tail cut only the classification reads
-        (report,) = bound_reports(table, MONOGAMY, [2.0])
-        assert report.m == 1 and EXP_WEIGHTED in report.bounds
+        plan = bound_sweep(table, MONOGAMY, [2.0]).plan
+        assert plan.m == 1 and EXP_WEIGHTED in plan.bound_ids
         assert table.ordering is table.ordering  # classified once per table
-        (report,) = bound_reports(table, MONOGAMY, [2.0], (EXP_WEIGHTED,))
-        assert report.m == 1
+        assert bound_sweep(table, MONOGAMY, [2.0], (EXP_WEIGHTED,)).plan.m == 1
 
     def test_forced_m_without_a_weighted_bound_is_not_checked(self, no_roof):
         table = ComponentTable(w_state(4), CONCURRENCE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bound_reports(table, MONOGAMY, [2.0], (BASE,), m=1)
+            bound_sweep(table, MONOGAMY, [2.0], (BASE,), m=1)
         assert (2, 3) not in table._cache  # the tail cut only the ordering check reads
 
 
@@ -936,47 +941,50 @@ class TestEvaluateBounds:
 
     def test_empty_grid_reads_no_lhs(self):
         table = ComponentTable(w_state(4), CONCURRENCE)
-        assert bound_reports(table, MONOGAMY, [], (BASE,)) == []
+        sweep = bound_sweep(table, MONOGAMY, [], (BASE,))
+        assert (sweep.exponents, sweep.values, sweep.verdicts) == ([], [], [])
         assert set(table._cache) == {(1,), (2,), (3,)}
 
     def test_range_warning_flagged(self):
         state = w_state(3)
         with pytest.warns(ExponentRangeWarning):
-            rep = evaluate_bounds(ComponentTable(state, CONCURRENCE_ASSISTANCE), 3.0, POLYGAMY)
-        assert all(e.range_warning for e in rep.bounds.values())
+            sweep = evaluate_bounds(ComponentTable(state, CONCURRENCE_ASSISTANCE), 3.0, POLYGAMY)
+        assert all(e["range_warning"] for e in cli._report_doc(sweep, 0)["bounds"].values())
 
     def test_degenerate_zero_exponent(self):
         state = make_family("ghz", [3])
         with pytest.warns(DegenerateExponentWarning):
-            rep = evaluate_bounds(ComponentTable(state, CONCURRENCE), 0.0, POLYGAMY)
-        assert rep.degenerate
-        assert all(ok is None for ok in rep.satisfied.values())
+            sweep = evaluate_bounds(ComponentTable(state, CONCURRENCE), 0.0, POLYGAMY)
+        assert sweep.degenerate == [True]
+        assert all(ok is None for ok in cli._report_doc(sweep, 0)["satisfied"].values())
 
     def test_w4_monogamy_base_saturates_at_two(self):
-        rep = evaluate_bounds(ComponentTable(w_state(4), CONCURRENCE), 2.0, MONOGAMY)
-        assert rep.m is None
-        assert set(rep.bounds) == {BASE}
-        assert rep.bounds[BASE].value == pytest.approx(0.75, abs=1e-10)
-        assert rep.satisfied[BASE] is True
+        sweep = evaluate_bounds(ComponentTable(w_state(4), CONCURRENCE), 2.0, MONOGAMY)
+        assert sweep.plan.m is None
+        assert sweep.plan.bound_ids == (BASE,)
+        assert sweep.values[0][0] == pytest.approx(0.75, abs=1e-10)
+        assert sweep.verdicts[0][0] is True
 
     @pytest.mark.parametrize("measure", [CONCURRENCE, TAU_ASSISTANCE])
     def test_product_joint_cut_is_no_false_violation(self, measure):
         # A = 0.6|0> + 0.8|1> next to |++> on B1B2: every component is an exact 0,
         # so the small exponent cannot blow rounding noise in the lhs up to 0.42
         state = PureState(np.kron([0.6, 0.8], np.full(4, 0.5)), (2, 2, 2))
-        rep = evaluate_bounds(ComponentTable(state, measure), 0.05, POLYGAMY)
-        assert rep.lhs == MeasureValue(0.0, "exact") and rep.lhs_power == 0.0
-        assert rep.bounds[BASE].value == 0.0
-        assert rep.satisfied[BASE] is True
+        sweep = evaluate_bounds(ComponentTable(state, measure), 0.05, POLYGAMY)
+        assert sweep.plan.lhs == MeasureValue(0.0, "exact") and sweep.lhs_powers == [0.0]
+        rep = cli._report_doc(sweep, 0)
+        assert rep["bounds"][BASE]["value"] == 0.0
+        assert rep["satisfied"][BASE] is True
 
     def test_estimate_comparisons_can_be_indeterminate(self):
         # the perturbed W state misses saturation at the power 2 by about 1e-3,
         # inside the 1e-2 margin of an optimizer with tol 1e-3
         opt = OptimizerConfig(restarts=4, tol=1e-3)
-        rep = evaluate_bounds(ComponentTable(near_w(5), TAU_ASSISTANCE, opt), 2.0, POLYGAMY)
-        gap = rep.bounds[RESIDUAL_MAX].value - rep.lhs_power
+        sweep = evaluate_bounds(ComponentTable(near_w(5), TAU_ASSISTANCE, opt), 2.0, POLYGAMY)
+        rep = cli._report_doc(sweep, 0)
+        gap = rep["bounds"][RESIDUAL_MAX]["value"] - rep["lhs_power"]
         assert 0 < abs(gap) < bmod.comparison_tol(opt, False)
-        assert rep.satisfied[RESIDUAL_MAX] is None
+        assert rep["satisfied"][RESIDUAL_MAX] is None
 
 
 class TestHierarchy:
@@ -984,7 +992,8 @@ class TestHierarchy:
         table = ComponentTable(w_state(5), TAU_ASSISTANCE, OptimizerConfig(restarts=6))
         sweep, violations, _ = verify_hierarchy(table, [0.5, 1.0, 1.5, 2.0], POLYGAMY)
         assert violations == []
-        assert len(sweep.reports()) == 4
+        assert sweep.exponents == [0.5, 1.0, 1.5, 2.0]
+        assert all(len(column) == 4 for column in sweep.values)
 
     def test_w4_monogamy_grid_clean(self):
         _, violations, _ = verify_hierarchy(
@@ -1008,15 +1017,20 @@ class TestHierarchy:
 
         monkeypatch.setattr(bounds, "measure_bipartite", unexpected)
         again = verify_hierarchy(shared, exponents, side)
-        assert (again[0].reports(), *again[1:]) == (fresh[0].reports(), *fresh[1:])
+
+        def columns(sweep):  # a plan compares by identity: compare what it holds
+            plan = sweep.plan
+            return (dataclasses.replace(sweep, plan=None), plan.side, plan.bound_ids, plan.m,
+                    plan.exact, plan.tol, plan.lhs)
+
+        assert (columns(again[0]), *again[1:]) == (columns(fresh[0]), *fresh[1:])
 
     def test_product_state_all_zero(self):
         sweep, violations, _ = verify_hierarchy(
             ComponentTable(product_state_4q(), CONCURRENCE), [1.0, 2.0], POLYGAMY)
         assert violations == []
-        for rep in sweep.reports():
-            assert rep.lhs_power == 0.0
-            assert all(e.value == 0.0 for e in rep.bounds.values())
+        assert sweep.lhs_powers == [0.0, 0.0]
+        assert all(v == 0.0 for column in sweep.values for v in column)
 
     def test_degenerate_report_is_skipped(self):
         # at exponent 0 a zero marginal makes the report degenerate: no verdict to count
@@ -1024,7 +1038,7 @@ class TestHierarchy:
                                            measure=CONCURRENCE)
         with pytest.warns(DegenerateExponentWarning):
             sweep, violations, indeterminate = verify_hierarchy(table, [0.0], POLYGAMY)
-        assert [rep.degenerate for rep in sweep.reports()] == [True]
+        assert sweep.degenerate == [True]
         assert (violations, indeterminate) == ([], 0)
 
     @pytest.mark.parametrize("measure, checked", [(TAU_ASSISTANCE, True), (CONCURRENCE, False)])
@@ -1034,9 +1048,8 @@ class TestHierarchy:
             {(1,): 0.1, (2,): 0.1, (3,): 0.1, (1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5,
              (1, 2, 3): 0.9}, n_b=3, measure=measure)
         sweep, violations, _ = verify_hierarchy(table, [1.0], POLYGAMY)
-        reports = sweep.reports()
-        assert [rep.m for rep in reports] == [None]
-        assert set(reports[0].bounds) == {BASE, RESIDUAL_MAX, RESIDUAL_MEAN}
+        assert sweep.plan.m is None
+        assert set(sweep.plan.bound_ids) == {BASE, RESIDUAL_MAX, RESIDUAL_MEAN}
         checks = {v.check for v in violations}
         assert {BASE, RESIDUAL_MAX} <= checks
         assert ("residual_max<=base" in checks) is checked
@@ -1112,10 +1125,10 @@ def _wide_rule(opt, *exact):
     return 10.0 if all(exact) else 20.0
 
 
-def _rule_reports(table):
+def _rule_sweep(table):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExponentRangeWarning)
-        return bound_reports(table, POLYGAMY, RULE_EXPONENTS)
+        return bound_sweep(table, POLYGAMY, RULE_EXPONENTS)
 
 
 def _inverted_verdict(gap, tol, decided):
@@ -1124,11 +1137,12 @@ def _inverted_verdict(gap, tol, decided):
 
 
 def _rule_verdicts(state, table, rule, verdict, monkeypatch):
-    reports = _rule_reports(table)
-    want = [{b: verdict(e.value - rep.lhs_power, rule(table.opt, e.exact, rep.lhs.exact),
-                        e.exact and rep.lhs.exact) for b, e in rep.bounds.items()}
-            for rep in reports]
-    return [rep.satisfied for rep in reports], want
+    sweep = _rule_sweep(table)
+    lhs_exact = sweep.plan.lhs.exact
+    want = [[verdict(v - power, rule(table.opt, exact, lhs_exact), exact and lhs_exact)
+             for v, power in zip(column, sweep.lhs_powers)]
+            for column, exact in zip(sweep.values, sweep.plan.exact)]
+    return sweep.verdicts, want
 
 
 def _rule_ordering(state, table, rule, verdict, monkeypatch):
@@ -1146,20 +1160,14 @@ def _rule_hierarchy(state, table, rule, verdict, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExponentRangeWarning)
         sweep, violations, _ = verify_hierarchy(table, RULE_EXPONENTS, POLYGAMY)
-    want = []
-    for rep in sweep.reports():
-        tight, loose = rep.bounds[RESIDUAL_MAX], rep.bounds[BASE]
-        gap = loose.value - tight.value
-        if verdict(gap, rule(table.opt, tight.exact, loose.exact), True) is False:
-            want.append((rep.exponent, gap))
+    ids, exact, want = sweep.plan.bound_ids, sweep.plan.exact, []
+    t, b = ids.index(RESIDUAL_MAX), ids.index(BASE)
+    for x, tight, loose in zip(sweep.exponents, sweep.values[t], sweep.values[b]):
+        gap = loose - tight
+        if verdict(gap, rule(table.opt, exact[t], exact[b]), True) is False:
+            want.append((x, gap))
     got = [(v.exponent, v.gap) for v in violations if v.check == "residual_max<=base"]
     return got, want
-
-
-def _rule_sweep(table):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExponentRangeWarning)
-        return bmod.bound_sweep(table, POLYGAMY, RULE_EXPONENTS)
 
 
 def _rule_csv_tol(state, table, rule, verdict, monkeypatch):
@@ -1167,8 +1175,8 @@ def _rule_csv_tol(state, table, rule, verdict, monkeypatch):
     ids = sweep.plan.bound_ids
     _, cells, rows = cli._report_rows(sweep)
     lines = [(",".join(cells) % row).split(",") for row in rows]
-    want = [[cli.fmt(rule(table.opt, rep.bounds[b].exact, rep.lhs.exact)) for b in ids]
-            for rep in sweep.reports()]
+    want = [[cli.FLOAT_CELL % rule(table.opt, exact, sweep.plan.lhs.exact)
+             for exact in sweep.plan.exact] for _ in sweep.exponents]
     return [line[2 + len(ids):2 + 2 * len(ids)] for line in lines], want
 
 

@@ -117,6 +117,14 @@ class TestPartialTrace:
             partial_trace(bell, set())
         with pytest.raises(InvalidPartitionError):
             partial_trace(bell, {0, 1})
+        # int() would truncate [0.9, 1] to the A,B1 reduction
+        for keep in ([0.9, 1], [0, 1.5], [0, 1, 1.0], [np.float64(1.0)], ["1"]):
+            with pytest.raises(InvalidPartitionError):
+                partial_trace(w_state(3), keep)
+
+    def test_numpy_integer_parties_are_kept(self):
+        red = partial_trace(w_state(3), [np.int64(0), np.int32(1)])
+        assert np.array_equal(red.matrix, partial_trace(w_state(3), [0, 1]).matrix)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_composition_and_structure_preserved(self, seed):

@@ -7,7 +7,6 @@ loop gave before the column pass replaced it.
 """
 
 import argparse
-import dataclasses
 import math
 import runpy
 import warnings
@@ -23,11 +22,8 @@ from entshare.bounds import (
     MONOGAMY,
     PAIR_WEIGHTED,
     POLYGAMY,
-    BoundEntry,
     BoundPlan,
-    BoundReport,
     ComponentTable,
-    bound_reports,
     bound_sweep,
     evaluate_bounds,
     verify_hierarchy,
@@ -163,17 +159,55 @@ ZERO_MARGINAL_WARNINGS = {
 }
 
 
-@pytest.mark.parametrize("call", [bound_sweep, bound_reports])
 @pytest.mark.parametrize("side", [POLYGAMY, MONOGAMY])
-def test_warnings_of_one_call_are_unchanged_and_point_at_the_caller(side, call):
+def test_warnings_of_one_call_are_unchanged_and_point_at_the_caller(side):
     table = ComponentTable.from_values({(1,): 0.5, (2,): 0.0, (1, 2): 0.6}, n_b=2,
                                        measure=CONCURRENCE)
     grid, want = ZERO_MARGINAL_WARNINGS[side]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        call(table, side, grid)
+        bound_sweep(table, side, grid)
     assert [(w.category, str(w.message)) for w in caught] == want
     assert {w.filename for w in caught} == {__file__}
+
+
+@pytest.mark.parametrize("side", [POLYGAMY, MONOGAMY])
+def test_one_point_calls_give_the_warnings_of_the_sweep_in_order(side):
+    table = ComponentTable.from_values({(1,): 0.5, (2,): 0.0, (1, 2): 0.6}, n_b=2,
+                                       measure=CONCURRENCE)
+    grid, want = ZERO_MARGINAL_WARNINGS[side]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for x in grid:
+            evaluate_bounds(table, x, side)
+    assert [(w.category, str(w.message)) for w in caught] == want
+    assert {Path(w.filename).name for w in caught} == {"bounds.py"}
+
+
+REPORT_KEYS = ["exponent", "side", "m", "lhs", "lhs_power", "degenerate", "bounds", "satisfied",
+               "margin"]
+
+
+def test_report_docs_and_one_point_sweeps_are_views_of_the_columns():
+    table = ComponentTable(STATES["w5"], get_measure("tau_assistance"), DIGEST_OPT)
+    grid = [0.5, 1.0, 2.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sweep = bound_sweep(table, POLYGAMY, grid, m=2)
+        points = [evaluate_bounds(table, x, POLYGAMY, m=2) for x in grid]
+    docs = [cli._report_doc(sweep, i) for i in range(len(grid))]
+    for i, doc in enumerate(docs):
+        assert list(doc) == REPORT_KEYS
+        assert (doc["exponent"], doc["lhs_power"], doc["degenerate"]) == \
+            (sweep.exponents[i], sweep.lhs_powers[i], sweep.degenerate[i])
+        for j, bid in enumerate(sweep.plan.bound_ids):
+            assert doc["bounds"][bid] == {"value": sweep.values[j][i],
+                                          "exact": sweep.plan.exact[j],
+                                          "range_warning": sweep.out_of_range[i]}
+            assert doc["satisfied"][bid] is sweep.verdicts[j][i]
+        assert cli._report_doc(points[i], 0) == doc
+        assert points[i].gaps == [[column[i]] for column in sweep.gaps]
+    assert [doc["bounds"][BASE]["range_warning"] for doc in docs] == [False, False, True]
 
 
 def test_library_callers_stay_the_warning_target():
@@ -224,54 +258,14 @@ def test_error_comes_before_the_warnings_of_earlier_points():
             bound_sweep(table, POLYGAMY, [3.0, -1.0])
 
 
-REPORT_FIELDS = ["exponent", "side", "lhs", "bounds", "satisfied", "m", "degenerate", "margin",
-                 "tol", "lhs_power", "gap"]
-
-
-def test_bound_reports_are_a_view_of_the_columns():
-    assert [f.name for f in dataclasses.fields(BoundReport)] == REPORT_FIELDS
-    assert [f.name for f in dataclasses.fields(BoundEntry)] == ["value", "exact", "range_warning"]
-    table = ComponentTable(STATES["w5"], get_measure("tau_assistance"), DIGEST_OPT)
-    grid = [0.5, 1.0, 2.5]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        reports = bound_reports(table, POLYGAMY, grid, m=2)
-        sweep = bound_sweep(table, POLYGAMY, grid, m=2)
-    assert all(rep.tol is reports[0].tol for rep in reports)
-    for i, rep in enumerate(reports):
-        assert (rep.exponent, rep.lhs_power, rep.degenerate) == \
-            (sweep.exponents[i], sweep.lhs_powers[i], sweep.degenerate[i])
-        for j, bid in enumerate(sweep.plan.bound_ids):
-            entry = BoundEntry(sweep.values[j][i], sweep.plan.exact[j], sweep.out_of_range[i])
-            assert rep.bounds[bid] == entry
-            assert (rep.satisfied[bid], rep.gap[bid]) == (sweep.verdicts[j][i], sweep.gaps[j][i])
-    assert [rep.bounds[BASE].range_warning for rep in reports] == [False, False, True]
-
-
-def test_fast_paths_build_no_bound_report(capsys, monkeypatch):
-    def no_report(*args):
-        raise AssertionError("a BoundReport was built")
-
-    monkeypatch.setattr(bmod, "BoundReport", no_report)
-    code = cli.main(["sweep", "--family", "w5", "--measure", "tau_assistance", "--side",
-                     "polygamy", "--grid", "0:2:0.01", "--restarts", "4"])
-    assert code == 0, capsys.readouterr().err
-    assert len(capsys.readouterr().out.splitlines()) == 202
-    assert cli.main(["fuzz", "--samples", "3"]) == 0
-    table = ComponentTable.from_values({(1,): 0.5, (2,): 0.5, (1, 2): 0.6}, n_b=2,
-                                       measure=CONCURRENCE)
-    with pytest.raises(AssertionError, match="BoundReport"):
-        bound_reports(table, POLYGAMY, [1.0])
-
-
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1 + 0.2, 1e16,
                   np.float64(0.1), 3]
 
 
-def test_row_template_gives_the_bytes_of_fmt_cell_by_cell(capsys):
+def test_row_template_gives_17_digit_cells_one_by_one(capsys):
     values = SPECIAL_FLOATS + inclusive_grid(0.0, 2.0, 0.001)
     for x in values:
-        assert cli.FLOAT_CELL % x == cli.fmt(x) == f"{x:.17g}"
+        assert cli.FLOAT_CELL % x == f"{x:.17g}"
     args = argparse.Namespace(format="csv", out=None)
     cli._write(args, None, ["x", "neg", "text"], [cli.FLOAT_CELL, cli.FLOAT_CELL, cli.TEXT_CELL],
                [(x, -x, "na") for x in values])

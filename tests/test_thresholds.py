@@ -1,11 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import all_subsets
 from entshare.bounds import BASE, RESIDUAL_MAX, ComponentTable
-from entshare.errors import EvaluationError, InvalidParameterError, NoRootError
+from entshare.errors import (
+    EvaluationError,
+    ExponentRangeWarning,
+    InvalidParameterError,
+    NoRootError,
+)
 from entshare.measures import CONCURRENCE, TAU_ASSISTANCE, OptimizerConfig
 from entshare.states import PureState, make_family, w_state
 from entshare.thresholds import empirical_beta, find_zero, residual_zero_exponent
@@ -174,6 +180,17 @@ class TestEmpiricalBeta:
             empirical_beta(table, BASE)
         assert find_zero(lambda a: 1e-4**a - 1e-3**a + 1e-9, 1e-4, 4.0).root == pytest.approx(
             3.0, abs=1e-3)
+
+    def test_first_scan_point_above_beta_max_warns_once(self, no_roof):
+        # tol 3.0 puts the first scan point past beta_max = 2, where the bound fails
+        table = ComponentTable(make_family("4q-theta", [0.785, 0.785]), CONCURRENCE)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NoRootError, match=VIOLATED):
+                empirical_beta(table, tol=3.0, search_cap=4.0)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (ExponentRangeWarning, "polygamy exponent 3.0 outside [0, 2.0]")]
+        assert caught[0].filename.endswith("thresholds.py")
 
     def test_lhs_power_overflow_is_invalid_input(self):
         # 1.15**a overflows a float from a = 5079 on, inside the scan up to the cap
