@@ -127,6 +127,7 @@ BOUNDS = {
 EXACT_TOL = 1e-9
 
 _REDUCTIONS = weakref.WeakKeyDictionary()  # state -> {keep: reduction}; freed with the state
+_INT = frozenset({int})
 
 
 def comparison_tol(opt: OptimizerConfig, *exact: bool) -> float:
@@ -175,7 +176,8 @@ class ComponentTable:
         return table
 
     def joint(self, subset) -> MeasureValue:
-        if type(subset) is tuple and subset in self._cache:  # a cached key is read as given
+        # a cached tuple of ints is read as given; only ints, as (1.0,) == (1,) would match too
+        if type(subset) is tuple and subset in self._cache and _INT.issuperset(map(type, subset)):
             return self._cache[subset]
         parties = tuple(subset)
         key = tuple(sorted(int(i) for i in parties if isinstance(i, numbers.Integral)))
@@ -460,7 +462,8 @@ class BoundPlan:
     flag fixed (its marginals and, with a residual strategy, every component
     of the recursion) and the compiled float pass looked up. values() then
     evaluates any exponent without a table lookup; explain() shows the
-    recursion values() evaluated. A residual strategy subtracts (polygamy) or
+    recursion values() evaluated; gap_function() is the threshold scans'
+    per-point function. A residual strategy subtracts (polygamy) or
     adds (monogamy) its selected levels from the (weighted) power sum. The
     weight layout, the scalar weight's power per party, comes from m
     (_weight_powers) or, for "pair", is (0, 1) down the sorted marginals.
@@ -535,6 +538,25 @@ class BoundPlan:
             return self.lhs.value**exponent
         except OverflowError:
             raise InvalidParameterError(f"exponent {exponent} overflows the lhs power") from None
+
+    def gap_function(self, shift: float = 0.0):
+        """x -> values(x)[0] - lhs_power(x) + shift: one compiled pass and one power per call.
+
+        The scans of thresholds read it at every point. An exponent that values() or
+        lhs_power() rejects is rejected with the same error: both run again to raise it.
+        """
+        program, ref, components = self._program, self._ref, self._components
+        lhs, values, lhs_power = self.lhs.value, self.values, self.lhs_power
+
+        def gap(x):
+            try:
+                return program(x, ref, components, False)[0] - lhs**x + shift
+            except ArithmeticError:  # an overflow, or a zero to a negative power
+                values(x)
+                lhs_power(x)
+                raise
+
+        return gap
 
 
 def bound_value(table: ComponentTable, bound_id: str, exponent: float, side: str,

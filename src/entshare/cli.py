@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import math
 import re
 import sys
@@ -30,6 +29,7 @@ from .states import (
     PureState,
     check_size,
     haar_random_pure,
+    json_text,
     make_family,
     partial_trace,
     state_from_json,
@@ -207,13 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _write(args, doc, header: list[str], cells: list[str], rows) -> None:
     """Write a command's result in its --format to --out, or to stdout: every command's one path.
 
-    JSON is doc(), key-sorted with a two-space indent; CSV is the header, then each row tuple
-    through one %-template, the comma-joined cells (FLOAT_CELL, TEXT_CELL or a constant). doc
-    is called only for JSON and rows are read only for CSV, so no run builds the values of the
-    format it does not write.
+    JSON is json_text(doc()), the bytes of json.dumps(doc(), indent=2, sort_keys=True): key
+    sorted, a two-space indent, and a list of float pairs such as a scan profile through one
+    %r row template; CSV is the header, then each row tuple through one %-template, the
+    comma-joined cells (FLOAT_CELL, TEXT_CELL or a constant). doc is called only for JSON and
+    rows are read only for CSV, so no run builds the values of the format it does not write.
     """
     if args.format == "json":
-        text = json.dumps(doc(), indent=2, sort_keys=True) + "\n"
+        text = json_text(doc()) + "\n"
     else:
         template = ",".join(cells)
         text = "\n".join([",".join(header), *map(template.__mod__, rows)]) + "\n"

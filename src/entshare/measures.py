@@ -155,6 +155,9 @@ def _pure_value(s2: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt((s2[..., :-1] * tail).sum(axis=-1))
 
 
+_PURE_CUTS = weakref.WeakKeyDictionary()  # PureState -> {cut: value}; freed with the state
+
+
 def concurrence_pure(state: PureState, cut: Bipartition) -> MeasureValue:
     """sqrt(2 (1 - tr rho_A^2)) across the cut over the Schmidt weights above RANK_TOL; exact."""
     s2 = np.linalg.svd(_cut_matrix(state, cut), compute_uv=False) ** 2
@@ -290,15 +293,17 @@ def measure_bipartite(
 
     Exact paths: rank-1 states (a PureState, or one eigenvalue above RANK_TOL),
     via the pure concurrence (the assistance measure reduces to it there: the
-    ensemble is forced), and 2x2 mixed states via the spin-flip closed forms.
+    ensemble is forced; a PureState's value is computed once per cut, for every
+    measure and table on it), and 2x2 mixed states via the spin-flip closed forms.
     A larger mixed cut is restricted to the supports of its reduced states
     first: a side of rank 1 is a product state (value 0), a 2x2 restriction
     takes the closed forms, and any other restriction goes to convex_roof.
     """
     if measure.name not in _MEASURES:
         raise InvalidParameterError(f"unsupported measure {measure.name!r}")
-    if isinstance(state, PureState):
-        return concurrence_pure(state, cut)
+    if isinstance(state, PureState):  # the pure concurrence whatever the measure: once per cut
+        memo = _PURE_CUTS.setdefault(state, {})
+        return memo[cut] if cut in memo else memo.setdefault(cut, concurrence_pure(state, cut))
     w, v = state.eigensystem()
     if np.count_nonzero(w > RANK_TOL) == 1:
         top = v[:, -1] / np.linalg.norm(v[:, -1])

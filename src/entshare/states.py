@@ -271,12 +271,84 @@ def haar_random_pure(dims, seed: int) -> PureState:
     return PureState(z / np.linalg.norm(z), dims)
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii  # the C string escaper json.dumps uses
+
+
+def _json_float(x: float) -> str:
+    """float.__repr__, or NaN, Infinity and -Infinity as json.dumps writes them."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_rows(items, pad: str) -> str | None:
+    """The items of a list of flat float rows of one length, through one %r row template.
+
+    None sends the list to the general path: an item that is not a tuple or list
+    of the first one's length, a cell that is not exactly a float (%r of a float
+    subclass need not be its digits) or a non-finite cell (%r writes nan and
+    inf). A sum is finite only when every term is, so one sum checks every cell;
+    a sum that overflows sends the list to the general path too.
+    """
+    if {*map(type, items)} - {tuple, list} or len({*map(len, items)}) != 1 or not items[0]:
+        return None
+    k = len(items[0])
+    cells = [x for row in items for x in row]
+    if {*map(type, cells)} != {float} or not math.isfinite(sum(cells)):
+        return None
+    sep = ",\n" + pad + "  "
+    row = "[" + sep[1:] + sep.join(["%r"] * k) + "\n" + pad + "]"
+    return (",\n" + pad).join(map(row.__mod__, map(tuple, items)))
+
+
+def _json(o, pad: str) -> str:
+    """o as json.dumps(o, indent=2, sort_keys=True) writes it, its lines indented by pad."""
+    if isinstance(o, str):
+        return _ESCAPE(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        body = _json_rows(o, inner) or (",\n" + inner).join([_json(x, inner) for x in o])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        body = (",\n" + inner).join([f"{_ESCAPE(k)}: {_json(v, inner)}"
+                                     for k, v in sorted(o.items())])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def json_text(doc) -> str:
+    """doc as json.dumps(doc, indent=2, sort_keys=True) writes it: the package's one JSON writer.
+
+    Dicts, lists and tuples, str, int, float, bool and None; any other type,
+    and a dict key that is not a str, raises TypeError. Key-sorted dicts, a
+    two-space indent, ints through int.__repr__, floats (subclasses too)
+    through float.__repr__ and strings through json's C escaper. A list of
+    flat float rows, such as a scan profile, is written through one %r row
+    template (_json_rows).
+    """
+    return _json(doc, "")
+
+
 def state_to_json(state: PureState) -> str:
-    """Serialize to the dims/amplitudes JSON schema (zero amplitudes omitted)."""
+    """Serialize to the dims/amplitudes JSON schema (zero amplitudes omitted), keys sorted."""
     psi = state.amplitudes.reshape(state.dims)
     entries = [{"index": [int(i) for i in idx], "re": float(psi[idx].real),
                 "im": float(psi[idx].imag)} for idx in zip(*np.nonzero(psi))]
-    return json.dumps({"dims": list(state.dims), "amplitudes": entries}, indent=2)
+    return json_text({"dims": list(state.dims), "amplitudes": entries})
 
 
 def _integer(x) -> bool:

@@ -10,10 +10,15 @@ bound(a) - lhs^a from a single-bound polygamy BoundPlan on the table, on
 [max(tol, SCAN_FLOOR), hi]: residual-zero scans the three-party `base` bound
 (the residual Q_AB^a + Q_AC^a - Q_A|BC^a) up to beta_max; empirical-beta
 scans its bound up to the cap, shifted by the bound's
-bounds.comparison_tol. Every argument is checked before any component is
-measured. A scan point at which the lhs power (BoundPlan.lhs_power), a component
-power or the weight overflows a float raises InvalidParameterError (exit 2).
-A scan without a root raises NoRootError (exit 3), whose message says why.
+bounds.comparison_tol. Each point is one call of BoundPlan.gap_function: the
+plan's compiled pass and the lhs power, with no table lookup. find_zero
+checks each value as it comes, so f is never called past the first
+non-finite one (EvaluationError). Every argument is checked before any
+component is measured. A scan point at which a component power or the weight
+overflows a float raises InvalidParameterError (exit 2), and so does one at
+which only the lhs power (BoundPlan.lhs_power) does, each with its own
+message. A scan without a root raises NoRootError (exit 3), whose message
+says why.
 """
 
 from __future__ import annotations
@@ -46,12 +51,8 @@ def _check_scan_steps(scan_steps: int) -> None:
         raise InvalidParameterError(f"scan_steps must be in 8..{MAX_GRID_POINTS - 1}")
 
 
-def _finite(f, x: float) -> float:
-    """f(x), raising EvaluationError when it is not finite."""
-    v = f(x)
-    if not math.isfinite(v):
-        raise EvaluationError(f"function returned non-finite value at {x}", at=x)
-    return v
+def _non_finite(x: float) -> EvaluationError:
+    return EvaluationError(f"function returned non-finite value at {x}", at=x)
 
 
 def find_zero(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
@@ -63,8 +64,14 @@ def find_zero(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
     _check_scan_steps(scan_steps)
     if not lo < hi:
         raise InvalidParameterError(f"invalid range [{lo}, {hi}]")
-    xs = [lo + (hi - lo) * i / scan_steps for i in range(scan_steps + 1)]
-    profile = tuple((x, _finite(f, x)) for x in xs)
+    profile = []
+    for i in range(scan_steps + 1):  # in order, so f sees no point past a non-finite value
+        x = lo + (hi - lo) * i / scan_steps
+        v = f(x)
+        if not math.isfinite(v):
+            raise _non_finite(x)
+        profile.append((x, v))
+    profile = tuple(profile)
     for i, (a, fa) in enumerate(profile):
         if fa == 0.0:
             return ThresholdResult(a, (a, a), 0, 0.0, profile)
@@ -76,7 +83,9 @@ def find_zero(f, lo: float, hi: float, tol: float = DEFAULT_TOL,
     iterations = 0
     while b - a > tol and iterations <= 200:
         mid = 0.5 * (a + b)
-        fm = _finite(f, mid)
+        fm = f(mid)
+        if not math.isfinite(fm):
+            raise _non_finite(mid)
         iterations += 1
         if fm == 0.0:
             a = b = mid
@@ -106,11 +115,8 @@ def _scan(table: ComponentTable, bound_id: str, hi: float, tol: float, scan_step
     degenerate = bound_id == BASE and not any(table.marginal(b).value
                                               for b in range(1, table.n_b + 1))
     shift = plan.tol[bound_id] if shifted else 0.0
-
-    def f(alpha):
-        return plan.values(alpha)[0] - plan.lhs_power(alpha) + shift
-
-    result = None if degenerate else find_zero(f, lo, hi, tol=tol, scan_steps=scan_steps)
+    result = None if degenerate else find_zero(plan.gap_function(shift), lo, hi, tol=tol,
+                                               scan_steps=scan_steps)
     if result is not None and not (shifted and result.scan_profile[0][1] < 0):
         return result
     if not shifted:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import math
@@ -53,6 +54,7 @@ from entshare.errors import (
 from entshare.measures import (
     CONCURRENCE,
     CONCURRENCE_ASSISTANCE,
+    DEFAULT_OPT,
     TAU_ASSISTANCE,
     MeasureValue,
     OptimizerConfig,
@@ -565,6 +567,21 @@ class TestComponentTable:
             state_backed.joint([1.7])
         assert state_backed._cache == {}
 
+    @pytest.mark.parametrize("int_first", [False, True], ids=["float-first", "int-first"])
+    def test_acceptance_does_not_depend_on_the_cache(self, int_first):
+        # (1.0,) == (1,) and both hash alike, so a cache lookup alone would read (1.0,)
+        table = ComponentTable(w_state(4), CONCURRENCE)
+        if int_first:
+            want = table.joint((1,))
+        for subset in ((1.0,), (1, 2.0), [1.0]):
+            with pytest.raises(InvalidParameterError, match="not a set of B parties"):
+                table.joint(subset)
+        if not int_first:
+            want = table.joint((1,))
+        for subset in ((np.int64(1),), (True,), [np.int64(1)], [True]):
+            assert table.joint(subset) is want
+        assert table.joint((True, 2)) is table.joint((1, np.int64(2))) is table.joint((1, 2))
+
     def test_exact_marginals_for_w4(self):
         table = ComponentTable(w_state(4), CONCURRENCE)
         for i in (1, 2, 3):
@@ -629,15 +646,33 @@ class TestSharedReductions:
     def test_memo_entries_free_with_their_state(self):
         state = haar_random_pure((2, 2, 2), 4)
         for measure in (CONCURRENCE, TAU_ASSISTANCE):
-            ComponentTable(state, measure).marginal(1)
+            table = ComponentTable(state, measure)
+            table.marginal(1), table.lhs()
         rho = bmod._REDUCTIONS[state][(0, 1)]
-        assert rho in measures._SPECTRA
+        assert rho in measures._SPECTRA and state in measures._PURE_CUTS
         gone = [weakref.ref(state), weakref.ref(rho)]
-        reductions, spectra = len(bmod._REDUCTIONS), len(measures._SPECTRA)
-        del state, rho
+        memos = (bmod._REDUCTIONS, measures._SPECTRA, measures._PURE_CUTS)
+        sizes = [len(memo) for memo in memos]
+        del state, rho, table
         gc.collect()
         assert [ref() for ref in gone] == [None, None]
-        assert len(bmod._REDUCTIONS) < reductions and len(measures._SPECTRA) < spectra
+        assert all(len(memo) < size for memo, size in zip(memos, sizes))
+
+    def test_one_pure_cut_per_fuzz_sample(self, capsys, monkeypatch):
+        # both default measures read the full cut of the sample, which is measured once
+        cuts, pure = [], measures.concurrence_pure
+        monkeypatch.setattr(measures, "concurrence_pure",
+                            lambda state, cut: cuts.append(cut) or pure(state, cut))
+        assert cli.main(["fuzz", "--samples", "1", "--format", "json"]) == 0
+        assert cuts == [Bipartition({0}, {1, 2})]
+        state = haar_random_pure((2, 2, 2), DEFAULT_OPT.seed)
+        fresh = PureState(state.amplitudes.copy(), state.dims)
+        tables = [ComponentTable(state, m) for m in (CONCURRENCE, TAU_ASSISTANCE)]
+        lhs = [table.lhs() for table in tables]
+        assert lhs[0] is lhs[1] and len(cuts) == 2
+        # the shared value is the one a lone call on another copy of the state computes
+        assert lhs[0] == pure(fresh, Bipartition({0}, {1, 2}))
+        assert lhs[0].value.hex() == pure(fresh, Bipartition({0}, {1, 2})).value.hex()
 
 
 class TestWClassTable:
@@ -1266,6 +1301,18 @@ def test_every_consumer_uses_the_one_comparison_rule(rule_tables, monkeypatch, c
     # the stand-in rule moves what the consumer reports, so the consumer reads the rule
     assert wide != want
     assert all(c.exact for c in table._cache.values()) == (case == "w4")
+
+
+def test_no_module_calls_json_dumps():
+    """states.json_text is the one JSON writer: no module of the package calls json.dump(s)."""
+    calls = []
+    for path in sorted(Path(bmod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            calls += [f"{path.name}:{node.lineno}" for name in names if name in ("dump", "dumps")]
+    assert calls == []
 
 
 def test_no_transition_message_comes_from_verdict(rule_tables, monkeypatch):

@@ -13,8 +13,10 @@ from entshare.states import (
     Bipartition,
     DensityMatrix,
     PureState,
+    _json_rows,
     check_size,
     haar_random_pure,
+    json_text,
     make_family,
     partial_trace,
     state_from_json,
@@ -305,3 +307,66 @@ class TestJson:
         doc = {"dims": [2], "amplitudes": [{"index": [2], "re": 1.0, "im": 0.0}]}
         with pytest.raises(InvalidStateError):
             state_from_json(json.dumps(doc))
+
+
+def dumps(doc) -> str:
+    """The oracle: what json_text must write."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# str with non-ASCII, quotes, backslashes and control characters; float pairs and
+# float lists, which the row template writes when they are all finite floats
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é€😀\u2028", "a\"b\\c\n"])
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT
+_ROWS = st.lists(st.tuples(_FLOATS, _FLOATS) | st.lists(st.floats(), min_size=1, max_size=3))
+_DOCS = st.recursive(_SCALARS | _ROWS, lambda inner: (
+    st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner)), max_leaves=20)
+
+
+class TestJsonText:
+    @given(doc=_DOCS)
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_bytes_of_json_dumps(self, doc):
+        assert json_text(doc) == dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1 + 0.2, np.float64(0.1),
+        np.float64(math.nan), 0, -7, 2**70, True, False, None, "", [], (), {}, [[]], [{}],
+        {"a": [], "b": {}, "c": ()}, {"z": 1, "a": {"y": [1.5, "x"], "b": None}},
+        [0.5, 0.25], [(0.5, 0.25), (0.75, -1.0)], [[0.5], [0.25]],
+    ])
+    def test_edge_cases(self, doc):
+        assert json_text(doc) == dumps(doc)
+
+    @pytest.mark.parametrize("rows", [
+        [(0.5, math.nan)], [(0.5, -math.inf)], [(0.5, np.float64(0.25))], [(0.5, 1)],
+        [(0.5, True)], [(1e308, 1e308)], [(0.5, 0.25), (0.75,)], [(0.5, 0.25), 0.75], [()],
+    ], ids=["nan", "inf", "np-float64", "int", "bool", "overflowing-sum", "ragged", "scalar",
+            "empty-row"])
+    def test_rows_outside_the_template_take_the_general_path(self, rows):
+        assert _json_rows(rows, "  ") is None
+        assert json_text({"rows": rows}) == dumps({"rows": rows})
+
+    def test_a_scan_profile_takes_the_row_template(self):
+        profile = tuple((x / 8, math.sin(x) - 0.5) for x in range(9))
+        doc = {"root": 0.5, "scan_profile": profile}
+        assert _json_rows(profile, "    ") is not None
+        assert json_text(doc) == dumps(doc)
+
+    @pytest.mark.parametrize("bad", [set(), np.int64(1), np.bool_(True), {"a": [1, set()]}])
+    def test_type_error_as_json_dumps(self, bad):
+        with pytest.raises(TypeError) as want:
+            dumps(bad)
+        with pytest.raises(TypeError) as got:
+            json_text(bad)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("doc", [{1: 2.0}, {"a": {None: 1}}])
+    def test_keys_must_be_str(self, doc):
+        with pytest.raises(TypeError):
+            json_text(doc)
+
+    def test_state_json_is_key_sorted(self):
+        text = state_to_json(w_state(3))
+        assert text == dumps(json.loads(text))

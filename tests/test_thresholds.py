@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import all_subsets
-from entshare.bounds import BASE, RESIDUAL_MAX, ComponentTable
+from entshare import thresholds
+from entshare.bounds import BASE, POLYGAMY, RESIDUAL_MAX, BoundPlan, ComponentTable
 from entshare.errors import (
     EvaluationError,
     ExponentRangeWarning,
@@ -14,7 +15,7 @@ from entshare.errors import (
 )
 from entshare.measures import CONCURRENCE, TAU_ASSISTANCE, OptimizerConfig
 from entshare.states import PureState, make_family, w_state
-from entshare.thresholds import empirical_beta, find_zero, residual_zero_exponent
+from entshare.thresholds import SCAN_FLOOR, empirical_beta, find_zero, residual_zero_exponent
 
 DEGENERATE = "^no root: degenerate state, both pair components vanish$"
 ONE_SIGN = "^no root: residual keeps one sign on the range$"
@@ -99,6 +100,47 @@ class TestFindZero:
         with pytest.raises(EvaluationError) as info:
             find_zero(f, 0.0, 1.0, scan_steps=8)
         assert info.value.at == 0.5625
+
+    @pytest.mark.parametrize("bad", [0, 5, 256])
+    def test_scan_calls_f_at_no_point_past_a_non_finite_value(self, bad):
+        xs = [i / 256 for i in range(257)]  # the scan points of [0, 1]
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.inf if x >= xs[bad] else x - 2.0
+
+        with pytest.raises(EvaluationError) as info:
+            find_zero(f, 0.0, 1.0)
+        assert seen == xs[:bad + 1] and info.value.at == xs[bad]
+
+
+def _hex(result) -> list[str]:
+    """Every float of a ThresholdResult, as float.hex, and its iteration count."""
+    floats = [result.root, *result.bracket, result.residual_at_root,
+              *(v for point in result.scan_profile for v in point)]
+    return [x.hex() for x in floats] + [str(result.iterations)]
+
+
+# the threshold states of scripts/output_digests.py with a root, and the second 3q point
+@pytest.mark.parametrize("solver, family, params, bound_id", [
+    (residual_zero_exponent, "3q", [0.4472135955] * 5, BASE),
+    (residual_zero_exponent, "3q", [0.5, 1 / math.sqrt(6), 0.5, 1 / math.sqrt(6),
+                                    1 / math.sqrt(6)], BASE),
+    (empirical_beta, "4q-theta", [0.785, 0.785], RESIDUAL_MAX),
+    (empirical_beta, "4q-theta", [0.785, 0.785], BASE),
+], ids=["3q-equal", "3q-second", "4q-theta-residual-max", "4q-theta-base"])
+def test_scan_is_bit_identical_to_the_plan_reference(no_roof, solver, family, params, bound_id):
+    table = ComponentTable(make_family(family, params), CONCURRENCE, OptimizerConfig(restarts=4))
+    shifted = solver is empirical_beta
+    got = solver(table, bound_id) if shifted else solver(table)
+    # the reference evaluates each point through plan.values and plan.lhs_power
+    plan = BoundPlan(table, POLYGAMY, (bound_id,))
+    shift = plan.tol[bound_id] if shifted else 0.0
+    hi = thresholds.DEFAULT_SEARCH_CAP if shifted else table.measure.beta_max
+    want = find_zero(lambda a: plan.values(a)[0] - plan.lhs_power(a) + shift,
+                     max(thresholds.DEFAULT_TOL, SCAN_FLOOR), hi)
+    assert _hex(got) == _hex(want)
 
 
 class TestResidualZero:
@@ -196,6 +238,13 @@ class TestEmpiricalBeta:
         # 1.15**a overflows a float from a = 5079 on, inside the scan up to the cap
         table = ComponentTable.from_values({(1,): 0.5, (2,): 0.5, (1, 2): 1.15}, 2, CONCURRENCE)
         with pytest.raises(InvalidParameterError, match="overflows the lhs power"):
+            empirical_beta(table, BASE, search_cap=10000.0)
+
+    def test_component_power_overflow_is_named_before_the_lhs_power(self):
+        # a marginal and the lhs of 1.15 overflow at the same scan point: the component is named
+        table = ComponentTable.from_values({(1,): 1.15, (2,): 0.5, (1, 2): 1.15}, 2, CONCURRENCE)
+        message = "overflows a component power or the weight"
+        with pytest.raises(InvalidParameterError, match=f"^exponent \\S+ {message}$"):
             empirical_beta(table, BASE, search_cap=10000.0)
 
     def test_unknown_bound_rejected(self):
